@@ -14,8 +14,6 @@ import sys
 from .exchange import (
     ExchangeMatrix,
     NotCyclic,
-    NotSkewSymmetrizable,
-    NotTotallyInfinite,
     is_cluster_cyclic,
     is_totally_infinite,
     markov_constant,
@@ -28,9 +26,20 @@ from .explorer import (
     save_fan_file,
 )
 from .rank2 import g_sequence, limit_vectors
-from .rank3 import PairNotInfinite, fan_type, limit_rays, pair_asymptotics
+from .rank3 import (
+    InternalBandSearchFailure,
+    UnexpectedCyclicTriplet,
+    fan_type,
+    limit_rays,
+    pair_asymptotics,
+)
 from .render import RenderOptions, render_svg
-from .seeds import apply_word, initial_seed, verify_seed
+from .seeds import (
+    SignCoherenceViolation,
+    apply_word,
+    initial_seed,
+    verify_seed,
+)
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
@@ -299,11 +308,12 @@ def main(argv=None) -> int:
     except ResourceCapExceeded as exc:
         sys.stderr.write(f"resource cap: {exc}\n")
         return EXIT_RESOURCE
-    except (json.JSONDecodeError, FileNotFoundError, KeyError,
-            NotSkewSymmetrizable, ValueError) as exc:
+    except (SignCoherenceViolation, InternalBandSearchFailure,
+            UnexpectedCyclicTriplet) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return EXIT_PARSE
-    except (NotCyclic, NotTotallyInfinite, PairNotInfinite) as exc:
+        return EXIT_INVARIANT
+    except (json.JSONDecodeError, FileNotFoundError, KeyError,
+            ValueError) as exc:  # NotCyclic etc. subclass ValueError
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PARSE
 

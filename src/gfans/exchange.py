@@ -99,6 +99,14 @@ class ExchangeMatrix:
         object.__setattr__(self, "entries", _as_matrix(self.entries))
         self.symmetrizer  # validates on construction
 
+    @classmethod
+    def _with_symmetrizer(cls, entries: Matrix, d: tuple[int, ...]):
+        """Instance with a symmetrizer the caller has already checked."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "entries", entries)
+        obj.__dict__["symmetrizer"] = d
+        return obj
+
     @property
     def n(self) -> int:
         return len(self.entries)
@@ -145,8 +153,18 @@ def mutate_matrix(B: ExchangeMatrix, k: int) -> ExchangeMatrix:
                     + b[i][kk] * max(b[kk][j], 0)
                     + max(-b[i][kk], 0) * b[kk][j]
                 )
-        new.append(row)
-    return ExchangeMatrix(tuple(tuple(r) for r in new))
+        new.append(tuple(row))
+    # D skew-symmetrizes mu_k(B) whenever it skew-symmetrizes B, so the
+    # parent's symmetrizer is carried over and only checked.
+    d = B.symmetrizer
+    for i in range(n):
+        for j in range(i + 1, n):
+            if d[i] * new[i][j] != -d[j] * new[j][i]:
+                raise NotSkewSymmetrizable(
+                    f"mutation in direction {k} broke d_i b_ij = -d_j b_ji "
+                    f"at ({i},{j})"
+                )
+    return ExchangeMatrix._with_symmetrizer(tuple(new), d)
 
 
 def apply_matrix_word(B: ExchangeMatrix, word) -> ExchangeMatrix:

@@ -3,7 +3,10 @@
 Seeds are expanded level by level along the mutation tree; the resulting
 G-cones are deduplicated by their sorted ray set.  Many words reach the
 same cone, so the stored witness is the first one found (shortest, ties
-broken lexicographically by construction order).  Exploration is capped by
+broken lexicographically by construction order), and each new cone is
+expanded once, from that witness seed: a seed reaching a known cone has
+the same neighbors as its witness, queued at the same or a shallower
+level, so expanding it would find nothing new.  Exploration is capped by
 depth and cone count because the fans of infinite type grow without bound.
 """
 
@@ -49,7 +52,8 @@ class Fan:
 
 def explore(B: ExchangeMatrix, depth: int,
             max_cones: int = 100_000) -> Fan:
-    """BFS over mutation words of length <= depth from the initial seed."""
+    """BFS to depth `depth` from the initial seed, expanding each cone
+    once from its first witness seed."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
     s0 = initial_seed(B)
@@ -77,7 +81,7 @@ def explore(B: ExchangeMatrix, depth: int,
                         )
                     fan.cones[key] = cone
                     fan.words[key] = child.word
-                next_level.append((child, key))
+                    next_level.append((child, key))
         level = next_level
     return fan
 
@@ -97,17 +101,25 @@ def cone_contains(cone: GCone, ray, strictness: str = "interior") -> bool:
     The barycentric coordinates are adj(G) ray with det(G) = +-1, so they
     stay in whatever exact ring the ray components live in.
     """
-    g_cols = transpose(tuple(cone.rays))  # rays are columns of G
-    inv = unimodular_inverse(g_cols)
-    coords = [
-        sum(inv[i][j] * ray[j] for j in range(len(ray)))
-        for i in range(len(inv))
-    ]
+    return _contains(_inverse(cone), ray, strictness)
+
+
+def _inverse(cone: GCone):
+    return unimodular_inverse(transpose(tuple(cone.rays)))  # rays = columns
+
+
+def _contains(inv, ray, strictness: str) -> bool:
+    """Membership of `ray` in the cone whose G-matrix has inverse `inv`:
+    every barycentric coordinate (row of inv times ray) has the sign the
+    strictness asks for."""
     if strictness == "interior":
-        return all(_sign(x) > 0 for x in coords)
-    if strictness == "closure":
-        return all(_sign(x) >= 0 for x in coords)
-    raise ValueError("strictness must be 'interior' or 'closure'")
+        least = 1
+    elif strictness == "closure":
+        least = 0
+    else:
+        raise ValueError("strictness must be 'interior' or 'closure'")
+    return all(_sign(sum(x * y for x, y in zip(row, ray))) >= least
+               for row in inv)
 
 
 def _sign(x) -> int:
@@ -133,26 +145,20 @@ def interiors_disjoint(a: GCone, b: GCone) -> bool:
     The interiors meet iff some nonnegative combination (here: the sum) of
     the candidates is interior to both.
     """
-    candidates = []
-    for ray in a.rays:
-        if cone_contains(b, ray, "closure"):
-            candidates.append(ray)
-    for ray in b.rays:
-        if cone_contains(a, ray, "closure"):
-            candidates.append(ray)
-    na = unimodular_inverse(transpose(tuple(a.rays)))
-    nb = unimodular_inverse(transpose(tuple(b.rays)))
+    na, nb = _inverse(a), _inverse(b)  # rows are facet normals
+    candidates = [ray for ray in a.rays if _contains(nb, ray, "closure")]
+    candidates += [ray for ray in b.rays if _contains(na, ray, "closure")]
     for ra in na:
         for rb in nb:
             for cand in (_cross(ra, rb), _cross(rb, ra)):
-                if any(cand) and cone_contains(a, cand, "closure") \
-                        and cone_contains(b, cand, "closure"):
+                if any(cand) and _contains(na, cand, "closure") \
+                        and _contains(nb, cand, "closure"):
                     candidates.append(cand)
     if not candidates:
         return True
     total = tuple(sum(c[i] for c in candidates) for i in range(3))
-    return not (cone_contains(a, total, "interior")
-                and cone_contains(b, total, "interior"))
+    return not (_contains(na, total, "interior")
+                and _contains(nb, total, "interior"))
 
 
 # -- persistence -------------------------------------------------------------

@@ -34,6 +34,10 @@ class InternalBandSearchFailure(RuntimeError):
     """Band search exceeded its safety bound; indicates a bug."""
 
 
+class UnexpectedCyclicTriplet(RuntimeError):
+    """A cyclic fan's vertex types match no case C-1 .. C-5; a bug."""
+
+
 _NATURAL_PAIR = {3: (1, 2), 1: (2, 3), 2: (3, 1)}
 
 
@@ -295,5 +299,5 @@ def fan_type(B: ExchangeMatrix) -> FanTypeReport:
     elif tags == ["T41", "T42", "T43"]:
         label = "C-5"
     else:
-        raise RuntimeError(f"unexpected cyclic triplet {triplet}")
+        raise UnexpectedCyclicTriplet(f"unexpected cyclic triplet {triplet}")
     return FanTypeReport(triplet, label, c, swapped, reports)

@@ -2,6 +2,16 @@ import json
 
 import pytest
 
+import gfans.cli
+from gfans import (
+    InternalBandSearchFailure,
+    NotCyclic,
+    NotSkewSymmetrizable,
+    NotTotallyInfinite,
+    PairNotInfinite,
+    SignCoherenceViolation,
+    UnexpectedCyclicTriplet,
+)
 from gfans.cli import main
 from conftest import MARKOV, WING
 
@@ -104,3 +114,33 @@ def test_corrupted_fan_document_rejected(markov_file, tmp_path):
     doc["cones"][0]["g"] = [[2, 0, 0], [0, 1, 0], [0, 0, 1]]
     fan_path.write_text(json.dumps(doc))
     assert main(["render", str(fan_path)]) == 2
+
+
+def _raising(exc):
+    def handler(args):
+        raise exc
+    return handler
+
+
+@pytest.mark.parametrize("exc", [
+    SignCoherenceViolation("mixed signs in c-vector 1"),
+    InternalBandSearchFailure("no band within bound"),
+    UnexpectedCyclicTriplet("unexpected cyclic triplet ('1', '2', '3')"),
+])
+def test_invariant_failures_exit_1(exc, markov_file, monkeypatch, capsys):
+    monkeypatch.setattr(gfans.cli, "_cmd_classify", _raising(exc))
+    assert main(["classify", markov_file]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {exc}\n"
+
+
+@pytest.mark.parametrize("exc", [
+    NotCyclic("not cyclic"),
+    NotSkewSymmetrizable("conflicting cycle products"),
+    NotTotallyInfinite("not totally infinite"),
+    PairNotInfinite("pair is finite"),
+])
+def test_input_errors_exit_2(exc, markov_file, monkeypatch, capsys):
+    monkeypatch.setattr(gfans.cli, "_cmd_classify", _raising(exc))
+    assert main(["classify", markov_file]) == 2
+    assert capsys.readouterr().err == f"error: {exc}\n"

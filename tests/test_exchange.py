@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gfans import (
     ExchangeMatrix,
@@ -29,6 +31,14 @@ def random_skew_symmetrizable(rng, n):
     return ExchangeMatrix(
         tuple(tuple(a[i][j] * d[j] for j in range(n)) for i in range(n))
     )
+
+
+# The same matrices, drawn by hypothesis; a zero a_ij splits B into
+# several sign-connected components.
+skew_symmetrizable_matrices = st.builds(
+    random_skew_symmetrizable, st.randoms(use_true_random=False),
+    st.sampled_from([2, 3, 4]),
+)
 
 
 def test_symmetrizer_of_wing():
@@ -74,6 +84,32 @@ def test_mutation_preserves_symmetrizer():
         for i in range(3):
             for j in range(3):
                 assert d[i] * m[i][j] == -d[j] * m[j][i]
+
+
+@settings(max_examples=150, deadline=None)
+@given(skew_symmetrizable_matrices,
+       st.lists(st.integers(1, 4), min_size=1, max_size=8))
+def test_carried_symmetrizer_is_the_minimal_one(B, walk):
+    # mutation carries D instead of recomputing it; the carried D must be
+    # the minimal symmetrizer of the new entries, also when B splits into
+    # several components
+    for k in walk:
+        k = (k - 1) % B.n + 1
+        child = mutate_matrix(B, k)
+        assert child.symmetrizer == skew_symmetrizer(child.entries)
+        back = mutate_matrix(child, k)
+        assert back.entries == B.entries
+        assert back.symmetrizer == B.symmetrizer
+        B = child
+
+
+def test_mutation_checks_the_carried_symmetrizer():
+    B = ExchangeMatrix(WING)
+    assert B.symmetrizer == (3, 2, 6)
+    # the same entries with a symmetrizer that does not fit them
+    wrong = ExchangeMatrix._with_symmetrizer(B.entries, (1, 1, 1))
+    with pytest.raises(NotSkewSymmetrizable):
+        mutate_matrix(wrong, 1)
 
 
 def test_mutation_direction_bounds():

@@ -2,7 +2,10 @@ import itertools
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import gfans.explorer
 from gfans import (
     ExchangeMatrix,
     QuadraticNumber,
@@ -17,7 +20,50 @@ from gfans import (
     save_fan,
     save_fan_file,
 )
+from gfans.explorer import Fan
+from gfans.seeds import g_cone, initial_seed, mutate_seed
 from conftest import MARKOV, WING, frame
+from test_exchange import skew_symmetrizable_matrices
+
+A3 = ((0, 1, 0), (-1, 0, 1), (0, -1, 0))
+
+
+def explore_every_word(B, depth, max_cones=100_000):
+    """Oracle: BFS that expands every mutation word, not every cone."""
+    s0 = initial_seed(B)
+    cone0 = g_cone(s0)
+    fan = Fan(B, depth, {cone0.key: cone0}, {cone0.key: ()})
+    level = [(s0, cone0.key)]
+    for _ in range(depth):
+        next_level = []
+        for seed, parent_key in level:
+            last = seed.word[-1] if seed.word else 0
+            for k in range(1, B.n + 1):
+                if k == last:
+                    continue
+                child = mutate_seed(seed, k)
+                cone = g_cone(child)
+                key = cone.key
+                if key != parent_key:
+                    fan.adjacency.add(frozenset((parent_key, key)))
+                if key not in fan.cones:
+                    if len(fan.cones) >= max_cones:
+                        raise ResourceCapExceeded(
+                            f"cone cap {max_cones} reached at depth "
+                            f"{len(child.word)}"
+                        )
+                    fan.cones[key] = cone
+                    fan.words[key] = child.word
+                next_level.append((child, key))
+        level = next_level
+    return fan
+
+
+def _document_or_cap(explorer, B, depth, max_cones):
+    try:
+        return json.dumps(save_fan(explorer(B, depth, max_cones=max_cones)))
+    except ResourceCapExceeded as exc:
+        return f"cap: {exc}"
 
 
 def test_depth_zero_is_the_positive_orthant():
@@ -185,3 +231,41 @@ def test_reexploring_a_loaded_source_reproduces_the_fan(tmp_path):
     again = explore(loaded.source, loaded.depth)
     assert set(again.cones) == set(loaded.cones)
     assert again.words == loaded.words
+
+
+@settings(max_examples=150, deadline=None)
+@given(skew_symmetrizable_matrices, st.sampled_from(range(6)),
+       st.integers(1, 120))
+def test_expanding_each_cone_once_matches_expanding_every_word(
+        B, depth, max_cones):
+    # same document byte for byte, and the cap trips on the same cone
+    assert _document_or_cap(explore, B, depth, max_cones) == \
+        _document_or_cap(explore_every_word, B, depth, max_cones)
+
+
+def test_each_cone_is_expanded_once(monkeypatch):
+    calls = []
+
+    def counted(seed, k):
+        calls.append(k)
+        return mutate_seed(seed, k)
+
+    monkeypatch.setattr(gfans.explorer, "mutate_seed", counted)
+    fan = explore(ExchangeMatrix(A3), 11)
+    assert len(fan.cones) == 14
+    assert len(calls) <= 3 * len(fan.cones)
+
+
+def test_interiors_disjoint_inverts_each_cone_once(monkeypatch):
+    calls = []
+    inverse = gfans.explorer.unimodular_inverse
+
+    def counted(m):
+        calls.append(m)
+        return inverse(m)
+
+    monkeypatch.setattr(gfans.explorer, "unimodular_inverse", counted)
+    fan = explore(ExchangeMatrix(MARKOV), 2)
+    a, b = list(fan.cones.values())[:2]
+    assert interiors_disjoint(a, b)
+    assert len(calls) == 2
