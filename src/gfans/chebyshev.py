@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 
 @dataclass(frozen=True)
@@ -43,24 +44,35 @@ class ChebyshevValue:
         return self.odd_part * a
 
 
+def u_pairs(ab: int):
+    """U_{-2}, U_{-1}, U_0, ... at t = kappa/2 as (even_part, odd_part),
+    from one running recurrence U_n = kappa U_{n-1} - U_{n-2}."""
+    if ab < 4:
+        raise ValueError("requires ab >= 4")
+    prev2, prev1 = (-1, 0), (0, 0)
+    yield prev2
+    yield prev1
+    while True:
+        cur = (ab * prev1[1] - prev2[0], prev1[0] - prev2[1])
+        yield cur
+        prev2, prev1 = prev1, cur
+
+
+def pair_ratio(up, uq, a: int, b: int) -> Fraction:
+    """nu * U_p / U_q from the (even_part, odd_part) pairs of U_p and U_q,
+    p and q of opposite parity."""
+    if uq[1]:  # U_q = w*kappa, so nu*U_p/U_q = U_p / (a*w)
+        return Fraction(up[0], a * uq[1])
+    # U_q integer, so U_p = w*kappa and nu*U_p/U_q = w*b / U_q
+    return Fraction(up[1] * b, uq[0])
+
+
 def chebyshev_u(n: int, ab: int) -> ChebyshevValue:
     """U_n at t = kappa/2 for kappa = sqrt(ab); defined for n >= -2."""
     if n < -2:
         raise ValueError("index must be >= -2")
-    if ab < 4:
-        raise ValueError("requires ab >= 4")
-    prev2 = (-1, 0)  # U_{-2}
-    prev1 = (0, 0)   # U_{-1}
-    if n == -2:
-        cur = prev2
-    elif n == -1:
-        cur = prev1
-    else:
-        cur = prev1
-        for _ in range(n + 1):
-            cur = (ab * prev1[1] - prev2[0], prev1[0] - prev2[1])
-            prev2, prev1 = prev1, cur
-    return ChebyshevValue(cur[0], cur[1], n, ab)
+    even, odd = next(islice(u_pairs(ab), n + 2, None))
+    return ChebyshevValue(even, odd, n, ab)
 
 
 def nu_ratio(p: int, q: int, a: int, b: int) -> Fraction:
@@ -68,9 +80,9 @@ def nu_ratio(p: int, q: int, a: int, b: int) -> Fraction:
 
     Requires U_q != 0, i.e. q >= 0 or q = -2.
     """
-    up = chebyshev_u(p, a * b)
-    uq = chebyshev_u(q, a * b)
-    if uq.odd_part:  # U_q = w*kappa, so nu*U_p/U_q = U_p / (a*w)
-        return Fraction(up.as_int(), a * uq.odd_part)
-    # U_q integer, so U_p = w*kappa and nu*U_p/U_q = w*b / U_q
-    return Fraction(up.odd_part * b, uq.as_int())
+    if min(p, q) < -2:
+        raise ValueError("index must be >= -2")
+    if (p - q) % 2 == 0:
+        raise ValueError("p and q must have opposite parity")
+    values = list(islice(u_pairs(a * b), max(p, q) + 3))
+    return pair_ratio(values[p + 2], values[q + 2], a, b)

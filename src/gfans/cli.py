@@ -61,8 +61,23 @@ def _emit(text: str, out: str | None):
         sys.stdout.write(text)
 
 
-def _surd(q) -> str:
-    return repr(q)
+def _exact(vec) -> list:
+    """Quadratic numbers as exact [str(x), str(y), delta] triples."""
+    return [[str(c.x), str(c.y), c.delta] for c in vec]
+
+
+def _ray_lines(v, vp, indent: str) -> list[str]:
+    """Text lines for a pair of limit rays, exact and then decimal."""
+    def row(vec, fmt):
+        return "(" + ", ".join(fmt(c) for c in vec) + ")"
+
+    def dec(c):
+        return f"{float(c):.6f}"
+
+    return [f"{indent}v  = {row(v, repr)}",
+            f"{indent}v' = {row(vp, repr)}",
+            f"{indent}decimal v  = {row(v, dec)}",
+            f"{indent}decimal v' = {row(vp, dec)}"]
 
 
 def _cmd_classify(args) -> int:
@@ -95,8 +110,8 @@ def _cmd_classify(args) -> int:
         ],
         "limit_rays": {
             str(i): {
-                "v": [[str(c.x), str(c.y), c.delta] for c in rays[i][0]],
-                "v_prime": [[str(c.x), str(c.y), c.delta] for c in rays[i][1]],
+                "v": _exact(rays[i][0]),
+                "v_prime": _exact(rays[i][1]),
             }
             for i in rays
         },
@@ -119,18 +134,8 @@ def _cmd_classify(args) -> int:
                 f"(a,b)={r.pair_ab}{extra}"
             )
         for i in (1, 2, 3):
-            v, vp = rays[i]
             lines.append(f"  limit rays at v{i}:")
-            lines.append("    v  = (" + ", ".join(_surd(c) for c in v) + ")")
-            lines.append("    v' = (" + ", ".join(_surd(c) for c in vp) + ")")
-            lines.append(
-                "    decimal v  = ("
-                + ", ".join(f"{float(c):.6f}" for c in v) + ")"
-            )
-            lines.append(
-                "    decimal v' = ("
-                + ", ".join(f"{float(c):.6f}" for c in vp) + ")"
-            )
+            lines.extend(_ray_lines(*rays[i], "    "))
         _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
@@ -183,21 +188,15 @@ def _cmd_pair(args) -> int:
     doc = {
         "i": args.i,
         "j": args.j,
-        "v": [[str(c.x), str(c.y), c.delta] for c in v],
-        "v_prime": [[str(c.x), str(c.y), c.delta] for c in vp],
+        "v": _exact(v),
+        "v_prime": _exact(vp),
         "v_decimal": [float(c) for c in v],
         "v_prime_decimal": [float(c) for c in vp],
     }
     if args.format == "json":
         _emit(json.dumps(doc, indent=2) + "\n", args.out)
     else:
-        lines = [
-            f"pair ({args.i},{args.j})",
-            "v  = (" + ", ".join(_surd(c) for c in v) + ")",
-            "v' = (" + ", ".join(_surd(c) for c in vp) + ")",
-            "decimal v  = (" + ", ".join(f"{float(c):.6f}" for c in v) + ")",
-            "decimal v' = (" + ", ".join(f"{float(c):.6f}" for c in vp) + ")",
-        ]
+        lines = [f"pair ({args.i},{args.j})"] + _ray_lines(v, vp, "")
         _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 

@@ -1,11 +1,13 @@
 """Classification of elementary vertices of rank-3 G-fans.
 
 Each vertex v_i of a totally-infinite rank-3 fan is assigned one of six
-asymptotic types (1, 2, 3, 4-1, 4-2, 4-3) by reducing the matrix to the
-frame [[0,-b,-b c0],[a,0,-a d0],[c0,d0,0]] for the pair complementary to i
-and inspecting (c0, d0).  Types 4-2 and 4-3 carry a band index N located by
-exact rational Chebyshev ratios.  The module also produces the lifted
-g-vector sequences, limit rays, and the triplet/case label of a whole fan.
+asymptotic types (1, 2, 3, 4-1, 4-2, 4-3) by orienting the pair
+complementary to i into the frame [[0,-b,-b c0],[a,0,-a d0],[c0,d0,0]] and
+inspecting (c0, d0).  Types 4-2 and 4-3 carry a band index N located by
+exact rational Chebyshev ratios.  One third-component rule gives both the
+lifted g-vector sequences and, as its m -> infinity case, the limit rays of
+any alternating pair; the module also labels the triplet/case of a whole
+fan.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chebyshev import nu_ratio
+from .chebyshev import pair_ratio, u_pairs
 from .exchange import (
     ExchangeMatrix,
     NotTotallyInfinite,
@@ -22,7 +24,6 @@ from .exchange import (
     markov_constant,
     swap_indices_12,
 )
-from .quadratic import QuadraticNumber
 from .rank2 import g_sequence, limit_vectors
 
 
@@ -61,26 +62,51 @@ class FanTypeReport:
     reports: tuple[VertexTypeReport, VertexTypeReport, VertexTypeReport]
 
 
-def _reduce(B: ExchangeMatrix, i: int):
-    """Orient the pair complementary to i into the reduced frame.
+def _orient(B: ExchangeMatrix, j: int, k: int):
+    """Orient the alternating pair (j, k) into the reduced frame.
 
-    Returns (a, b, c0, d0, j, k, swapped) with B[j,k] = -b < 0 < a = B[k,j],
-    c0 = B[i,j], d0 = B[i,k].
+    Returns (a, b, j, k), swapped if needed, with B[j,k] = -b < 0 < a = B[k,j].
     """
-    if B.n != 3:
-        raise ValueError("vertex classification requires rank 3")
-    j, k = _NATURAL_PAIR[i]
-    if B[j, k] * B[k, j] >= 0 or abs(B[j, k] * B[k, j]) < 4:
-        raise PairNotInfinite(
-            f"pair ({j},{k}) has product {B[j, k] * B[k, j]}"
-        )
-    swapped = False
+    product = B[j, k] * B[k, j]
+    if product > -4:  # also catches product >= 0
+        raise PairNotInfinite(f"pair ({j},{k}) has product {product}")
     if B[j, k] > 0:
         j, k = k, j
-        swapped = True
-    a = B[k, j]
-    b = -B[j, k]
-    return a, b, B[i, j], B[i, k], j, k, swapped
+    return B[k, j], -B[j, k], j, k
+
+
+def _tag(a: int, b: int, c0: int, d0: int) -> str:
+    """Asymptotic type of a row (c0, d0) against the oriented pair (a, b)."""
+    if c0 >= 0 and d0 >= 0:
+        return "T1"
+    if c0 > 0 and d0 < 0:
+        return "T2"
+    if c0 <= 0 and d0 <= 0:
+        return "T3"
+    # c0 < 0 < d0
+    if a * b * c0 * d0 + a * d0 * d0 + b * c0 * c0 <= 0:
+        return "T41"
+    return "T42" if 2 * d0 + b * c0 > 0 else "T43"
+
+
+def _third(tag: str, forward: bool, past_band: bool, alpha, beta,
+           c0: int, d0: int, b: int):
+    """Third component of a lifted g-vector (alpha, beta) of the pair.
+
+    past_band says whether the step lies beyond the band index N + 1; a
+    limit ray is the case alpha = 1, beta = its slope, past_band = True.
+    """
+    if tag == "T2":
+        return d0 * beta
+    if tag == "T41":
+        full = forward
+    elif tag == "T42":
+        full = forward and not past_band
+    elif tag == "T43":
+        full = forward or past_band
+    else:
+        full = tag == "T3"
+    return c0 * alpha + (d0 + b * c0) * beta if full else 0 * beta
 
 
 def find_band_index(c0: int, d0: int, a: int, b: int,
@@ -93,19 +119,26 @@ def find_band_index(c0: int, d0: int, a: int, b: int,
     """
     if not (c0 < 0 < d0):
         raise ValueError("band index requires c0 < 0 < d0")
+    if tag not in ("T42", "T43"):
+        raise ValueError(f"band index undefined for tag {tag}")
+    if tag != _tag(a, b, c0, d0):
+        raise ValueError(
+            f"(c0,d0)=({c0},{d0}) is not of type {tag} for (a,b)=({a},{b})"
+        )
     r = Fraction(d0, -c0)
     bound = 10 * max(d0.bit_length(), (-c0).bit_length(), 4)
-    if tag == "T42":
-        for n in range(bound):
-            lo = nu_ratio(n + 1, n, a, b)
+    u = u_pairs(a * b)  # rejects ab < 4
+    next(u)  # U_{-2}
+    prev, cur = next(u), next(u)  # U_{n-1}, U_n at n = 0
+    for n in range(bound):
+        nxt = next(u)
+        if tag == "T42":
+            lo = pair_ratio(nxt, cur, a, b)
             if lo <= r:
                 return n, lo == r
-    elif tag == "T43":
-        for n in range(bound):
-            if r < nu_ratio(n, n + 1, a, b):
-                return n, nu_ratio(n - 1, n, a, b) == r
-    else:
-        raise ValueError(f"band index undefined for tag {tag}")
+        elif r < pair_ratio(cur, nxt, a, b):
+            return n, pair_ratio(prev, cur, a, b) == r
+        prev, cur = cur, nxt
     raise InternalBandSearchFailure(
         f"no band within bound for (c0,d0)=({c0},{d0}), (a,b)=({a},{b})"
     )
@@ -113,51 +146,20 @@ def find_band_index(c0: int, d0: int, a: int, b: int,
 
 def vertex_type(B: ExchangeMatrix, i: int) -> VertexTypeReport:
     """Asymptotic type of the elementary vertex v_i."""
-    a, b, c0, d0, _, _, swapped = _reduce(B, i)
-    band = None
-    equality = None
-    if c0 >= 0 and d0 >= 0:
-        tag = "T1"
-    elif c0 > 0 and d0 < 0:
-        tag = "T2"
-    elif c0 <= 0 and d0 <= 0:
-        tag = "T3"
-    else:  # c0 < 0 < d0
-        disc = a * b * c0 * d0 + a * d0 * d0 + b * c0 * c0
-        if disc <= 0:
-            tag = "T41"
-        elif 2 * d0 + b * c0 > 0:
-            tag = "T42"
-        else:
-            tag = "T43"
-        if tag in ("T42", "T43"):
-            band, equality = find_band_index(c0, d0, a, b, tag)
+    if B.n != 3:
+        raise ValueError("vertex classification requires rank 3")
+    natural = _NATURAL_PAIR[i]
+    a, b, j, k = _orient(B, *natural)
+    c0, d0 = B[i, j], B[i, k]
+    tag = _tag(a, b, c0, d0)
+    band = equality = None
+    if tag in ("T42", "T43"):
+        band, equality = find_band_index(c0, d0, a, b, tag)
     return VertexTypeReport(
         vertex=i, tag=tag, c0_d0=(c0, d0), pair_ab=(a, b),
-        swap_applied=swapped, band_index=band, boundary_equality=equality,
+        swap_applied=(j, k) != natural, band_index=band,
+        boundary_equality=equality,
     )
-
-
-def _third_components(tag: str, direction: str, m: int, alpha: int, beta: int,
-                      c0: int, d0: int, b: int, band: int | None) -> int:
-    full = c0 * alpha + (d0 + b * c0) * beta
-    if tag == "T1":
-        return 0
-    if tag == "T2":
-        return d0 * beta
-    if tag == "T3":
-        return full
-    if tag == "T41":
-        return full if direction == "forward" else 0
-    if tag == "T42":
-        if direction == "backward":
-            return 0
-        return full if m <= band + 1 else 0
-    if tag == "T43":
-        if direction == "forward":
-            return full
-        return 0 if m <= band + 1 else full
-    raise ValueError(f"unknown tag {tag}")
 
 
 def lifted_sequences(B: ExchangeMatrix, i: int, m_max: int):
@@ -169,98 +171,53 @@ def lifted_sequences(B: ExchangeMatrix, i: int, m_max: int):
     rep = vertex_type(B, i)
     a, b = rep.pair_ab
     c0, d0 = rep.c0_d0
-    _, _, _, _, j, k, _ = _reduce(B, i)
+    j, k = _NATURAL_PAIR[i]
+    if rep.swap_applied:
+        j, k = k, j
     out = []
-    for direction in ("forward", "backward"):
+    for forward in (True, False):
+        direction = "forward" if forward else "backward"
         seq = []
         for m in range(1, m_max + 1):
             alpha, beta = g_sequence(direction, m, a, b)
-            third = _third_components(
-                rep.tag, direction, m, alpha, beta, c0, d0, b, rep.band_index
-            )
+            past_band = rep.band_index is not None and m > rep.band_index + 1
             vec = [0, 0, 0]
             vec[j - 1] = alpha
             vec[k - 1] = beta
-            vec[i - 1] = third
+            vec[i - 1] = _third(rep.tag, forward, past_band, alpha, beta,
+                                c0, d0, b)
             seq.append(tuple(vec))
         out.append(seq)
     return out[0], out[1]
 
 
-def _limit_third(tag: str, c0: int, d0: int, b: int, v2, vp2):
-    full = c0 + (d0 + b * c0) * v2
-    full_p = c0 + (d0 + b * c0) * vp2
-    zero = QuadraticNumber.rational(0)
-    if tag in ("T1", "T42"):
-        return zero, zero
-    if tag == "T2":
-        return d0 * v2, d0 * vp2
-    if tag in ("T3", "T43"):
-        return full, full_p
-    if tag == "T41":
-        return full, zero
-    raise ValueError(f"unknown tag {tag}")
-
-
 def limit_rays(B: ExchangeMatrix, i: int):
     """(v, v'): limit directions of the lifted sequences at vertex v_i."""
-    rep = vertex_type(B, i)
-    a, b = rep.pair_ab
-    c0, d0 = rep.c0_d0
-    _, _, _, _, j, k, _ = _reduce(B, i)
-    (one, v2), (_, vp2) = limit_vectors(a, b)
-    t3, t3p = _limit_third(rep.tag, c0, d0, b, v2, vp2)
-    v = [None, None, None]
-    vp = [None, None, None]
-    v[j - 1], v[k - 1], v[i - 1] = one, v2, t3
-    vp[j - 1], vp[k - 1], vp[i - 1] = one, vp2, t3p
-    return tuple(v), tuple(vp)
+    if B.n != 3:
+        raise ValueError("vertex classification requires rank 3")
+    return pair_asymptotics(B, *_NATURAL_PAIR[i])
 
 
 def pair_asymptotics(B: ExchangeMatrix, i: int, j: int):
     """Limit directions for alternating (i, j) mutations at any rank n >= 2.
 
     Components i and j carry the rank-2 limits; every other component is
-    computed from its own row of B by the per-type third-component formulas.
+    the m -> infinity case of the third-component rule for its own row.
     """
-    entries = B.entries
     n = B.n
     if i == j or not (1 <= i <= n and 1 <= j <= n):
         raise ValueError("need two distinct indices in range")
-    if entries[i - 1][j - 1] * entries[j - 1][i - 1] >= 0 or \
-            abs(entries[i - 1][j - 1] * entries[j - 1][i - 1]) < 4:
-        raise PairNotInfinite(f"pair ({i},{j})")
-    jj, kk = i, j
-    if entries[jj - 1][kk - 1] > 0:
-        jj, kk = kk, jj
-    a = entries[kk - 1][jj - 1]
-    b = -entries[jj - 1][kk - 1]
+    a, b, j, k = _orient(B, i, j)
     (one, v2), (_, vp2) = limit_vectors(a, b)
-    zero = QuadraticNumber.rational(0)
-    v = [zero] * n
-    vp = [zero] * n
-    v[jj - 1], v[kk - 1] = one, v2
-    vp[jj - 1], vp[kk - 1] = one, vp2
+    v, vp = [None] * n, [None] * n
+    v[j - 1], v[k - 1] = one, v2
+    vp[j - 1], vp[k - 1] = one, vp2
     for ell in range(1, n + 1):
-        if ell in (jj, kk):
-            continue
-        c0 = entries[ell - 1][jj - 1]
-        d0 = entries[ell - 1][kk - 1]
-        if c0 >= 0 and d0 >= 0:
-            tag = "T1"
-        elif c0 > 0 and d0 < 0:
-            tag = "T2"
-        elif c0 <= 0 and d0 <= 0:
-            tag = "T3"
-        else:
-            disc = a * b * c0 * d0 + a * d0 * d0 + b * c0 * c0
-            if disc <= 0:
-                tag = "T41"
-            elif 2 * d0 + b * c0 > 0:
-                tag = "T42"
-            else:
-                tag = "T43"
-        v[ell - 1], vp[ell - 1] = _limit_third(tag, c0, d0, b, v2, vp2)
+        if ell not in (j, k):
+            c0, d0 = B[ell, j], B[ell, k]
+            tag = _tag(a, b, c0, d0)
+            v[ell - 1] = _third(tag, True, True, 1, v2, c0, d0, b)
+            vp[ell - 1] = _third(tag, False, True, 1, vp2, c0, d0, b)
     return tuple(v), tuple(vp)
 
 

@@ -84,6 +84,13 @@ def test_nu_ratio_against_floats():
         assert abs(float(got) - want) < 1e-9
 
 
+def test_nu_ratio_needs_opposite_parity():
+    with pytest.raises(ValueError):
+        nu_ratio(2, 0, 3, 2)
+    with pytest.raises(ValueError):
+        nu_ratio(1, 3, 3, 2)
+
+
 def test_nu_ratio_monotone_bands():
     # the sequences bounding the 4-2 and 4-3 bands are strictly monotone
     a, b = 3, 2

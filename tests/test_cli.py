@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -13,7 +14,7 @@ from gfans import (
     UnexpectedCyclicTriplet,
 )
 from gfans.cli import main
-from conftest import MARKOV, WING
+from conftest import MARKOV, WING, frame
 
 
 @pytest.fixture
@@ -144,3 +145,83 @@ def test_input_errors_exit_2(exc, markov_file, monkeypatch, capsys):
     monkeypatch.setattr(gfans.cli, "_cmd_classify", _raising(exc))
     assert main(["classify", markov_file]) == 2
     assert capsys.readouterr().err == f"error: {exc}\n"
+
+
+# -- golden outputs ----------------------------------------------------------
+
+GOLDEN_MATRICES = {
+    "WING": WING,
+    "MARKOV": MARKOV,
+    "C5": ((0, -2, 7), (3, 0, -3), (-7, 2, 0)),  # case C-5
+    "T42": frame(-100, 159).entries,  # v3 of type 4-2, band 3
+}
+
+# SHA-256 of the full stdout of each command on each matrix.
+GOLDEN_STDOUT = {
+    ("WING", ("classify",)):
+        "dc22fe1dfa0e40ec5dc5c68df55bbf8b53eef4dca37b9b8e10b0e0596243befe",
+    ("WING", ("classify", "--format", "json")):
+        "c5a087afd7fbb492225ca2da0e8b895184732ddf484f943c7e4da9367396e11b",
+    ("WING", ("pair", "--i", "1", "--j", "2")):
+        "ddc16a8f93f66dabb540cd9c0943ab8e9ef9521a1c3334dcedb3812fcc83e46b",
+    ("WING", ("pair", "--i", "1", "--j", "2", "--format", "json")):
+        "8d6222d2544994e1fc04213b4956000b2401c369f912f75e32032b523d93f756",
+    ("WING", ("pair", "--i", "3", "--j", "2")):
+        "deba850a9033efe8bb8dc6a54994515c37e7c2a1079f796a3712292e70ed83eb",
+    ("WING", ("pair", "--i", "3", "--j", "2", "--format", "json")):
+        "a26e39e6f74099500f5d730b1f199009bdbf3491160e4acf6adf84f8d01967bc",
+    ("MARKOV", ("classify",)):
+        "be511e0a21a1e198484a0cda7b328893ce5203e632c27259ad3bb28dcf2b2377",
+    ("MARKOV", ("classify", "--format", "json")):
+        "ae15b518a30907a54aa1f5ace31b1dba7433ef9e10d88c15ff07bbb36c34e6f7",
+    ("MARKOV", ("pair", "--i", "1", "--j", "2")):
+        "23c38e52e2f7ddb83e51981cf6e819389728cb0a6a8d4cc8a90108aab82025e2",
+    ("MARKOV", ("pair", "--i", "1", "--j", "2", "--format", "json")):
+        "9ce654ff6d88b0cbe0abe3c84c40d2d72570772203feb1109665eaddc8ea97d4",
+    ("MARKOV", ("pair", "--i", "3", "--j", "2")):
+        "e05fcaf667572cbe556cf565263a7b4d882ff91a02f596d109f0f91aec28e62c",
+    ("MARKOV", ("pair", "--i", "3", "--j", "2", "--format", "json")):
+        "acd07cec6e1823ab55f93b77953dfe375a09931c831edf6e5e7be3ca5b849534",
+    ("C5", ("classify",)):
+        "5eea9b314588abcd6c8a0d73898823570a8d442d051e540864c3f3f1e63169c3",
+    ("C5", ("classify", "--format", "json")):
+        "3b2c8760982ebe45d51b4b1706a31a6cba2e3ad09c2aaf8ee5a7d822b842938a",
+    ("C5", ("pair", "--i", "1", "--j", "2")):
+        "ca626f029f12a59d7f2969942c24c4c7acbec61a1f19515bc96451b29caf4d4c",
+    ("C5", ("pair", "--i", "1", "--j", "2", "--format", "json")):
+        "0daa14bd43f0c0aa228652b82e6489b5b11dfee7636cc083fd84b631806e668b",
+    ("C5", ("pair", "--i", "3", "--j", "2")):
+        "0071b2cd943775c8d1c7f9965e54344db2b92b95dbf8ac032d0f8cf1aa91fe67",
+    ("C5", ("pair", "--i", "3", "--j", "2", "--format", "json")):
+        "bc5434e71262f8a322d9426dcc630cd355f1514c7f6392db6d3ab33c7fca623e",
+    ("T42", ("classify",)):
+        "35dca4eacb99dae7c4ed0966e1cc46e936cf1c63ae207a2cd98e8d82d4224cdd",
+    ("T42", ("classify", "--format", "json")):
+        "390a92309bfe9c1982b810298254f6c2fdb2729a196da4f45c6b307375a94ac0",
+    ("T42", ("pair", "--i", "1", "--j", "2")):
+        "ddc16a8f93f66dabb540cd9c0943ab8e9ef9521a1c3334dcedb3812fcc83e46b",
+    ("T42", ("pair", "--i", "1", "--j", "2", "--format", "json")):
+        "8d6222d2544994e1fc04213b4956000b2401c369f912f75e32032b523d93f756",
+    ("T42", ("pair", "--i", "3", "--j", "2")):
+        "a999805959ee47f97dc79929d87853bd6058a1dce492653d6965c5ae4826e8dd",
+    ("T42", ("pair", "--i", "3", "--j", "2", "--format", "json")):
+        "f5dc32b44e9429cfdb0340c1a0ec52d28c468225f5cf7a805eb1e6b19b2d6691",
+}
+
+
+@pytest.mark.parametrize("name,command", sorted(GOLDEN_STDOUT))
+def test_golden_stdout(name, command, tmp_path, capsys):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(
+        {"b": [list(r) for r in GOLDEN_MATRICES[name]]}))
+    assert main([command[0], str(path), *command[1:]]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        GOLDEN_STDOUT[name, command]
+
+
+def test_pair_error_names_the_product(tmp_path, capsys):
+    path = tmp_path / "finite.json"
+    path.write_text(json.dumps({"b": [[0, -1, -2], [3, 0, -6], [2, 2, 0]]}))
+    assert main(["pair", str(path), "--i", "1", "--j", "2"]) == 2
+    assert capsys.readouterr().err == "error: pair (1,2) has product -3\n"

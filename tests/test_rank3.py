@@ -1,9 +1,13 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gfans import (
     ExchangeMatrix,
+    InternalBandSearchFailure,
     PairNotInfinite,
     fan_type,
     find_band_index,
@@ -12,9 +16,11 @@ from gfans import (
     lifted_sequences,
     limit_rays,
     limit_vectors,
+    nu_ratio,
     pair_asymptotics,
     vertex_type,
 )
+from gfans.rank3 import _tag
 from gfans.seeds import apply_word
 from conftest import MARKOV, PINWHEEL, TUNNEL, WING, frame
 
@@ -62,6 +68,63 @@ def test_band_index_guards():
         find_band_index(1, 1, 3, 2, "T42")
     with pytest.raises(ValueError):
         find_band_index(-1, 1, 3, 2, "T1")
+
+
+@pytest.mark.parametrize("c0,d0,a,b,tag", [
+    (-2, 2, 3, 2, "T42"),  # a 4-1 point
+    (-2, 2, 3, 2, "T43"),
+    pytest.param(-(2 ** 150), 2 ** 150, 3, 2, "T42", id="150-bit-4-1"),
+    (-100, 159, 3, 2, "T43"),  # a 4-2 point
+    (-50, 21, 3, 2, "T42"),  # a 4-3 point
+])
+def test_band_index_rejects_a_tag_the_point_does_not_have(c0, d0, a, b, tag):
+    with pytest.raises(ValueError, match="is not of type"):
+        find_band_index(c0, d0, a, b, tag)
+
+
+def band_oracle(c0, d0, a, b, tag):
+    """The band search as first written: O(N^2), one nu_ratio per bound.
+    None when no band lies below the search bound."""
+    r = Fraction(d0, -c0)
+    bound = 10 * max(d0.bit_length(), (-c0).bit_length(), 4)
+    for n in range(bound):
+        if tag == "T42":
+            lo = nu_ratio(n + 1, n, a, b)
+            if lo <= r:
+                return n, lo == r
+        elif r < nu_ratio(n, n + 1, a, b):
+            return n, nu_ratio(n - 1, n, a, b) == r
+    return None
+
+
+@st.composite
+def band_points(draw):
+    """(c0, d0, a, b) with c0 < 0 < d0, ab >= 4, often on a band bound."""
+    a = draw(st.integers(1, 6))
+    b = draw(st.integers(1, 6))
+    assume(a * b >= 4)
+    if draw(st.booleans()):
+        n = draw(st.integers(0, 8))
+        r = nu_ratio(n + 1, n, a, b) if draw(st.booleans()) \
+            else nu_ratio(n - 1, n, a, b)
+        assume(r > 0)
+        k = draw(st.integers(1, 3))
+        return -r.denominator * k, r.numerator * k, a, b
+    return -draw(st.integers(1, 400)), draw(st.integers(1, 400)), a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(band_points())
+def test_band_index_matches_the_quadratic_search(point):
+    c0, d0, a, b = point
+    tag = _tag(a, b, c0, d0)
+    assume(tag in ("T42", "T43"))
+    want = band_oracle(c0, d0, a, b, tag)
+    if want is None:
+        with pytest.raises(InternalBandSearchFailure):
+            find_band_index(c0, d0, a, b, tag)
+    else:
+        assert find_band_index(c0, d0, a, b, tag) == want
 
 
 def test_finite_pair_rejected():
@@ -157,6 +220,15 @@ def test_pair_asymptotics_matches_limit_rays_on_frames():
     finite_pair = ExchangeMatrix(((0, -1, -2), (3, 0, -6), (2, 2, 0)))
     with pytest.raises(PairNotInfinite):
         pair_asymptotics(finite_pair, 1, 2)
+
+
+def test_limit_rays_need_no_band_index():
+    # an ab = 4 vertex whose band lies beyond the search bound: the limit
+    # rays do not depend on the band, so they are still found
+    B = frame(-127, 128, 2, 2)
+    v, vp = limit_rays(B, 3)
+    assert (v, vp) == pair_asymptotics(B, 1, 2)
+    assert v == vp
 
 
 def test_pair_asymptotics_rank_two_slice():
