@@ -20,12 +20,10 @@ from .seeds import (
     GCone,
     Seed,
     cone_key,
-    det,
+    d_paired,
     g_cone,
     initial_seed,
     mutate_seed,
-    transpose,
-    unimodular_inverse,
 )
 
 Key = tuple[tuple[int, ...], ...]
@@ -98,20 +96,18 @@ def find_negative_orthant(fan: Fan):
 def cone_contains(cone: GCone, ray, strictness: str = "interior") -> bool:
     """Exact membership test of a ray in a simplicial unimodular cone.
 
-    The barycentric coordinates are adj(G) ray with det(G) = +-1, so they
-    stay in whatever exact ring the ray components live in.
+    By tropical duality <c_i, D g_j> = d_i delta_ij, the i-th barycentric
+    coordinate of the ray is <D c_i, ray> / d_i with d_i > 0, so its sign
+    is that of the pairing with the facet normal D c_i.  The pairing stays
+    in whatever exact ring the ray components live in.
     """
-    return _contains(_inverse(cone), ray, strictness)
+    return _contains(cone.facets, ray, strictness)
 
 
-def _inverse(cone: GCone):
-    return unimodular_inverse(transpose(tuple(cone.rays)))  # rays = columns
-
-
-def _contains(inv, ray, strictness: str) -> bool:
-    """Membership of `ray` in the cone whose G-matrix has inverse `inv`:
-    every barycentric coordinate (row of inv times ray) has the sign the
-    strictness asks for."""
+def _contains(facets, ray, strictness: str) -> bool:
+    """Membership of `ray` in the cone with facet normals `facets` (D c_i):
+    every pairing <D c_i, ray>, a positive multiple of a barycentric
+    coordinate, has the sign the strictness asks for."""
     if strictness == "interior":
         least = 1
     elif strictness == "closure":
@@ -119,7 +115,7 @@ def _contains(inv, ray, strictness: str) -> bool:
     else:
         raise ValueError("strictness must be 'interior' or 'closure'")
     return all(_sign(sum(x * y for x, y in zip(row, ray))) >= least
-               for row in inv)
+               for row in facets)
 
 
 def _sign(x) -> int:
@@ -145,7 +141,9 @@ def interiors_disjoint(a: GCone, b: GCone) -> bool:
     The interiors meet iff some nonnegative combination (here: the sum) of
     the candidates is interior to both.
     """
-    na, nb = _inverse(a), _inverse(b)  # rows are facet normals
+    if len(a.rays) != 3 or len(b.rays) != 3:
+        raise ValueError("interiors_disjoint needs two rank-3 cones")
+    na, nb = a.facets, b.facets
     candidates = [ray for ray in a.rays if _contains(nb, ray, "closure")]
     candidates += [ray for ray in b.rays if _contains(na, ray, "closure")]
     for ra in na:
@@ -197,9 +195,10 @@ def load_fan(doc: dict) -> Fan:
     for entry in doc["cones"]:
         rays = tuple(tuple(int(x) for x in r) for r in entry["g"])
         normals = tuple(tuple(int(x) for x in r) for r in entry["c"])
-        if det(transpose(rays)) not in (1, -1):
-            raise ValueError(f"non-unimodular cone in document: {rays}")
-        cone = GCone(rays, normals)
+        if not d_paired(normals, rays, source.symmetrizer):
+            raise ValueError(
+                f"c-vectors not dual to the g-vectors in document: {rays}")
+        cone = GCone(rays, normals, source.symmetrizer)
         key = cone.key
         if tuple(tuple(int(x) for x in r) for r in entry["key"]) != key:
             raise ValueError("cone key does not match its rays")

@@ -173,7 +173,26 @@ class QuadraticNumber:
     # -- output --------------------------------------------------------------
 
     def __float__(self) -> float:
-        return float(self.x) + float(self.y) * math.sqrt(self.delta)
+        """Within one ulp of the exact value, for every value in float range.
+
+        Write the value as (n + m*sqrt(delta)) / den with integers.  The sum
+        s = |n| + |m|*sqrt(delta) cannot cancel: scaled by 2^k so that
+        |m|*sqrt(delta)*2^k >= 2^71, an integer square root fixes it to
+        2^-71 relative.  If n and m have one sign the value is +-s / den;
+        otherwise it is (n^2 - m^2*delta) / (+-den*s), with an exact
+        numerator.  The one rounding is the final integer division.
+        """
+        if self.y == 0:
+            return float(self.x)
+        den = self.x.denominator * self.y.denominator
+        n = self.x.numerator * self.y.denominator
+        m = self.y.numerator * self.x.denominator
+        m2d = m * m * self.delta
+        k = max(0, 72 - m2d.bit_length() // 2)
+        s = (abs(n) << k) + math.isqrt(m2d << 2 * k)
+        if n == 0 or (n > 0) == (m > 0):
+            return (s if m > 0 else -s) / (den << k)
+        return ((n * n - m2d) << k) / (den * s if n > 0 else -den * s)
 
     def __repr__(self) -> str:
         if self.y == 0:

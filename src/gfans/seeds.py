@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import mul
 
 from .exchange import ExchangeMatrix, Matrix, mutate_matrix
 
@@ -194,14 +196,27 @@ def apply_word(s: Seed, word) -> Seed:
 
 @dataclass(frozen=True)
 class GCone:
-    """Simplicial cone spanned by the columns of a unimodular G-matrix."""
+    """Simplicial cone spanned by the columns of a unimodular G-matrix.
+
+    `normals` are the seed's c-vectors and `symmetrizer` is D; together
+    they give the facet normals.
+    """
 
     rays: tuple[tuple[int, ...], ...]
     normals: tuple[tuple[int, ...], ...]
+    symmetrizer: tuple[int, ...]
 
     @property
     def key(self) -> tuple[tuple[int, ...], ...]:
         return cone_key(self.rays)
+
+    @cached_property
+    def facets(self) -> tuple[tuple[int, ...], ...]:
+        """Facet normals D c_i.  By tropical duality <c_i, D g_j> =
+        d_i delta_ij, the i-th barycentric coordinate of x is
+        <D c_i, x> / d_i."""
+        d = self.symmetrizer
+        return tuple(tuple(map(mul, d, c)) for c in self.normals)
 
 
 def cone_key(rays) -> tuple[tuple[int, ...], ...]:
@@ -211,7 +226,24 @@ def cone_key(rays) -> tuple[tuple[int, ...], ...]:
 def g_cone(s: Seed) -> GCone:
     rays = tuple(s.g_vector(i) for i in range(1, s.n + 1))
     normals = tuple(s.c_vector(i) for i in range(1, s.n + 1))
-    return GCone(rays, normals)
+    return GCone(rays, normals, s.b.symmetrizer)
+
+
+def d_paired(normals, rays, d) -> bool:
+    """Tropical duality <c_i, D g_j> = d_i delta_ij between the c-vectors
+    `normals` and the g-vectors `rays` of one seed, all of length n = len(d).
+
+    In matrix form C^T D G = D, so det C * det G = 1: both are unimodular.
+    """
+    n = len(d)
+    if any(len(v) != n for v in (normals, rays, *normals, *rays)):
+        return False
+    d_rays = [tuple(map(mul, d, g)) for g in rays]
+    for i, c in enumerate(normals):
+        for j, dg in enumerate(d_rays):
+            if sum(map(mul, c, dg)) != (d[i] if i == j else 0):
+                return False
+    return True
 
 
 # -- verification ------------------------------------------------------------
@@ -244,14 +276,5 @@ def verify_seed(s: Seed) -> dict[str, bool]:
         )
     report["duality"] = dual_ok
 
-    pairing_ok = True
-    for i in range(1, n + 1):
-        ci = s.c_vector(i)
-        for j in range(1, n + 1):
-            gj = s.g_vector(j)
-            val = sum(ci[r] * d[r] * gj[r] for r in range(n))
-            want = d[i - 1] if i == j else 0
-            if val != want:
-                pairing_ok = False
-    report["d_pairing"] = pairing_ok
+    report["d_pairing"] = d_paired(transpose(s.c), transpose(s.g), d)
     return report

@@ -4,17 +4,22 @@ import json
 import pytest
 
 import gfans.cli
+from fractions import Fraction
+
 from gfans import (
     InternalBandSearchFailure,
     NotCyclic,
     NotSkewSymmetrizable,
     NotTotallyInfinite,
     PairNotInfinite,
+    QuadraticNumber,
     SignCoherenceViolation,
     UnexpectedCyclicTriplet,
+    limit_rays,
 )
 from gfans.cli import main
 from conftest import MARKOV, WING, frame
+from test_quadratic import assert_within_one_ulp, float_oracle
 
 
 @pytest.fixture
@@ -117,6 +122,21 @@ def test_corrupted_fan_document_rejected(markov_file, tmp_path):
     assert main(["render", str(fan_path)]) == 2
 
 
+def test_fan_document_with_swapped_c_vectors_rejected(wing_file, tmp_path,
+                                                      capsys):
+    # unimodular rays, but c-vectors no longer D-dual to them (D != I)
+    fan_path = tmp_path / "fan.json"
+    assert main(["explore", wing_file, "--depth", "1",
+                 "--out", str(fan_path)]) == 0
+    doc = json.loads(fan_path.read_text())
+    c = doc["cones"][1]["c"]
+    c[0], c[1] = c[1], c[0]
+    fan_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["render", str(fan_path)]) == 2
+    assert "not dual" in capsys.readouterr().err
+
+
 def _raising(exc):
     def handler(args):
         raise exc
@@ -165,11 +185,11 @@ GOLDEN_STDOUT = {
     ("WING", ("pair", "--i", "1", "--j", "2")):
         "ddc16a8f93f66dabb540cd9c0943ab8e9ef9521a1c3334dcedb3812fcc83e46b",
     ("WING", ("pair", "--i", "1", "--j", "2", "--format", "json")):
-        "8d6222d2544994e1fc04213b4956000b2401c369f912f75e32032b523d93f756",
+        "94c778d032b7f3f0103f7136533fb344dd2a3aa2c2e00575801630ff99f9d93a",
     ("WING", ("pair", "--i", "3", "--j", "2")):
         "deba850a9033efe8bb8dc6a54994515c37e7c2a1079f796a3712292e70ed83eb",
     ("WING", ("pair", "--i", "3", "--j", "2", "--format", "json")):
-        "a26e39e6f74099500f5d730b1f199009bdbf3491160e4acf6adf84f8d01967bc",
+        "2bbd90791d1da79edf6912993592d2bb610136473dfc563339bea512e2f763b0",
     ("MARKOV", ("classify",)):
         "be511e0a21a1e198484a0cda7b328893ce5203e632c27259ad3bb28dcf2b2377",
     ("MARKOV", ("classify", "--format", "json")):
@@ -189,11 +209,11 @@ GOLDEN_STDOUT = {
     ("C5", ("pair", "--i", "1", "--j", "2")):
         "ca626f029f12a59d7f2969942c24c4c7acbec61a1f19515bc96451b29caf4d4c",
     ("C5", ("pair", "--i", "1", "--j", "2", "--format", "json")):
-        "0daa14bd43f0c0aa228652b82e6489b5b11dfee7636cc083fd84b631806e668b",
+        "d284a6a4fee9c11779f6643d651a218f91f63b873bad1f9fd51c6773f3d8d759",
     ("C5", ("pair", "--i", "3", "--j", "2")):
         "0071b2cd943775c8d1c7f9965e54344db2b92b95dbf8ac032d0f8cf1aa91fe67",
     ("C5", ("pair", "--i", "3", "--j", "2", "--format", "json")):
-        "bc5434e71262f8a322d9426dcc630cd355f1514c7f6392db6d3ab33c7fca623e",
+        "b979b99cac30c87b74377837072e1b8fb09cc2b8b491d23687565584dbbd0371",
     ("T42", ("classify",)):
         "35dca4eacb99dae7c4ed0966e1cc46e936cf1c63ae207a2cd98e8d82d4224cdd",
     ("T42", ("classify", "--format", "json")):
@@ -201,11 +221,11 @@ GOLDEN_STDOUT = {
     ("T42", ("pair", "--i", "1", "--j", "2")):
         "ddc16a8f93f66dabb540cd9c0943ab8e9ef9521a1c3334dcedb3812fcc83e46b",
     ("T42", ("pair", "--i", "1", "--j", "2", "--format", "json")):
-        "8d6222d2544994e1fc04213b4956000b2401c369f912f75e32032b523d93f756",
+        "94c778d032b7f3f0103f7136533fb344dd2a3aa2c2e00575801630ff99f9d93a",
     ("T42", ("pair", "--i", "3", "--j", "2")):
         "a999805959ee47f97dc79929d87853bd6058a1dce492653d6965c5ae4826e8dd",
     ("T42", ("pair", "--i", "3", "--j", "2", "--format", "json")):
-        "f5dc32b44e9429cfdb0340c1a0ec52d28c468225f5cf7a805eb1e6b19b2d6691",
+        "ed95fdfb1a31677d452db7e21636da7045a09ffc54705adb47127a4629079157",
 }
 
 
@@ -225,3 +245,42 @@ def test_pair_error_names_the_product(tmp_path, capsys):
     path.write_text(json.dumps({"b": [[0, -1, -2], [3, 0, -6], [2, 2, 0]]}))
     assert main(["pair", str(path), "--i", "1", "--j", "2"]) == 2
     assert capsys.readouterr().err == "error: pair (1,2) has product -3\n"
+
+
+def _check_pair_decimals(path, i, capsys):
+    """Every decimal of `pair --i i --j 2 --format json` is the float of its
+    exact value and within one ulp of the oracle."""
+    assert main(["pair", str(path), "--i", str(i), "--j", "2",
+                 "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    exact = [QuadraticNumber(Fraction(x), Fraction(y), delta)
+             for key in ("v", "v_prime") for x, y, delta in doc[key]]
+    for c, decimal in zip(exact, doc["v_decimal"] + doc["v_prime_decimal"]):
+        assert float(c) == decimal
+        assert_within_one_ulp(c)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_MATRICES))
+@pytest.mark.parametrize("i", (1, 3))
+def test_pair_decimals_match_the_exact_rays(name, i, tmp_path, capsys):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(
+        {"b": [list(r) for r in GOLDEN_MATRICES[name]]}))
+    _check_pair_decimals(path, i, capsys)
+
+
+def test_decimals_of_cancelling_limit_rays(tmp_path, capsys):
+    # v3 of type 4-2 with band 134 and entries of about 130 bits: at v2,
+    # v'_1 is about -3.5e-39, once printed as -37778931862957161709568.000000
+    B = frame(-285722512653511151141513746107290123975,
+              450684482247552067946963352686751106928)
+    path = tmp_path / "t42.json"
+    path.write_text(json.dumps({"b": [list(r) for r in B.entries]}))
+    assert main(["classify", str(path)]) == 0
+    text = capsys.readouterr().out
+    for i in (1, 2, 3):
+        v, vp = limit_rays(B, i)
+        for label, ray in (("v ", v), ("v'", vp)):
+            line = ", ".join(f"{float_oracle(c):.6f}" for c in ray)
+            assert f"decimal {label} = ({line})" in text
+    _check_pair_decimals(path, 3, capsys)

@@ -17,15 +17,23 @@ from gfans import (
     limit_rays,
     load_fan,
     load_fan_file,
+    pair_asymptotics,
     save_fan,
     save_fan_file,
 )
 from gfans.explorer import Fan
-from gfans.seeds import g_cone, initial_seed, mutate_seed
+from gfans.seeds import (
+    g_cone,
+    initial_seed,
+    mutate_seed,
+    transpose,
+    unimodular_inverse,
+)
 from conftest import MARKOV, WING, frame
 from test_exchange import skew_symmetrizable_matrices
 
 A3 = ((0, 1, 0), (-1, 0, 1), (0, -1, 0))
+A4 = ((0, 1, 0, 0), (-1, 0, 1, 0), (0, -1, 0, 1), (0, 0, -1, 0))
 
 
 def explore_every_word(B, depth, max_cones=100_000):
@@ -170,10 +178,10 @@ def test_pairwise_interior_disjointness():
 def test_interiors_disjoint_detects_overlap():
     from gfans.seeds import GCone
     a = GCone(((1, 0, 0), (0, 1, 0), (0, 0, 1)), ((1, 0, 0), (0, 1, 0),
-                                                  (0, 0, 1)))
+                                                  (0, 0, 1)), (1, 1, 1))
     # a strictly smaller cone inside the positive orthant
     b = GCone(((1, 1, 1), (0, 1, 1), (0, 0, 1)), ((1, 0, 0), (-1, 1, 0),
-                                                  (0, -1, 1)))
+                                                  (0, -1, 1)), (1, 1, 1))
     assert not interiors_disjoint(a, b)
     assert interiors_disjoint(a, a) is False
 
@@ -256,16 +264,121 @@ def test_each_cone_is_expanded_once(monkeypatch):
     assert len(calls) <= 3 * len(fan.cones)
 
 
-def test_interiors_disjoint_inverts_each_cone_once(monkeypatch):
-    calls = []
-    inverse = gfans.explorer.unimodular_inverse
+def test_interiors_disjoint_needs_rank_3():
+    # rank 4 used to call a cone disjoint from itself; rank 2 raised
+    # IndexError
+    for B in (A4, ((0, 1), (-1, 0))):
+        cone = next(iter(explore(ExchangeMatrix(B), 0).cones.values()))
+        with pytest.raises(ValueError):
+            interiors_disjoint(cone, cone)
 
-    def counted(m):
-        calls.append(m)
-        return inverse(m)
 
-    monkeypatch.setattr(gfans.explorer, "unimodular_inverse", counted)
-    fan = explore(ExchangeMatrix(MARKOV), 2)
-    a, b = list(fan.cones.values())[:2]
-    assert interiors_disjoint(a, b)
-    assert len(calls) == 2
+def test_load_rejects_c_vectors_not_dual_to_g():
+    doc = save_fan(explore(ExchangeMatrix(WING), 1))
+    c = doc["cones"][1]["c"]
+    c[0], c[1] = c[1], c[0]
+    with pytest.raises(ValueError, match="not dual"):
+        load_fan(doc)
+    # a cone with a ray missing once raised IndexError
+    doc = save_fan(explore(ExchangeMatrix(WING), 1))
+    doc["cones"][0]["g"].pop()
+    with pytest.raises(ValueError, match="not dual"):
+        load_fan(doc)
+
+
+# -- the duality rule against the adjugate rule it replaced -----------------
+
+def _adjugate_normals(cone):
+    """Reference facet normals: the rows of G^-1, computed by adjugate."""
+    return unimodular_inverse(transpose(cone.rays))
+
+
+def _inside(normals, ray, strictness):
+    least = {"interior": 1, "closure": 0}[strictness]
+    for row in normals:
+        s = sum(x * y for x, y in zip(row, ray))
+        if (s.sign() if isinstance(s, QuadraticNumber)
+                else (s > 0) - (s < 0)) < least:
+            return False
+    return True
+
+
+def _cross(u, v):
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+            u[0] * v[1] - u[1] * v[0])
+
+
+def _adjugate_disjoint(a, b):
+    """Reference interiors_disjoint on adjugate normals: candidates are rays
+    of one cone in the closure of the other and crossed normal pairs in
+    both closures; the interiors meet iff their sum is interior to both."""
+    na, nb = _adjugate_normals(a), _adjugate_normals(b)
+    cands = [r for r in a.rays if _inside(nb, r, "closure")]
+    cands += [r for r in b.rays if _inside(na, r, "closure")]
+    for ra in na:
+        for rb in nb:
+            for cand in (_cross(ra, rb), _cross(rb, ra)):
+                if any(cand) and _inside(na, cand, "closure") \
+                        and _inside(nb, cand, "closure"):
+                    cands.append(cand)
+    if not cands:
+        return True
+    total = tuple(sum(c[i] for c in cands) for i in range(3))
+    return not (_inside(na, total, "interior")
+                and _inside(nb, total, "interior"))
+
+
+def _limit_rays(B):
+    """Quadratic limit rays of every alternating pair of infinite type."""
+    rays = []
+    for i, j in itertools.combinations(range(1, B.n + 1), 2):
+        if B[i, j] * B[j, i] <= -4:
+            rays.extend(pair_asymptotics(B, i, j))
+    return rays
+
+
+def _assert_rules_agree(fan, rays):
+    cones = [fan.cones[k] for k in sorted(fan.cones)]
+    # rays of the fan itself: a ray and the sum of two rays of a cone lie
+    # on its boundary, the sum over two cones crosses the walls between
+    rays = list(rays)
+    for a, b in zip(cones[:8], cones[1:9] + cones[:1]):
+        rays += [a.rays[0], tuple(map(sum, zip(*a.rays[:2]))),
+                 tuple(map(sum, zip(*a.rays, *b.rays)))]
+    for cone in cones:
+        normals = _adjugate_normals(cone)
+        for ray in rays:
+            for strictness in ("interior", "closure"):
+                assert cone_contains(cone, ray, strictness) == \
+                    _inside(normals, ray, strictness), (cone, ray)
+    if fan.source.n == 3:
+        pairs = list(itertools.combinations(cones, 2))[:40]
+        for a, b in pairs + [(c, c) for c in cones[:3]]:
+            assert interiors_disjoint(a, b) == _adjugate_disjoint(a, b)
+
+
+def _reloaded(fan):
+    return load_fan(json.loads(json.dumps(save_fan(fan))))
+
+
+@pytest.mark.parametrize("B", [MARKOV, WING, frame(-2, 2).entries])
+def test_duality_rule_matches_adjugate_rule_on_fixtures(B):
+    # WING and the frame have D != I
+    B = ExchangeMatrix(B)
+    fan = explore(B, 3)
+    rays = _limit_rays(B)
+    _assert_rules_agree(fan, rays)
+    _assert_rules_agree(_reloaded(fan), rays)
+
+
+@settings(max_examples=40, deadline=None)
+@given(skew_symmetrizable_matrices, st.sampled_from(range(4)),
+       st.booleans(),
+       st.lists(st.lists(st.integers(-4, 4), min_size=4, max_size=4),
+                max_size=6))
+def test_duality_rule_matches_adjugate_rule(B, depth, reload, points):
+    fan = explore(B, depth)
+    if reload:
+        fan = _reloaded(fan)
+    rays = [tuple(p[:B.n]) for p in points] + _limit_rays(B)[:4]
+    _assert_rules_agree(fan, rays)

@@ -1,6 +1,9 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gfans import QuadraticNumber
 
@@ -72,3 +75,56 @@ def test_float_and_hash():
     assert hash(QuadraticNumber.rational(7)) == hash(
         QuadraticNumber(Fraction(7), Fraction(0), 0)
     )
+
+
+def float_oracle(q):
+    """Correctly rounded float of q: x + y*r at both ends of a bracket
+    [r, r + 2^-p] around sqrt(delta), with p doubled until the two ends
+    round to the same float."""
+    if q.y == 0:
+        return float(q.x)
+    p = 64
+    while True:
+        r = Fraction(math.isqrt(q.delta << 2 * p), 1 << p)
+        ends = {float(q.x + q.y * e) for e in (r, r + Fraction(1, 1 << p))}
+        if len(ends) == 1:
+            return ends.pop()
+        p *= 2
+
+
+def assert_within_one_ulp(q):
+    want = float_oracle(q)
+    assert abs(float(q) - want) <= math.ulp(want), (q, float(q), want)
+
+
+def test_float_resolves_cancellation():
+    # 2^80 - sqrt(2^160 + 1) is about -2^-81; x + y*sqrt(delta) in floats
+    # gives 0.0
+    q = QuadraticNumber(Fraction(2 ** 80), Fraction(-1), 2 ** 160 + 1)
+    assert float(q) < 0
+    assert_within_one_ulp(q)
+    assert_within_one_ulp(-q)
+
+
+def test_float_of_a_huge_discriminant():
+    # math.sqrt raises OverflowError on an int above about 2^1024
+    for q in (QuadraticNumber.sqrt(2 ** 1100 + 1),
+              QuadraticNumber(Fraction(3, 7), Fraction(1, 2 ** 600),
+                              2 ** 1300 + 7),
+              QuadraticNumber(Fraction(-(2 ** 550)), Fraction(1),
+                              2 ** 1100 + 3)):
+        assert_within_one_ulp(q)
+
+
+_fractions = st.fractions(max_denominator=10 ** 6)
+
+
+@given(_fractions, _fractions, st.integers(2, 2 ** 300),
+       st.integers(-(2 ** 20), 2 ** 20))
+def test_float_within_one_ulp(x, y, delta, nudge):
+    assert_within_one_ulp(QuadraticNumber(x, y, delta))
+    if y:
+        # x chosen next to -y*sqrt(delta), so the two terms nearly cancel
+        near = -y * Fraction(math.isqrt(delta << 200), 1 << 100) \
+            + Fraction(nudge, 1 << 120)
+        assert_within_one_ulp(QuadraticNumber(near, y, delta))
