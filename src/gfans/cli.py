@@ -202,6 +202,8 @@ def _cmd_pair(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.depth < 0:
+        raise ValueError("depth must be >= 0")
     B = _load_matrix(args.matrix)
     rng = random.Random(args.seed)
     sys.stdout.write(f"seed: {args.seed}\n")

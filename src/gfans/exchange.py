@@ -28,6 +28,22 @@ class NotTotallyInfinite(ValueError):
 Matrix = tuple[tuple[int, ...], ...]
 
 
+def int_rows(rows, what: str) -> Matrix:
+    """Integer rows of a JSON document as tuples.  Rows must be lists and
+    entries ints: `int()` would also pass "0", false and 2.9."""
+    if type(rows) is not list or any(type(r) is not list for r in rows) \
+            or any(type(x) is not int for r in rows for x in r):
+        raise ValueError(f"{what} must be integers in JSON lists")
+    return tuple(map(tuple, rows))
+
+
+def json_value(value, kind: type, what: str):
+    if type(value) is not kind:
+        name = {dict: "an object", list: "a list", int: "an integer"}[kind]
+        raise ValueError(f"{what} must be {name}")
+    return value
+
+
 def _as_matrix(rows) -> Matrix:
     m = tuple(tuple(int(x) for x in row) for row in rows)
     n = len(m)
@@ -128,32 +144,38 @@ class ExchangeMatrix:
 
     @classmethod
     def from_json(cls, doc: dict) -> "ExchangeMatrix":
-        b = doc["b"]
-        if "n" in doc and doc["n"] != len(b):
+        b = int_rows(json_value(doc, dict, "matrix")["b"], "matrix b")
+        if json_value(doc.get("n", len(b)), int, "matrix n") != len(b):
             raise ValueError("declared rank does not match matrix size")
         return cls(b)
 
 
+def mutate_row(x: tuple[int, ...], pivot: tuple[int, ...],
+               kk: int) -> tuple[int, ...]:
+    """Row x of an extended exchange matrix with row kk `pivot`, mutated
+    in direction kk (0-based): x_k -> -x_k and, for j != k,
+    x_j -> x_j + [x_k]_+ [b_kj]_+ - [-x_k]_+ [-b_kj]_+.  It serves every
+    row of B but the pivot and every row of C (principal coefficients)."""
+    xk = x[kk]
+    if not xk:
+        return x
+    if xk > 0:
+        row = [a + xk * p if p > 0 else a for a, p in zip(x, pivot)]
+    else:
+        row = [a - xk * p if p < 0 else a for a, p in zip(x, pivot)]
+    row[kk] = -xk
+    return tuple(row)
+
+
 def mutate_matrix(B: ExchangeMatrix, k: int) -> ExchangeMatrix:
-    """Matrix mutation in direction k (1-based)."""
+    """Matrix mutation in direction k (1-based); see `mutate_row`."""
     n = B.n
     if not 1 <= k <= n:
         raise IndexError(f"mutation direction {k} out of range 1..{n}")
     kk = k - 1
-    b = B.entries
-    new = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i == kk or j == kk:
-                row.append(-b[i][j])
-            else:
-                row.append(
-                    b[i][j]
-                    + b[i][kk] * max(b[kk][j], 0)
-                    + max(-b[i][kk], 0) * b[kk][j]
-                )
-        new.append(tuple(row))
+    pivot = B.entries[kk]
+    new = [mutate_row(row, pivot, kk) for row in B.entries]
+    new[kk] = tuple(-x for x in pivot)
     # D skew-symmetrizes mu_k(B) whenever it skew-symmetrizes B, so the
     # parent's symmetrizer is carried over and only checked.
     d = B.symmetrizer

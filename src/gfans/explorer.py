@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .exchange import ExchangeMatrix
+from .exchange import ExchangeMatrix, int_rows, json_value
 from .seeds import (
     GCone,
     Seed,
@@ -187,31 +187,31 @@ def save_fan(fan: Fan) -> dict:
 
 
 def load_fan(doc: dict) -> Fan:
-    if doc.get("format") != _FORMAT:
+    if json_value(doc, dict, "fan document").get("format") != _FORMAT:
         raise ValueError(f"unsupported fan document format {doc.get('format')}")
     source = ExchangeMatrix.from_json(doc["source"])
     cones: dict[Key, GCone] = {}
     words: dict[Key, tuple[int, ...]] = {}
-    for entry in doc["cones"]:
-        rays = tuple(tuple(int(x) for x in r) for r in entry["g"])
-        normals = tuple(tuple(int(x) for x in r) for r in entry["c"])
+    for entry in json_value(doc["cones"], list, "cones"):
+        json_value(entry, dict, "cone")
+        rays = int_rows(entry["g"], "cone g")
+        normals = int_rows(entry["c"], "cone c")
         if not d_paired(normals, rays, source.symmetrizer):
             raise ValueError(
                 f"c-vectors not dual to the g-vectors in document: {rays}")
         cone = GCone(rays, normals, source.symmetrizer)
         key = cone.key
-        if tuple(tuple(int(x) for x in r) for r in entry["key"]) != key:
+        if int_rows(entry["key"], "cone key") != key:
             raise ValueError("cone key does not match its rays")
         cones[key] = cone
-        words[key] = tuple(int(k) for k in entry["word"])
-    adjacency = {
-        frozenset((
-            tuple(tuple(int(x) for x in r) for r in k1),
-            tuple(tuple(int(x) for x in r) for r in k2),
-        ))
-        for k1, k2 in doc["adjacency"]
-    }
-    return Fan(source, int(doc["depth"]), cones, words, adjacency)
+        words[key] = int_rows([entry["word"]], "cone word")[0]
+    adjacency = set()
+    for edge in json_value(doc["adjacency"], list, "adjacency"):
+        k1, k2 = json_value(edge, list, "adjacency edge")
+        adjacency.add(frozenset((int_rows(k1, "adjacency key"),
+                                 int_rows(k2, "adjacency key"))))
+    depth = json_value(doc["depth"], int, "fan depth")
+    return Fan(source, depth, cones, words, adjacency)
 
 
 def save_fan_file(fan: Fan, path: str):

@@ -17,6 +17,8 @@ _SQ3 = math.sqrt(3.0)
 _P = (1.0 / _SQ3, 1.0 / _SQ3, 1.0 / _SQ3)
 _B1 = (1.0 / math.sqrt(2.0), -1.0 / math.sqrt(2.0), 0.0)
 _B2 = (1.0 / math.sqrt(6.0), 1.0 / math.sqrt(6.0), -2.0 / math.sqrt(6.0))
+_VIEWPORT = (640, 640)  # SVG width and height in pixels
+_CLIP_COSINE = -0.95  # rays this close to the antipode -p are not drawn
 
 
 class NearAntipode(ValueError):
@@ -26,16 +28,12 @@ class NearAntipode(ValueError):
 @dataclass(frozen=True)
 class RenderOptions:
     arc_resolution: float = 2.0  # degrees per sample along an arc
-    viewport: tuple[int, int] = (640, 640)
     shade_frontier: bool = True
     label_normals: bool = False
-    clip_cosine: float = -0.95
 
     def __post_init__(self):
         if self.arc_resolution <= 0:
             raise ValueError("arc_resolution must be positive")
-        if not -1.0 < self.clip_cosine <= 0.0:
-            raise ValueError("clip_cosine must be in (-1, 0]")
 
 
 def _unit(ray):
@@ -45,11 +43,11 @@ def _unit(ray):
     return tuple(float(x) / norm for x in ray)
 
 
-def project_ray(ray, clip_cosine: float = -0.95) -> tuple[float, float]:
+def project_ray(ray) -> tuple[float, float]:
     """Stereographic image of a nonzero 3-vector in tangent-plane coords."""
     u = _unit(ray)
     c = sum(x * y for x, y in zip(u, _P))
-    if c <= clip_cosine:
+    if c <= _CLIP_COSINE:
         raise NearAntipode(f"ray {ray} is within the clipped cap")
     q = tuple(-p + 2.0 * (x + p) / (1.0 + c) for x, p in zip(u, _P))
     return (
@@ -65,7 +63,7 @@ def arc_polyline(ray_a, ray_b, opts: RenderOptions):
     dot = max(-1.0, min(1.0, sum(x * y for x, y in zip(ua, ub))))
     phi = math.acos(dot)
     if phi < 1e-7:  # identical rays up to rounding (acos amplifies ulps)
-        return [project_ray(ua, opts.clip_cosine)]
+        return [project_ray(ua)]
     steps = int(phi / math.radians(opts.arc_resolution)) + 1
     sin_phi = math.sin(phi)
     points = []
@@ -74,7 +72,7 @@ def arc_polyline(ray_a, ray_b, opts: RenderOptions):
         w1 = math.sin((1.0 - f) * phi) / sin_phi
         w2 = math.sin(f * phi) / sin_phi
         sample = tuple(w1 * x + w2 * y for x, y in zip(ua, ub))
-        points.append(project_ray(sample, opts.clip_cosine))
+        points.append(project_ray(sample))
     return points
 
 
@@ -86,8 +84,8 @@ def _fmt(x: float) -> str:
     return f"{v:.4f}"
 
 
-def _to_pixels(pt, opts: RenderOptions):
-    w, h = opts.viewport
+def _to_pixels(pt):
+    w, h = _VIEWPORT
     scale = min(w, h) / 6.0
     return (w / 2.0 + scale * pt[0], h / 2.0 - scale * pt[1])
 
@@ -103,10 +101,10 @@ def _cone_arcs(rays, opts: RenderOptions):
     return arcs
 
 
-def _path_d(arcs, opts: RenderOptions) -> str:
+def _path_d(arcs) -> str:
     parts = []
     for arc in arcs:
-        pix = [_to_pixels(p, opts) for p in arc]
+        pix = [_to_pixels(p) for p in arc]
         parts.append(
             "M " + " L ".join(f"{_fmt(x)} {_fmt(y)}" for x, y in pix)
         )
@@ -129,9 +127,7 @@ def _guide_circle(axis: int, opts: RenderOptions) -> str:
             math.cos(ang) * x + math.sin(ang) * y for x, y in zip(u, v)
         )
         try:
-            current.append(_to_pixels(
-                project_ray(sample, opts.clip_cosine), opts
-            ))
+            current.append(_to_pixels(project_ray(sample)))
         except NearAntipode:
             if current:
                 segments.append(current)
@@ -151,7 +147,7 @@ def render_svg(fan: Fan, opts: RenderOptions | None = None) -> str:
         opts = RenderOptions()
     if fan.source.n != 3:
         raise ValueError("rendering requires a rank-3 fan")
-    w, h = opts.viewport
+    w, h = _VIEWPORT
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -171,7 +167,7 @@ def render_svg(fan: Fan, opts: RenderOptions | None = None) -> str:
             arcs = _cone_arcs(list(cone.rays), opts)
         except NearAntipode:
             continue
-        d = _path_d(arcs, opts)
+        d = _path_d(arcs)
         fill = "#d9d9d9" if key in frontier else "none"
         lines.append(
             f'<path class="cone" d="{d}" fill="{fill}" '
@@ -180,7 +176,7 @@ def render_svg(fan: Fan, opts: RenderOptions | None = None) -> str:
         if opts.label_normals:
             for arc, normal in zip(arcs, cone.normals):
                 mid = arc[len(arc) // 2]
-                x, y = _to_pixels(mid, opts)
+                x, y = _to_pixels(mid)
                 text = ",".join(str(c) for c in normal)
                 lines.append(
                     f'<text class="normal" x="{_fmt(x)}" y="{_fmt(y)}" '
@@ -188,7 +184,7 @@ def render_svg(fan: Fan, opts: RenderOptions | None = None) -> str:
                 )
     for axis in range(3):
         ray = tuple(int(i == axis) for i in range(3))
-        x, y = _to_pixels(project_ray(ray, opts.clip_cosine), opts)
+        x, y = _to_pixels(project_ray(ray))
         lines.append(
             f'<circle class="vertex" cx="{_fmt(x)}" cy="{_fmt(y)}" r="4" '
             f'fill="none" stroke="black" stroke-width="1"/>'

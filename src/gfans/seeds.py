@@ -1,9 +1,11 @@
 """Seed mutation: (B, C, G) triples tracked along mutation words.
 
 C- and G-matrices are stored as row tuples; the i-th c- or g-vector is the
-i-th column.  Mutation uses the tropical sign read off the mutating C
-column, so sign coherence is load-bearing: a mixed-sign column aborts with
-SignCoherenceViolation, which signals a bug rather than a reachable state.
+i-th column.  C is the bottom block of the extended exchange matrix (B over
+C), so its rows follow B's row rule `exchange.mutate_row`.  G's rule reads
+the tropical sign of the mutating c-vector, so sign coherence is
+load-bearing: a mixed-sign c-vector aborts with SignCoherenceViolation,
+which signals a bug rather than a reachable state.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ from fractions import Fraction
 from functools import cached_property
 from operator import mul
 
-from .exchange import ExchangeMatrix, Matrix, mutate_matrix
+from .exchange import (ExchangeMatrix, Matrix, int_rows, json_value,
+                       mutate_matrix, mutate_row)
 
 
 class SignCoherenceViolation(RuntimeError):
@@ -28,11 +31,6 @@ def identity(n: int) -> Matrix:
 
 def transpose(m: Matrix) -> Matrix:
     return tuple(zip(*m))
-
-
-def column(m: Matrix, i: int) -> tuple[int, ...]:
-    """i-based (1..n) column extraction."""
-    return tuple(row[i - 1] for row in m)
 
 
 def matmul(x, y):
@@ -107,10 +105,10 @@ class Seed:
         return self.b.n
 
     def c_vector(self, i: int) -> tuple[int, ...]:
-        return column(self.c, i)
+        return tuple(row[i - 1] for row in self.c)
 
     def g_vector(self, i: int) -> tuple[int, ...]:
-        return column(self.g, i)
+        return tuple(row[i - 1] for row in self.g)
 
     def mutate(self, k: int) -> "Seed":
         return mutate_seed(self, k)
@@ -125,12 +123,10 @@ class Seed:
 
     @classmethod
     def from_json(cls, doc: dict) -> "Seed":
-        return cls(
-            ExchangeMatrix(doc["b"]),
-            tuple(tuple(int(x) for x in r) for r in doc["c"]),
-            tuple(tuple(int(x) for x in r) for r in doc["g"]),
-            tuple(int(k) for k in doc["word"]),
-        )
+        json_value(doc, dict, "seed")
+        return cls(ExchangeMatrix(int_rows(doc["b"], "seed b")),
+                   int_rows(doc["c"], "seed c"), int_rows(doc["g"], "seed g"),
+                   int_rows([doc["word"]], "seed word")[0])
 
 
 def initial_seed(B: ExchangeMatrix) -> Seed:
@@ -159,30 +155,13 @@ def mutate_seed(s: Seed, k: int) -> Seed:
     eps = tropical_sign(s, k)
     b = s.b.entries
     kk = k - 1
-    ck = column(s.c, k)
-    new_c_cols = []
-    for i in range(n):
-        if i == kk:
-            new_c_cols.append(tuple(-x for x in ck))
-        else:
-            f = max(eps * b[kk][i], 0)
-            ci = tuple(row[i] for row in s.c)
-            new_c_cols.append(tuple(x + f * y for x, y in zip(ci, ck)))
-    new_c = transpose(tuple(new_c_cols))
-
-    gk = column(s.g, k)
-    acc = [-x for x in gk]
-    for j in range(n):
-        f = max(-eps * b[j][kk], 0)
-        if f:
-            gj = tuple(row[j] for row in s.g)
-            acc = [x + f * y for x, y in zip(acc, gj)]
-    new_g_cols = [
-        tuple(acc) if i == kk else tuple(row[i] for row in s.g)
-        for i in range(n)
-    ]
-    new_g = transpose(tuple(new_g_cols))
-
+    new_c = tuple(mutate_row(row, b[kk], kk) for row in s.c)
+    # g_k -> -g_k + sum_j [-eps b_jk]_+ g_j; the other g-vectors stay.
+    f = [max(-eps * row[kk], 0) for row in b]
+    new_g = tuple(
+        row[:kk] + (sum(map(mul, f, row)) - row[kk],) + row[k:]
+        for row in s.g
+    )
     return Seed(mutate_matrix(s.b, k), new_c, new_g, s.word + (k,))
 
 
@@ -224,9 +203,7 @@ def cone_key(rays) -> tuple[tuple[int, ...], ...]:
 
 
 def g_cone(s: Seed) -> GCone:
-    rays = tuple(s.g_vector(i) for i in range(1, s.n + 1))
-    normals = tuple(s.c_vector(i) for i in range(1, s.n + 1))
-    return GCone(rays, normals, s.b.symmetrizer)
+    return GCone(transpose(s.g), transpose(s.c), s.b.symmetrizer)
 
 
 def d_paired(normals, rays, d) -> bool:
@@ -256,9 +233,9 @@ def verify_seed(s: Seed) -> dict[str, bool]:
     report["det_c"] = det(s.c) in (1, -1)
     report["det_g"] = det(s.g) in (1, -1)
 
+    ct = transpose(s.c)  # its rows are the c-vectors
     coherent = True
-    for i in range(1, n + 1):
-        col = s.c_vector(i)
+    for col in ct:
         if (any(x > 0 for x in col) and any(x < 0 for x in col)) or not any(col):
             coherent = False
     report["sign_coherence"] = coherent
@@ -266,7 +243,7 @@ def verify_seed(s: Seed) -> dict[str, bool]:
     # G = D^{-1} (C^T)^{-1} D, evaluated with exact rationals.
     dual_ok = report["det_c"]
     if dual_ok:
-        ct_inv = unimodular_inverse(transpose(s.c))
+        ct_inv = unimodular_inverse(ct)
         expected = tuple(
             tuple(Fraction(ct_inv[i][j] * d[j], d[i]) for j in range(n))
             for i in range(n)
@@ -276,5 +253,5 @@ def verify_seed(s: Seed) -> dict[str, bool]:
         )
     report["duality"] = dual_ok
 
-    report["d_pairing"] = d_paired(transpose(s.c), transpose(s.g), d)
+    report["d_pairing"] = d_paired(ct, transpose(s.g), d)
     return report

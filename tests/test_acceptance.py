@@ -214,10 +214,9 @@ def test_9_rendering(capsys):
             shared = sorted(set(fan.cones[k1].rays) & set(fan.cones[k2].rays))
             if len(shared) != 2:
                 continue
-            fragment = _path_d([arc_polyline(shared[0], shared[1], opts)],
-                               opts)
+            fragment = _path_d([arc_polyline(shared[0], shared[1], opts)])
             for key in (k1, k2):
-                d = _path_d(_cone_arcs(list(fan.cones[key].rays), opts), opts)
+                d = _path_d(_cone_arcs(list(fan.cones[key].rays), opts))
                 assert fragment in d
             checked_edges += 1
         assert checked_edges > 0

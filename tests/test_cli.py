@@ -137,6 +137,56 @@ def test_fan_document_with_swapped_c_vectors_rejected(wing_file, tmp_path,
     assert "not dual" in capsys.readouterr().err
 
 
+def test_verify_rejects_negative_depth(markov_file, capsys):
+    assert main(["verify", markov_file, "--depth", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: depth must be >= 0\n"
+
+
+def _set(path, value):
+    """Document edit: the entry at `path` (keys and indices) becomes value."""
+    def edit(doc):
+        target = doc
+        for step in path[:-1]:
+            target = target[step]
+        target[path[-1]] = value
+        return doc
+    return edit
+
+
+@pytest.mark.parametrize("command, edit", [
+    ("classify", _set(("b", 0, 1), -2.9)),
+    ("classify", _set(("b", 0, 0), "0")),
+    ("classify", _set(("b", 0, 0), False)),
+    ("classify", lambda doc: []),
+    ("classify", _set(("b",), 5)),
+    ("classify", _set(("n",), 3.0)),
+    ("render", _set(("cones", 0, "g"), 5)),
+    ("render", lambda doc: []),
+    ("render", _set(("cones", 0, "word"), [1.7])),
+    ("render", _set(("adjacency", 0, 0, 0, 0), 1.2)),
+    ("render", _set(("depth",), 1.5)),
+], ids=["float entry", "string entry", "bool entry", "matrix list",
+        "matrix number", "float rank", "cone g number", "fan list",
+        "float word", "float adjacency entry", "float depth"])
+def test_malformed_documents_exit_2(command, edit, markov_file, tmp_path,
+                                    capsys):
+    if command == "classify":
+        doc = {"b": [list(r) for r in MARKOV]}
+    else:
+        fan_path = tmp_path / "fan.json"
+        assert main(["explore", markov_file, "--depth", "2",
+                     "--out", str(fan_path)]) == 0
+        doc = json.loads(fan_path.read_text())
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(edit(doc)))
+    capsys.readouterr()
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def _raising(exc):
     def handler(args):
         raise exc

@@ -56,8 +56,6 @@ def test_arc_polyline_endpoints_and_density():
 def test_render_options_validation():
     with pytest.raises(ValueError):
         RenderOptions(arc_resolution=0.0)
-    with pytest.raises(ValueError):
-        RenderOptions(clip_cosine=0.5)
 
 
 def test_svg_structure_matches_fan():
@@ -93,9 +91,9 @@ def test_shared_boundaries_sample_identically():
         if len(shared) != 2:
             continue
         arc = arc_polyline(shared[0], shared[1], opts)
-        fragment = _path_d([arc], opts)
-        d1 = _path_d(_cone_arcs(list(fan.cones[k1].rays), opts), opts)
-        d2 = _path_d(_cone_arcs(list(fan.cones[k2].rays), opts), opts)
+        fragment = _path_d([arc])
+        d1 = _path_d(_cone_arcs(list(fan.cones[k1].rays), opts))
+        d2 = _path_d(_cone_arcs(list(fan.cones[k2].rays), opts))
         assert fragment in d1
         assert fragment in d2
         checked += 1

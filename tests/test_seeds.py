@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gfans import (
     ExchangeMatrix,
@@ -22,7 +24,7 @@ from gfans.seeds import (
     unimodular_inverse,
 )
 from conftest import MARKOV, WING
-from test_exchange import random_skew_symmetrizable
+from test_exchange import random_skew_symmetrizable, skew_symmetrizable_matrices
 
 
 def test_det_against_cofactor_expansion():
@@ -109,6 +111,76 @@ def test_sign_coherence_guard_rejects_bad_column():
         tropical_sign(broken, 1)
     with pytest.raises(SignCoherenceViolation):
         tropical_sign(Seed(s.b, ((0, 0, 0), (0, 1, 0), (0, 0, 1)), s.g), 1)
+
+
+def test_mutate_seed_rejects_a_mixed_c_vector():
+    # C's row rule never reads the tropical sign; the guard must still fire
+    s = initial_seed(ExchangeMatrix(MARKOV))
+    broken = Seed(s.b, ((1, 0, 0), (-1, 1, 0), (0, 0, 1)), s.g, ())
+    with pytest.raises(SignCoherenceViolation):
+        mutate_seed(broken, 1)
+
+
+# Reference: matrix mutation entry by entry, and seed mutation on c- and
+# g-vector columns with the tropical sign; the shared row rule must agree
+# with both.
+
+def reference_mutate_matrix(B, k):
+    b, kk, n = B.entries, k - 1, B.n
+    return ExchangeMatrix(tuple(
+        tuple(
+            -b[i][j] if kk in (i, j)
+            else b[i][j] + b[i][kk] * max(b[kk][j], 0)
+            + max(-b[i][kk], 0) * b[kk][j]
+            for j in range(n)
+        )
+        for i in range(n)
+    ))
+
+
+def reference_mutate_seed(s, k):
+    n, kk = s.n, k - 1
+    eps = tropical_sign(s, k)
+    b = s.b.entries
+    c_cols = [tuple(row[i] for row in s.c) for i in range(n)]
+    g_cols = [tuple(row[i] for row in s.g) for i in range(n)]
+    new_c = [
+        tuple(-x for x in c_cols[kk]) if i == kk else tuple(
+            x + max(eps * b[kk][i], 0) * y
+            for x, y in zip(c_cols[i], c_cols[kk]))
+        for i in range(n)
+    ]
+    gk = [-x for x in g_cols[kk]]
+    for j in range(n):
+        f = max(-eps * b[j][kk], 0)
+        gk = [x + f * y for x, y in zip(gk, g_cols[j])]
+    g_cols[kk] = tuple(gk)
+    return Seed(reference_mutate_matrix(s.b, k), transpose(tuple(new_c)),
+                transpose(tuple(g_cols)), s.word + (k,))
+
+
+@settings(max_examples=200, deadline=None)
+@given(skew_symmetrizable_matrices,
+       st.lists(st.integers(1, 4), max_size=8))
+def test_row_rule_matches_the_column_rule(B, word):
+    s = ref = initial_seed(B)
+    for k in word:
+        k = (k - 1) % B.n + 1
+        s, ref = mutate_seed(s, k), reference_mutate_seed(ref, k)
+        assert s.b.entries == ref.b.entries
+        assert s.b.symmetrizer == ref.b.symmetrizer
+        assert (s.c, s.g, s.word) == (ref.c, ref.g, ref.word)
+
+
+def test_seed_json_is_decoded_strictly():
+    good = apply_word(initial_seed(ExchangeMatrix(WING)), (1, 2)).to_json()
+    for bad in ({**good, "word": [1.7]},
+                {**good, "c": [[True, 0, 0], [0, 1, 0], [0, 0, 1]]},
+                {**good, "g": 5},
+                {**good, "b": [[0, "-2", -4], [3, 0, -6], [2, 2, 0]]},
+                []):
+        with pytest.raises(ValueError):
+            Seed.from_json(bad)
 
 
 def test_mutation_direction_bounds():
