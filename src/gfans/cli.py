@@ -23,6 +23,7 @@ from .explorer import (
     explore,
     find_negative_orthant,
     load_fan_file,
+    save_fan,
     save_fan_file,
 )
 from .rank2 import g_sequence, limit_vectors
@@ -146,8 +147,6 @@ def _cmd_explore(args) -> int:
     if args.out:
         save_fan_file(fan, args.out)
     else:
-        from .explorer import save_fan
-
         sys.stdout.write(json.dumps(save_fan(fan)) + "\n")
     word = find_negative_orthant(fan)
     sys.stderr.write(

@@ -16,6 +16,7 @@ import json
 from dataclasses import dataclass, field
 
 from .exchange import ExchangeMatrix, int_rows, json_value
+from .quadratic import QuadraticNumber, root_sign, split_ray
 from .seeds import (
     GCone,
     Seed,
@@ -98,30 +99,45 @@ def cone_contains(cone: GCone, ray, strictness: str = "interior") -> bool:
 
     By tropical duality <c_i, D g_j> = d_i delta_ij, the i-th barycentric
     coordinate of the ray is <D c_i, ray> / d_i with d_i > 0, so its sign
-    is that of the pairing with the facet normal D c_i.  The pairing stays
-    in whatever exact ring the ray components live in.
+    is that of the pairing with the facet normal D c_i.  A ray of ints and
+    Fractions takes one dot product per facet.  A ray with QuadraticNumber
+    components is split once into (P + Q sqrt(delta)) / den with integer
+    P, Q and den > 0; each pairing is then two integer dot products and one
+    `root_sign`.
     """
-    return _contains(cone.facets, ray, strictness)
+    if not any(isinstance(x, QuadraticNumber) for x in ray):
+        return _contains(cone.facets, ray, strictness)
+    least = _least(strictness)
+    p, q, delta = split_ray(ray)
+    return all(root_sign(_dot(row, p), _dot(row, q), delta) >= least
+               for row in cone.facets)
+
+
+def _least(strictness: str) -> int:
+    """Smallest sign a pairing may have: 1 for the interior, 0 for the
+    closure."""
+    if strictness == "interior":
+        return 1
+    if strictness == "closure":
+        return 0
+    raise ValueError("strictness must be 'interior' or 'closure'")
+
+
+def _dot(u, v):
+    return sum(x * y for x, y in zip(u, v))
 
 
 def _contains(facets, ray, strictness: str) -> bool:
-    """Membership of `ray` in the cone with facet normals `facets` (D c_i):
-    every pairing <D c_i, ray>, a positive multiple of a barycentric
-    coordinate, has the sign the strictness asks for."""
-    if strictness == "interior":
-        least = 1
-    elif strictness == "closure":
-        least = 0
-    else:
-        raise ValueError("strictness must be 'interior' or 'closure'")
-    return all(_sign(sum(x * y for x, y in zip(row, ray))) >= least
-               for row in facets)
-
-
-def _sign(x) -> int:
-    if hasattr(x, "sign"):
-        return x.sign()
-    return (x > 0) - (x < 0)
+    """Membership of a ray of ints or Fractions in the cone with facet
+    normals `facets` (D c_i): every pairing <D c_i, ray>, a positive
+    multiple of a barycentric coordinate, has the sign the strictness asks
+    for."""
+    least = _least(strictness)
+    for row in facets:
+        s = _dot(row, ray)
+        if (s > 0) - (s < 0) < least:
+            return False
+    return True
 
 
 def _cross(u, v):
@@ -187,9 +203,16 @@ def save_fan(fan: Fan) -> dict:
 
 
 def load_fan(doc: dict) -> Fan:
+    """Decode a fan document, rejecting one whose cones are not D-dual,
+    whose keys repeat or do not match their rays, whose words are not
+    mutation words of length at most its depth, or whose adjacency names a
+    key that no cone has."""
     if json_value(doc, dict, "fan document").get("format") != _FORMAT:
         raise ValueError(f"unsupported fan document format {doc.get('format')}")
     source = ExchangeMatrix.from_json(doc["source"])
+    depth = json_value(doc["depth"], int, "fan depth")
+    if depth < 0:
+        raise ValueError(f"fan depth {depth} is negative")
     cones: dict[Key, GCone] = {}
     words: dict[Key, tuple[int, ...]] = {}
     for entry in json_value(doc["cones"], list, "cones"):
@@ -203,14 +226,22 @@ def load_fan(doc: dict) -> Fan:
         key = cone.key
         if int_rows(entry["key"], "cone key") != key:
             raise ValueError("cone key does not match its rays")
+        if key in cones:
+            raise ValueError(f"duplicate cone key {[list(r) for r in key]}")
+        word = int_rows([entry["word"]], "cone word")[0]
+        if len(word) > depth or not all(1 <= k <= source.n for k in word):
+            raise ValueError(f"cone word {list(word)} is not a word in "
+                             f"1..{source.n} of length at most {depth}")
         cones[key] = cone
-        words[key] = int_rows([entry["word"]], "cone word")[0]
+        words[key] = word
     adjacency = set()
     for edge in json_value(doc["adjacency"], list, "adjacency"):
         k1, k2 = json_value(edge, list, "adjacency edge")
-        adjacency.add(frozenset((int_rows(k1, "adjacency key"),
-                                 int_rows(k2, "adjacency key"))))
-    depth = json_value(doc["depth"], int, "fan depth")
+        edge = frozenset((int_rows(k1, "adjacency key"),
+                          int_rows(k2, "adjacency key")))
+        if not edge <= cones.keys():
+            raise ValueError("adjacency edge names a key that no cone has")
+        adjacency.add(edge)
     return Fan(source, depth, cones, words, adjacency)
 
 

@@ -1,9 +1,13 @@
-"""Exact arithmetic in a real quadratic extension Q(sqrt(delta)).
+"""Limit rays in one real quadratic field Q(sqrt(delta)).
 
-Values are x + y*sqrt(delta) with rational x, y and a fixed nonnegative
-integer discriminant.  Comparisons are decided algebraically, never through
-floating point.  A perfect-square discriminant is folded into the rational
-part on construction, so affine-type limits collapse to rationals.
+Every component of a limit ray lies in the field of delta = ab(ab - 4) and
+is linear in the rank-2 slope, so a ray is exactly (P + Q*sqrt(delta)) /
+den with integer vectors P, Q and one positive integer den (`split_ray`,
+`quadratic_ray`).  Its pairing with an integer vector is then two integer
+dot products and one exact sign (`root_sign`), never a float.
+`QuadraticNumber` is the output value of one component: exact sign, float
+and repr.  A perfect-square discriminant is folded into the rational part
+on construction, so affine-type limits collapse to rationals.
 """
 
 from __future__ import annotations
@@ -12,12 +16,21 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-_Rat = (int, Fraction)
 
-
-def _isqrt_exact(n: int) -> int | None:
-    r = math.isqrt(n)
-    return r if r * r == n else None
+def root_sign(x, y, delta: int) -> int:
+    """Exact sign in {-1, 0, 1} of x + y*sqrt(delta), for rationals x, y
+    and an integer delta >= 0."""
+    sx = (x > 0) - (x < 0)
+    sy = (y > 0) - (y < 0) if delta else 0
+    if sy == 0 or sx == sy:
+        return sx
+    if sx == 0:
+        return sy
+    lhs = x * x
+    rhs = y * y * delta
+    if lhs == rhs:
+        return 0
+    return sx if lhs > rhs else sy
 
 
 @dataclass(frozen=True)
@@ -32,8 +45,8 @@ class QuadraticNumber:
         delta = int(self.delta)
         if delta < 0:
             raise ValueError("discriminant must be nonnegative")
-        root = _isqrt_exact(delta)
-        if root is not None:
+        root = math.isqrt(delta)
+        if root * root == delta:
             x, y, delta = x + y * root, Fraction(0), 0
         if y == 0:
             delta = 0
@@ -41,136 +54,9 @@ class QuadraticNumber:
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "delta", delta)
 
-    # -- construction helpers ------------------------------------------------
-
-    @classmethod
-    def rational(cls, x) -> "QuadraticNumber":
-        return cls(Fraction(x), Fraction(0), 0)
-
-    @classmethod
-    def sqrt(cls, delta: int) -> "QuadraticNumber":
-        return cls(Fraction(0), Fraction(1), delta)
-
-    def _coerce(self, other) -> "QuadraticNumber | None":
-        if isinstance(other, QuadraticNumber):
-            if self.delta and other.delta and self.delta != other.delta:
-                raise ValueError("mixed discriminants")
-            return other
-        if isinstance(other, _Rat):
-            return QuadraticNumber.rational(other)
-        return None
-
-    def _delta_with(self, other: "QuadraticNumber") -> int:
-        return self.delta or other.delta
-
-    # -- arithmetic ----------------------------------------------------------
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QuadraticNumber(self.x + o.x, self.y + o.y, self._delta_with(o))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QuadraticNumber(-self.x, -self.y, self.delta)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        d = self._delta_with(o)
-        return QuadraticNumber(
-            self.x * o.x + self.y * o.y * d,
-            self.x * o.y + self.y * o.x,
-            d,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        d = self._delta_with(o)
-        norm = o.x * o.x - o.y * o.y * d
-        if norm == 0:
-            raise ZeroDivisionError("division by zero quadratic number")
-        conj = QuadraticNumber(o.x, -o.y, d)
-        num = self * conj
-        return QuadraticNumber(num.x / norm, num.y / norm, d)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
-    # -- order ---------------------------------------------------------------
-
     def sign(self) -> int:
         """Exact sign in {-1, 0, 1}."""
-        if self.y == 0:
-            return (self.x > 0) - (self.x < 0)
-        if self.x == 0:
-            return 1 if self.y > 0 else -1
-        sx = 1 if self.x > 0 else -1
-        sy = 1 if self.y > 0 else -1
-        if sx == sy:
-            return sx
-        lhs = self.x * self.x
-        rhs = self.y * self.y * self.delta
-        if lhs == rhs:
-            return 0
-        return sx if lhs > rhs else sy
-
-    def is_zero(self) -> bool:
-        return self.sign() == 0
-
-    def _cmp(self, other) -> int:
-        o = self._coerce(other)
-        if o is None:
-            raise TypeError(f"cannot compare QuadraticNumber with {other!r}")
-        return (self - o).sign()
-
-    def __eq__(self, other):
-        try:
-            o = self._coerce(other)
-        except ValueError:
-            return False
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() == 0
-
-    def __hash__(self):
-        return hash((self.x, self.y, self.delta))
-
-    def __lt__(self, other):
-        return self._cmp(other) < 0
-
-    def __le__(self, other):
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other):
-        return self._cmp(other) > 0
-
-    def __ge__(self, other):
-        return self._cmp(other) >= 0
-
-    # -- output --------------------------------------------------------------
+        return root_sign(self.x, self.y, self.delta)
 
     def __float__(self) -> float:
         """Within one ulp of the exact value, for every value in float range.
@@ -198,3 +84,32 @@ class QuadraticNumber:
         if self.y == 0:
             return f"{self.x}"
         return f"{self.x} + {self.y}*sqrt({self.delta})"
+
+
+def quadratic_ray(p, q, delta: int, den: int) -> tuple[QuadraticNumber, ...]:
+    """The ray (p + q*sqrt(delta)) / den as a tuple of QuadraticNumbers."""
+    return tuple(QuadraticNumber(Fraction(pi, den), Fraction(qi, den), delta)
+                 for pi, qi in zip(p, q))
+
+
+def split_ray(ray) -> tuple[list[int], list[int], int]:
+    """(p, q, delta) with integer vectors p, q and ray = (p + q*sqrt(delta))
+    / den for one positive integer den, which is cleared.
+
+    Components may be ints, Fractions or QuadraticNumbers; those with a
+    nonzero irrational part must share one discriminant.
+    """
+    xs, ys, delta = [], [], 0
+    for c in ray:
+        if isinstance(c, QuadraticNumber):
+            if c.delta and delta and c.delta != delta:
+                raise ValueError("mixed discriminants")
+            delta = delta or c.delta
+            xs.append(c.x)
+            ys.append(c.y)
+        else:
+            xs.append(Fraction(c))
+            ys.append(Fraction(0))
+    den = math.lcm(*(v.denominator for v in xs + ys))
+    return ([v.numerator * (den // v.denominator) for v in xs],
+            [v.numerator * (den // v.denominator) for v in ys], delta)

@@ -8,10 +8,8 @@ Q(sqrt(ab(ab-4))).
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .chebyshev import chebyshev_u
-from .quadratic import QuadraticNumber
+from .quadratic import quadratic_ray
 
 Mat2 = tuple[tuple[int, int], tuple[int, int]]
 
@@ -94,16 +92,19 @@ def g_sequence(direction: str, m: int, a: int, b: int) -> tuple[int, int]:
     return cur
 
 
+def limit_parts(a: int, b: int) -> tuple[tuple[int, int], int, int]:
+    """(p, delta, den) with p = (2b, -ab), delta = ab(ab-4) and den = 2b:
+    the limit directions are v = (p - sqrt(delta)*(0, 1)) / den and v' =
+    (p + sqrt(delta)*(0, 1)) / den, in integers."""
+    _check_ab(a, b)
+    return (2 * b, -a * b), a * b * (a * b - 4), 2 * b
+
+
 def limit_vectors(a: int, b: int):
     """(v, v'): the limit directions of the normalized g-vector sequences.
 
     v = (1, -(ab + sqrt(ab(ab-4)))/2b) and v' with the minus branch;
     they coincide exactly when ab = 4.
     """
-    _check_ab(a, b)
-    ab = a * b
-    delta = ab * (ab - 4)
-    one = QuadraticNumber.rational(1)
-    v = (one, QuadraticNumber(Fraction(-ab, 2 * b), Fraction(-1, 2 * b), delta))
-    vp = (one, QuadraticNumber(Fraction(-ab, 2 * b), Fraction(1, 2 * b), delta))
-    return v, vp
+    p, delta, den = limit_parts(a, b)
+    return tuple(quadratic_ray(p, (0, root), delta, den) for root in (-1, 1))

@@ -24,7 +24,8 @@ from .exchange import (
     markov_constant,
     swap_indices_12,
 )
-from .rank2 import g_sequence, limit_vectors
+from .quadratic import quadratic_ray
+from .rank2 import g_sequence, limit_parts
 
 
 class PairNotInfinite(ValueError):
@@ -94,7 +95,8 @@ def _third(tag: str, forward: bool, past_band: bool, alpha, beta,
     """Third component of a lifted g-vector (alpha, beta) of the pair.
 
     past_band says whether the step lies beyond the band index N + 1; a
-    limit ray is the case alpha = 1, beta = its slope, past_band = True.
+    limit ray is the case past_band = True with (alpha, beta) its rank-2
+    direction.  The rule is linear in (alpha, beta).
     """
     if tag == "T2":
         return d0 * beta
@@ -106,7 +108,7 @@ def _third(tag: str, forward: bool, past_band: bool, alpha, beta,
         full = forward or past_band
     else:
         full = tag == "T3"
-    return c0 * alpha + (d0 + b * c0) * beta if full else 0 * beta
+    return c0 * alpha + (d0 + b * c0) * beta if full else 0
 
 
 def find_band_index(c0: int, d0: int, a: int, b: int,
@@ -201,24 +203,27 @@ def limit_rays(B: ExchangeMatrix, i: int):
 def pair_asymptotics(B: ExchangeMatrix, i: int, j: int):
     """Limit directions for alternating (i, j) mutations at any rank n >= 2.
 
-    Components i and j carry the rank-2 limits; every other component is
-    the m -> infinity case of the third-component rule for its own row.
+    Components i and j carry the rank-2 limits (`limit_parts`); every
+    other component is the m -> infinity case of the third-component rule
+    for its own row.  The rule is linear, so it runs once on each integer
+    part P and Q of the ray (P + Q*sqrt(delta)) / den.
     """
     n = B.n
     if i == j or not (1 <= i <= n and 1 <= j <= n):
         raise ValueError("need two distinct indices in range")
     a, b, j, k = _orient(B, i, j)
-    (one, v2), (_, vp2) = limit_vectors(a, b)
-    v, vp = [None] * n, [None] * n
-    v[j - 1], v[k - 1] = one, v2
-    vp[j - 1], vp[k - 1] = one, vp2
-    for ell in range(1, n + 1):
-        if ell not in (j, k):
+    (alpha, beta), delta, den = limit_parts(a, b)
+    rays = []
+    for forward, root in ((True, -1), (False, 1)):
+        p, q = [0] * n, [0] * n
+        p[j - 1], p[k - 1], q[k - 1] = alpha, beta, root
+        for ell in set(range(1, n + 1)) - {j, k}:
             c0, d0 = B[ell, j], B[ell, k]
             tag = _tag(a, b, c0, d0)
-            v[ell - 1] = _third(tag, True, True, 1, v2, c0, d0, b)
-            vp[ell - 1] = _third(tag, False, True, 1, vp2, c0, d0, b)
-    return tuple(v), tuple(vp)
+            p[ell - 1] = _third(tag, forward, True, alpha, beta, c0, d0, b)
+            q[ell - 1] = _third(tag, forward, True, 0, root, c0, d0, b)
+        rays.append(quadratic_ray(p, q, delta, den))
+    return tuple(rays)
 
 
 _TAG_LABEL = {"T1": "1", "T2": "2", "T3": "3",

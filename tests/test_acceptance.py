@@ -11,6 +11,7 @@ import xml.etree.ElementTree as ET
 
 from gfans import (
     ExchangeMatrix,
+    QuadraticNumber,
     apply_matrix_word,
     cone_contains,
     explore,
@@ -186,7 +187,7 @@ def test_8_finite_type_sanity(capsys):
         assert fan.frontier == set()
 
         v, vp = limit_vectors(4, 1)
-        assert v == vp == (1, -2)
+        assert v == vp == (QuadraticNumber(1, 0), QuadraticNumber(-2, 0))
         fan = explore(ExchangeMatrix(((0, -1), (4, 0))), 10)
         for cone in fan.cones.values():
             assert not cone_contains(cone, v, "interior")

@@ -16,12 +16,22 @@ WORKLOADS = [w["name"] for w in
              json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
 
-@pytest.mark.parametrize("workload", WORKLOADS)
-def test_bench_smoke_run_is_correct(workload):
+def _assert_smoke_run_is_correct(workload, trace):
     proc = subprocess.run(
         [sys.executable, str(ROOT / "bench" / "run.py"), "--workload",
-         workload, "--smoke", "--trace", "0"],
+         workload, "--smoke", "--trace", trace],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     last = json.loads(proc.stdout.strip().splitlines()[-1])
     assert last["correct"] is True, proc.stdout
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_bench_smoke_run_is_correct(workload):
+    _assert_smoke_run_is_correct(workload, "0")
+
+
+def test_traced_smoke_run_is_correct():
+    # the tracer rebinds every package function it names, so a renamed or
+    # deleted one fails here
+    _assert_smoke_run_is_correct("classify-sweep", "1")

@@ -167,9 +167,16 @@ def _set(path, value):
     ("render", _set(("cones", 0, "word"), [1.7])),
     ("render", _set(("adjacency", 0, 0, 0, 0), 1.2)),
     ("render", _set(("depth",), 1.5)),
+    ("render", _set(("cones", 1, "word"), [4])),
+    ("render", _set(("cones", 1, "word"), [1, 2, 3])),
+    ("render", _set(("depth",), -4)),
+    ("render", _set(("adjacency", 0, 1, 0, 0), 9)),
+    ("render", lambda doc: {**doc, "cones": doc["cones"] + doc["cones"][:1]}),
 ], ids=["float entry", "string entry", "bool entry", "matrix list",
         "matrix number", "float rank", "cone g number", "fan list",
-        "float word", "float adjacency entry", "float depth"])
+        "float word", "float adjacency entry", "float depth",
+        "word letter above n", "word longer than depth", "negative depth",
+        "edge to a missing key", "duplicate cone key"])
 def test_malformed_documents_exit_2(command, edit, markov_file, tmp_path,
                                     capsys):
     if command == "classify":

@@ -1,8 +1,10 @@
 import itertools
 import json
+import math
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import gfans.explorer
@@ -23,6 +25,7 @@ from gfans import (
 )
 from gfans.explorer import Fan
 from gfans.seeds import (
+    GCone,
     g_cone,
     initial_seed,
     mutate_seed,
@@ -161,10 +164,10 @@ def test_cone_membership_interior_vs_closure():
 def test_cone_membership_with_irrational_rays():
     fan = explore(ExchangeMatrix(MARKOV), 0)
     cone = next(iter(fan.cones.values()))
-    s = QuadraticNumber.sqrt(5)
-    point = (1 + s, QuadraticNumber.rational(1), 2 - s)
+    one_plus_s = QuadraticNumber(1, 1, 5)  # 1 + sqrt(5)
+    point = (one_plus_s, 1, QuadraticNumber(2, -1, 5))
     assert not cone_contains(cone, point, "interior")  # third entry < 0
-    point = (1 + s, QuadraticNumber.rational(1), s - 2)
+    point = (one_plus_s, 1, QuadraticNumber(-2, 1, 5))
     assert cone_contains(cone, point, "interior")
 
 
@@ -176,7 +179,6 @@ def test_pairwise_interior_disjointness():
 
 
 def test_interiors_disjoint_detects_overlap():
-    from gfans.seeds import GCone
     a = GCone(((1, 0, 0), (0, 1, 0), (0, 0, 1)), ((1, 0, 0), (0, 1, 0),
                                                   (0, 0, 1)), (1, 1, 1))
     # a strictly smaller cone inside the positive orthant
@@ -229,6 +231,19 @@ def test_load_rejects_bad_documents():
     mismatched["cones"][0]["key"] = [[9, 9, 9], [0, 1, 0], [0, 0, 1]]
     with pytest.raises(ValueError):
         load_fan(mismatched)
+    # broken references, each of which once loaded without error
+    for edit, message in [
+        (lambda d: d["cones"][1].update(word=[4]), "not a word"),
+        (lambda d: d["cones"][1].update(word=[0]), "not a word"),
+        (lambda d: d["cones"][1].update(word=[1, 2]), "not a word"),
+        (lambda d: d.update(depth=-4), "negative"),
+        (lambda d: d["adjacency"][0][1][0].__setitem__(0, 9), "no cone has"),
+        (lambda d: d["cones"].append(d["cones"][0]), "duplicate"),
+    ]:
+        edited = json.loads(json.dumps(doc))
+        edit(edited)
+        with pytest.raises(ValueError, match=message):
+            load_fan(edited)
 
 
 def test_reexploring_a_loaded_source_reproduces_the_fan(tmp_path):
@@ -293,14 +308,23 @@ def _adjugate_normals(cone):
     return unimodular_inverse(transpose(cone.rays))
 
 
+def _pairing(row, ray):
+    """<row, ray> summed in Fractions as (X, Y, delta), X + Y sqrt(delta)."""
+    x, y, delta = Fraction(0), Fraction(0), 0
+    for r, c in zip(row, ray):
+        if isinstance(c, QuadraticNumber):
+            x, y, delta = x + r * c.x, y + r * c.y, delta or c.delta
+        else:
+            x += r * c
+    return x, y, delta
+
+
 def _inside(normals, ray, strictness):
+    """Reference membership: each pairing summed in Fractions, its sign
+    taken by QuadraticNumber."""
     least = {"interior": 1, "closure": 0}[strictness]
-    for row in normals:
-        s = sum(x * y for x, y in zip(row, ray))
-        if (s.sign() if isinstance(s, QuadraticNumber)
-                else (s > 0) - (s < 0)) < least:
-            return False
-    return True
+    return all(QuadraticNumber(*_pairing(row, ray)).sign() >= least
+               for row in normals)
 
 
 def _cross(u, v):
@@ -382,3 +406,68 @@ def test_duality_rule_matches_adjugate_rule(B, depth, reload, points):
         fan = _reloaded(fan)
     rays = [tuple(p[:B.n]) for p in points] + _limit_rays(B)[:4]
     _assert_rules_agree(fan, rays)
+
+
+# -- containment on quadratic rays against a bracketing oracle ---------------
+
+def _sign_by_bracket(x, y, delta):
+    """Sign of x + y*sqrt(delta), independent of root_sign: exact for a
+    perfect square; otherwise the value is 0 only if x = y = 0, and its
+    sign is that of x + y*r at both ends of a shrinking bracket around the
+    root."""
+    def sign(v):
+        return (v > 0) - (v < 0)
+    root = math.isqrt(delta)
+    if root * root == delta or y == 0:
+        return sign(x + y * root)
+    p = 32
+    while True:
+        lo = Fraction(math.isqrt(delta << 2 * p), 1 << p)
+        ends = {sign(x + y * lo), sign(x + y * (lo + Fraction(1, 1 << p)))}
+        if len(ends) == 1:
+            return ends.pop()
+        p *= 2
+
+
+_discriminants = st.one_of(st.sampled_from([0, 1, 4, 9, 16, 2, 5, 12, 32]),
+                           st.integers(0, 10 ** 12))
+_rationals = st.fractions(min_value=-50, max_value=50, max_denominator=40)
+
+
+@st.composite
+def _quadratic_rays(draw):
+    n = draw(st.integers(2, 4))
+    delta = draw(_discriminants)
+    component = st.one_of(
+        st.integers(-20, 20), _rationals,
+        st.builds(QuadraticNumber, _rationals, _rationals, st.just(delta)))
+    return draw(st.lists(component, min_size=n, max_size=n).map(tuple))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_quadratic_rays(), st.data())
+def test_quadratic_containment_matches_the_oracle(ray, data):
+    n = len(ray)
+    rows = st.lists(st.integers(-6, 6), min_size=n, max_size=n)
+    normals = data.draw(st.lists(rows, min_size=1, max_size=4))
+    d = data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    cone = GCone((), tuple(map(tuple, normals)), tuple(d))
+    facets = [[di * r for di, r in zip(d, row)] for row in normals]
+    signs = [_sign_by_bracket(*_pairing(row, ray)) for row in facets]
+    assert cone_contains(cone, ray, "interior") == (min(signs) >= 1)
+    assert cone_contains(cone, ray, "closure") == (min(signs) >= 0)
+
+
+_irrational = st.integers(2, 10 ** 6).filter(
+    lambda v: math.isqrt(v) ** 2 != v)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_irrational, _irrational, _rationals, _rationals,
+       _rationals.filter(bool), _rationals.filter(bool))
+def test_mixed_discriminants_raise(d1, d2, x1, x2, y1, y2):
+    assume(d1 != d2)
+    ray = (QuadraticNumber(x1, y1, d1), 1, QuadraticNumber(x2, y2, d2))
+    cone = GCone((), ((1, 0, 0), (0, 1, 0), (0, 0, 1)), (1, 1, 1))
+    with pytest.raises(ValueError, match="mixed discriminants"):
+        cone_contains(cone, ray)

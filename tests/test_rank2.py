@@ -1,7 +1,10 @@
+from fractions import Fraction
+
 import pytest
 
 from gfans import (
     ExchangeMatrix,
+    QuadraticNumber,
     g_sequence,
     initial_seed,
     limit_vectors,
@@ -66,15 +69,21 @@ def test_sequences_match_seed_g_vectors():
 
 
 def test_limit_vectors_are_eigendirections():
-    # the limit slope solves b*y^2 + ab*y + a = 0, the fixed-direction
-    # condition of the two-step recursion
+    # the limit slope y = x + z*sqrt(delta) solves b*y^2 + ab*y + a = 0, the
+    # fixed-direction condition of the two-step recursion; its rational and
+    # irrational parts vanish separately
     for a, b in [(3, 2), (2, 2), (7, 3)]:
         (one, y), (_, yp) = limit_vectors(a, b)
-        assert one == 1
-        assert b * y * y + a * b * y + a == 0
-        assert b * yp * yp + a * b * yp + a == 0
+        assert one == QuadraticNumber(1, 0)
+        for s in (y, yp):
+            assert b * (s.x * s.x + s.y * s.y * s.delta) + a * b * s.x \
+                + a == 0
+            assert (2 * b * s.x + a * b) * s.y == 0
         if a * b > 4:
-            assert y < yp
+            # y' - y = (y'.y - y.y) * sqrt(delta) over one delta
+            assert y.delta == yp.delta == a * b * (a * b - 4)
+            assert y.x == yp.x
+            assert QuadraticNumber(0, yp.y - y.y, y.delta).sign() == 1
         else:
             assert y == yp
 
@@ -90,16 +99,17 @@ def test_limit_vectors_attract_the_sequences():
 
 def test_affine_case_collapses():
     v, vp = limit_vectors(4, 1)
-    assert v == vp == (1, -2)
+    assert v == vp == (QuadraticNumber(1, 0), QuadraticNumber(-2, 0))
     assert v[1].delta == 0
 
 
 def test_product_of_slopes():
-    # Vieta: y * y' = a/b
-    from fractions import Fraction
+    # Vieta: y * y' = a/b, with y and y' over one delta
     for a, b in [(3, 2), (5, 1), (2, 2)]:
         (_, y), (_, yp) = limit_vectors(a, b)
-        assert y * yp == Fraction(a, b)
+        delta = y.delta or yp.delta
+        assert y.x * yp.x + y.y * yp.y * delta == Fraction(a, b)
+        assert y.x * yp.y + y.y * yp.x == 0
 
 
 def test_rejects_finite_type_pairs():
