@@ -169,6 +169,8 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_rank2(args) -> int:
+    if args.steps < 0:
+        raise ValueError("steps must be >= 0")
     lines = [f"(a,b)=({args.a},{args.b})", "m    g_m           g'_m"]
     for m in range(1, args.steps + 1):
         g = g_sequence("forward", m, args.a, args.b)
@@ -200,47 +202,61 @@ def _cmd_pair(args) -> int:
     return EXIT_OK
 
 
+def _triple(s) -> tuple:
+    return s.b.entries, s.c, s.g
+
+
 def _cmd_verify(args) -> int:
     if args.depth < 0:
         raise ValueError("depth must be >= 0")
     B = _load_matrix(args.matrix)
     rng = random.Random(args.seed)
     sys.stdout.write(f"seed: {args.seed}\n")
-    counts = {"seeds": 0}
     failures = []
+    checked = set()  # every distinct (B, C, G) met so far
+
+    def check(s, where):
+        # verify_seed reads no word, so a seed is checked, and a failure
+        # reported, once: under the first word, in BFS order, reaching it
+        key = _triple(s)
+        if key not in checked:
+            checked.add(key)
+            failures.extend(f"{where}: {name}"
+                            for name, ok in verify_seed(s).items() if not ok)
+
     s0 = initial_seed(B)
-    level = [s0]
-    for name, ok in verify_seed(s0).items():
-        if not ok:
-            failures.append(f"initial seed: {name}")
-    counts["seeds"] += 1
+    check(s0, "initial seed")
+    words = 1
+    # A level maps (B, C, G, last letter) to [the seed of the first word
+    # reaching that state, the number of words reaching it].  The children
+    # of a word depend only on its state: the no-backtrack rule reads the
+    # last letter alone.
+    level = {(_triple(s0), 0): [s0, 1]}
     for _ in range(args.depth):
-        nxt = []
-        for s in level:
-            last = s.word[-1] if s.word else 0
+        nxt = {}
+        for (_, last), (s, count) in level.items():
             for k in range(1, B.n + 1):
                 if k == last:
                     continue
                 child = s.mutate(k)
-                counts["seeds"] += 1
-                for name, ok in verify_seed(child).items():
-                    if not ok:
-                        failures.append(f"word {child.word}: {name}")
-                nxt.append(child)
+                state = (_triple(child), k)
+                if state in nxt:
+                    nxt[state][1] += count
+                else:
+                    nxt[state] = [child, count]
+                    check(child, f"word {child.word}")
         level = nxt
+        words += sum(count for _, count in level.values())
     # a few random word replays double as involution checks
     for _ in range(10):
         word = [rng.randrange(1, B.n + 1) for _ in range(args.depth)]
-        s = apply_word(initial_seed(B), word + word[::-1])
-        if s.b.entries != B.entries:
+        if _triple(apply_word(s0, word + word[::-1])) != _triple(s0):
             failures.append(f"word {word} is not undone by its reverse")
     checks = ["det_c", "det_g", "sign_coherence", "duality", "d_pairing"]
     for name in checks:
         status = "FAIL" if any(name in f for f in failures) else "ok"
         sys.stdout.write(f"{name}: {status}\n")
-    sys.stdout.write(
-        f"verified {counts['seeds']} seeds to depth {args.depth}\n"
-    )
+    sys.stdout.write(f"verified {words} seeds to depth {args.depth}\n")
     if failures:
         for f in failures[:20]:
             sys.stdout.write(f"failure: {f}\n")

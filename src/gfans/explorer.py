@@ -55,6 +55,8 @@ def explore(B: ExchangeMatrix, depth: int,
     once from its first witness seed."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
+    if max_cones < 1:
+        raise ValueError("max_cones must be >= 1")
     s0 = initial_seed(B)
     cone0 = g_cone(s0)
     fan = Fan(B, depth, {cone0.key: cone0}, {cone0.key: ()})

@@ -32,8 +32,9 @@ class RenderOptions:
     label_normals: bool = False
 
     def __post_init__(self):
-        if self.arc_resolution <= 0:
-            raise ValueError("arc_resolution must be positive")
+        x = self.arc_resolution
+        if not (math.isfinite(x) and x > 0):
+            raise ValueError("arc_resolution must be a positive finite number")
 
 
 def _unit(ray):

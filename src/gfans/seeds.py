@@ -11,8 +11,8 @@ which signals a bug rather than a reachable state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
+from math import prod
 from operator import mul
 
 from .exchange import (ExchangeMatrix, Matrix, int_rows, json_value,
@@ -227,7 +227,6 @@ def d_paired(normals, rays, d) -> bool:
 
 def verify_seed(s: Seed) -> dict[str, bool]:
     """Per-check report: determinants, sign coherence, duality, D-pairing."""
-    n = s.n
     d = s.b.symmetrizer
     report = {}
     report["det_c"] = det(s.c) in (1, -1)
@@ -240,18 +239,16 @@ def verify_seed(s: Seed) -> dict[str, bool]:
             coherent = False
     report["sign_coherence"] = coherent
 
-    # G = D^{-1} (C^T)^{-1} D, evaluated with exact rationals.
-    dual_ok = report["det_c"]
-    if dual_ok:
-        ct_inv = unimodular_inverse(ct)
-        expected = tuple(
-            tuple(Fraction(ct_inv[i][j] * d[j], d[i]) for j in range(n))
-            for i in range(n)
-        )
-        dual_ok = all(
-            expected[i][j] == s.g[i][j] for i in range(n) for j in range(n)
-        )
-    report["duality"] = dual_ok
+    # G = D^{-1} (C^T)^{-1} D, checked as (D G D^{-1}) C^T = I: the right
+    # inverse side of the D-pairing below.  Scaled by L = prod(d) it reads
+    # sum_j g_ij c_kj (L d_i / d_j) = L delta_ik, in integers.
+    big = prod(d)
+    scaled = [[g * (big * di // dj) for g, dj in zip(g_row, d)]
+              for di, g_row in zip(d, s.g)]  # the rows of L D G D^{-1}
+    report["duality"] = report["det_c"] and all(
+        sum(map(mul, row, c_row)) == (big if i == k else 0)
+        for i, row in enumerate(scaled) for k, c_row in enumerate(s.c)
+    )
 
     report["d_pairing"] = d_paired(ct, transpose(s.g), d)
     return report

@@ -1,12 +1,19 @@
+import contextlib
 import hashlib
+import io
 import json
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gfans.cli
+import gfans.seeds
 from fractions import Fraction
 
 from gfans import (
+    ExchangeMatrix,
     InternalBandSearchFailure,
     NotCyclic,
     NotSkewSymmetrizable,
@@ -18,7 +25,9 @@ from gfans import (
     limit_rays,
 )
 from gfans.cli import main
+from gfans.seeds import Seed, apply_word, initial_seed, mutate_seed
 from conftest import MARKOV, WING, frame
+from test_exchange import skew_symmetrizable_matrices
 from test_quadratic import assert_within_one_ulp, float_oracle
 
 
@@ -95,6 +104,142 @@ def test_verify_reports_all_checks(markov_file, capsys):
         assert f"{name}: ok" in out
 
 
+# -- verify: the state walk against the word walk it replaced ---------------
+
+A3 = ((0, 1, 0), (-1, 0, 1), (0, -1, 0))
+CHECKS = ("det_c", "det_g", "sign_coherence", "duality", "d_pairing")
+
+
+def verify_every_word(B, depth, seed=0):
+    """Reference `verify`: expand every mutation word and check its seed
+    each time, reporting every failing word.  Returns (exit code, stdout)."""
+    rng = random.Random(seed)
+    lines = [f"seed: {seed}"]
+    failures = []
+    s0 = initial_seed(B)
+    for name, ok in gfans.cli.verify_seed(s0).items():
+        if not ok:
+            failures.append(f"initial seed: {name}")
+    words = 1
+    level = [s0]
+    for _ in range(depth):
+        nxt = []
+        for s in level:
+            last = s.word[-1] if s.word else 0
+            for k in range(1, B.n + 1):
+                if k == last:
+                    continue
+                child = s.mutate(k)
+                words += 1
+                for name, ok in gfans.cli.verify_seed(child).items():
+                    if not ok:
+                        failures.append(f"word {child.word}: {name}")
+                nxt.append(child)
+        level = nxt
+    for _ in range(10):
+        word = [rng.randrange(1, B.n + 1) for _ in range(depth)]
+        s = apply_word(s0, word + word[::-1])
+        if (s.b.entries, s.c, s.g) != (s0.b.entries, s0.c, s0.g):
+            failures.append(f"word {word} is not undone by its reverse")
+    for name in CHECKS:
+        lines.append(f"{name}: "
+                     f"{'FAIL' if any(name in f for f in failures) else 'ok'}")
+    lines.append(f"verified {words} seeds to depth {depth}")
+    lines += [f"failure: {f}" for f in failures[:20]]
+    return int(bool(failures)), "".join(line + "\n" for line in lines)
+
+
+def run_verify(path, depth, seed=0):
+    """(exit code, stdout) of `gfans verify`."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["verify", str(path), "--depth", str(depth),
+                     "--seed", str(seed)])
+    return code, out.getvalue()
+
+
+def write_matrix(path, entries):
+    path.write_text(json.dumps({"b": [list(r) for r in entries]}))
+    return path
+
+
+@settings(max_examples=60, deadline=None)
+@given(skew_symmetrizable_matrices, st.integers(0, 6), st.integers(0, 99))
+def test_verify_matches_the_word_walk(tmp_path_factory, B, depth, seed):
+    path = write_matrix(tmp_path_factory.mktemp("verify") / "m.json",
+                        B.entries)
+    assert run_verify(path, depth, seed) == verify_every_word(B, depth, seed)
+
+
+def test_verify_checks_each_distinct_seed_once(tmp_path, monkeypatch):
+    # A3 has 14 clusters; to depth 8 its 766 words reach 83 labelled seeds
+    calls = []
+    real = gfans.cli.verify_seed
+
+    def counting(s):
+        calls.append(s)
+        return real(s)
+
+    monkeypatch.setattr(gfans.cli, "verify_seed", counting)
+    code, out = run_verify(write_matrix(tmp_path / "a3.json", A3), 8)
+    assert code == 0
+    assert "verified 766 seeds to depth 8\n" in out
+    assert len(calls) == 83
+    assert len({(s.b.entries, s.c, s.g) for s in calls}) == 83
+
+
+def test_failing_seed_is_reported_once_under_its_shortest_word(
+        tmp_path, monkeypatch):
+    # on A3, b_13 = 0: the words (1, 3), (3, 1) reach one seed, and
+    # (1, 3, 1, 3) returns to the initial seed
+    B = ExchangeMatrix(A3)
+    s0 = initial_seed(B)
+    bad = {(s.b.entries, s.c, s.g) for s in (s0, apply_word(s0, (1, 3)))}
+    real = gfans.cli.verify_seed
+
+    def failing(s):
+        report = real(s)
+        if (s.b.entries, s.c, s.g) in bad:
+            report["duality"] = False
+        return report
+
+    monkeypatch.setattr(gfans.cli, "verify_seed", failing)
+    code, out = run_verify(write_matrix(tmp_path / "a3.json", A3), 4)
+    want_code, want_out = verify_every_word(B, 4)
+    assert code == want_code == 1
+    failures = [line for line in out.splitlines()
+                if line.startswith("failure: ")]
+    assert failures == ["failure: initial seed: duality",
+                        "failure: word (1, 3): duality"]
+    # the word walk reports every word reaching them, the first one first
+    every = [line for line in want_out.splitlines()
+             if line.startswith("failure: ")]
+    assert every[:2] == failures and len(every) > 2
+    assert out.splitlines()[:7] == want_out.splitlines()[:7]
+
+
+def test_verify_replay_compares_the_whole_seed(markov_file, monkeypatch,
+                                              capsys):
+    # corrupt one g entry only past the walk's depth, where the replays
+    # of w w^-1 alone go: B comes back, G does not
+    depth = 2
+
+    def corrupting(s, k):
+        child = mutate_seed(s, k)
+        if len(child.word) <= depth:
+            return child
+        g = ((child.g[0][0] + 1,) + child.g[0][1:],) + child.g[1:]
+        return Seed(child.b, child.c, g, child.word)
+
+    monkeypatch.setattr(gfans.seeds, "mutate_seed", corrupting)
+    assert main(["verify", markov_file, "--depth", str(depth)]) == 1
+    out = capsys.readouterr().out
+    assert "verified 10 seeds to depth 2" in out
+    for name in CHECKS:
+        assert f"{name}: ok" in out
+    assert "is not undone by its reverse" in out
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("not json")
@@ -109,6 +254,31 @@ def test_parse_error_exit_code(tmp_path, capsys):
 def test_resource_cap_exit_code(markov_file, capsys):
     assert main(["explore", markov_file, "--depth", "9",
                  "--max-cones", "30"]) == 3
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_cone_cap_below_one_exits_2(cap, markov_file, capsys):
+    assert main(["explore", markov_file, "--max-cones", cap]) == 2
+    assert capsys.readouterr().err == "error: max_cones must be >= 1\n"
+
+
+def test_rank2_rejects_negative_steps(capsys):
+    assert main(["rank2", "--a", "2", "--b", "2", "--steps", "-2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: steps must be >= 0\n"
+
+
+@pytest.mark.parametrize("x", ["nan", "inf", "-inf"])
+def test_render_rejects_a_non_finite_arc_resolution(x, markov_file, tmp_path,
+                                                    capsys):
+    fan_path = tmp_path / "fan.json"
+    assert main(["explore", markov_file, "--depth", "1",
+                 "--out", str(fan_path)]) == 0
+    capsys.readouterr()
+    assert main(["render", str(fan_path), f"--arc-resolution={x}"]) == 2
+    assert capsys.readouterr().err == \
+        "error: arc_resolution must be a positive finite number\n"
 
 
 def test_corrupted_fan_document_rejected(markov_file, tmp_path):

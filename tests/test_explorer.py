@@ -140,6 +140,13 @@ def test_resource_cap():
         explore(ExchangeMatrix(MARKOV), -1)
 
 
+@pytest.mark.parametrize("max_cones", [0, -1])
+def test_cone_cap_below_one_is_an_input_error(max_cones):
+    # a precondition, not a cap reached at depth 1
+    with pytest.raises(ValueError, match="max_cones must be >= 1"):
+        explore(ExchangeMatrix(MARKOV), 2, max_cones=max_cones)
+
+
 def test_exploration_is_order_independent():
     # the cone set depends only on the matrix and depth, not on traversal
     B = ExchangeMatrix(MARKOV)

@@ -58,6 +58,13 @@ def test_render_options_validation():
         RenderOptions(arc_resolution=0.0)
 
 
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_arc_resolution_must_be_finite(x):
+    # nan <= 0 is false, so a sign test alone lets NaN through
+    with pytest.raises(ValueError, match="positive finite number"):
+        RenderOptions(arc_resolution=x)
+
+
 def test_svg_structure_matches_fan():
     fan = explore(ExchangeMatrix(MARKOV), 3)
     svg = render_svg(fan)

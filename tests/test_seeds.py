@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -96,6 +97,50 @@ def test_invariants_to_depth_four():
                     assert all(report.values()), (child.word, report)
                     nxt.append(child)
             level = nxt
+
+
+def adjugate_duality(c, g, d) -> bool:
+    """Reference duality rule: G = D^-1 (C^T)^-1 D, with (C^T)^-1 from the
+    adjugate and the entries compared as Fractions; false unless C is
+    unimodular."""
+    if det(c) not in (1, -1):
+        return False
+    ct_inv = unimodular_inverse(transpose(c))
+    n = len(d)
+    return all(Fraction(ct_inv[i][j] * d[j], d[i]) == g[i][j]
+               for i in range(n) for j in range(n))
+
+
+def square_matrices(n):
+    row = st.tuples(*[st.integers(-3, 3)] * n)
+    return st.tuples(*[row] * n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(skew_symmetrizable_matrices, st.lists(st.integers(1, 4), max_size=6),
+       st.sampled_from(["dual", "perturbed", "random g", "random"]),
+       st.data())
+def test_integer_duality_matches_the_adjugate_rule(B, word, kind, data):
+    # (C, G) of a reached seed are dual; one changed entry, a random G or
+    # a random pair (mostly with det C not +-1) are not
+    n = B.n
+    s = apply_word(initial_seed(B), [(k - 1) % n + 1 for k in word])
+    c, g = s.c, s.g
+    if kind == "perturbed":
+        i, j = data.draw(st.tuples(st.integers(0, n - 1),
+                                   st.integers(0, n - 1)))
+        bump = data.draw(st.sampled_from([-1, 1]))
+        on_c = data.draw(st.booleans())
+        rows = [list(r) for r in (c if on_c else g)]
+        rows[i][j] += bump
+        rows = tuple(map(tuple, rows))
+        c, g = (rows, g) if on_c else (c, rows)
+    elif kind == "random g":
+        g = data.draw(square_matrices(n))
+    elif kind == "random":
+        c, g = data.draw(square_matrices(n)), data.draw(square_matrices(n))
+    report = verify_seed(Seed(s.b, c, g))
+    assert report["duality"] == adjugate_duality(c, g, s.b.symmetrizer)
 
 
 def test_tropical_sign_flips_after_mutation():
