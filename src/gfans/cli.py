@@ -251,8 +251,10 @@ def _cmd_verify(args) -> int:
     for _ in range(10):
         word = [rng.randrange(1, B.n + 1) for _ in range(args.depth)]
         if _triple(apply_word(s0, word + word[::-1])) != _triple(s0):
-            failures.append(f"word {word} is not undone by its reverse")
-    checks = ["det_c", "det_g", "sign_coherence", "duality", "d_pairing"]
+            failures.append(
+                f"word {word} is not undone by its reverse: involution")
+    checks = ["det_c", "det_g", "sign_coherence", "duality", "d_pairing",
+              "involution"]
     for name in checks:
         status = "FAIL" if any(name in f for f in failures) else "ok"
         sys.stdout.write(f"{name}: {status}\n")

@@ -4,6 +4,13 @@ Rays are pushed to the unit sphere and projected to the tangent plane at
 p = (1,1,1)/sqrt(3) from the antipode -p.  This is the only module that
 uses floating point; everything upstream is exact, and the tolerances here
 are purely visual.
+
+A facet shared by two cones is one great-circle arc.  Its endpoints are
+sorted before it is sampled, so its polyline, and the `M ... L ...`
+segment formatted from it, depend on the facet alone, not on the cone
+drawing it.  `render_svg` therefore samples and formats each facet once
+and reuses the segment in the second cone's path; the bytes are those of
+sampling every arc of every cone.
 """
 
 from __future__ import annotations
@@ -19,6 +26,8 @@ _B1 = (1.0 / math.sqrt(2.0), -1.0 / math.sqrt(2.0), 0.0)
 _B2 = (1.0 / math.sqrt(6.0), 1.0 / math.sqrt(6.0), -2.0 / math.sqrt(6.0))
 _VIEWPORT = (640, 640)  # SVG width and height in pixels
 _CLIP_COSINE = -0.95  # rays this close to the antipode -p are not drawn
+_CX, _CY = _VIEWPORT[0] / 2.0, _VIEWPORT[1] / 2.0  # pixel image of p
+_SCALE = min(_VIEWPORT) / 6.0  # pixels per tangent-plane unit
 
 
 class NearAntipode(ValueError):
@@ -37,31 +46,42 @@ class RenderOptions:
             raise ValueError("arc_resolution must be a positive finite number")
 
 
+# Dot products and norms below are written out as a + b + c, left to right,
+# the order in which sum() added floats before Python 3.12 (3.12's sum()
+# compensates rounding), so every float is the same on every version.  Only
+# the sign of an exact zero can differ from sum(), which starts from the
+# integer 0; _fmt and _to_pixels erase it.
+
 def _unit(ray):
-    norm = math.sqrt(sum(float(x) * float(x) for x in ray))
+    x, y, z = map(float, ray)
+    norm = math.sqrt(x * x + y * y + z * z)
     if norm == 0.0:
         raise ValueError("cannot project the zero vector")
-    return tuple(float(x) / norm for x in ray)
+    return (x / norm, y / norm, z / norm)
 
 
 def project_ray(ray) -> tuple[float, float]:
     """Stereographic image of a nonzero 3-vector in tangent-plane coords."""
-    u = _unit(ray)
-    c = sum(x * y for x, y in zip(u, _P))
+    x, y, z = _unit(ray)
+    px, py, pz = _P
+    c = x * px + y * py + z * pz
     if c <= _CLIP_COSINE:
         raise NearAntipode(f"ray {ray} is within the clipped cap")
-    q = tuple(-p + 2.0 * (x + p) / (1.0 + c) for x, p in zip(u, _P))
+    k = 1.0 + c
+    qx = -px + 2.0 * (x + px) / k
+    qy = -py + 2.0 * (y + py) / k
+    qz = -pz + 2.0 * (z + pz) / k
     return (
-        sum(x * y for x, y in zip(q, _B1)),
-        sum(x * y for x, y in zip(q, _B2)),
+        qx * _B1[0] + qy * _B1[1] + qz * _B1[2],
+        qx * _B2[0] + qy * _B2[1] + qz * _B2[2],
     )
 
 
 def arc_polyline(ray_a, ray_b, opts: RenderOptions):
     """Sampled great-circle arc between two rays, projected pointwise."""
-    ua = _unit(ray_a)
-    ub = _unit(ray_b)
-    dot = max(-1.0, min(1.0, sum(x * y for x, y in zip(ua, ub))))
+    ua = ax, ay, az = _unit(ray_a)
+    bx, by, bz = _unit(ray_b)
+    dot = max(-1.0, min(1.0, ax * bx + ay * by + az * bz))
     phi = math.acos(dot)
     if phi < 1e-7:  # identical rays up to rounding (acos amplifies ulps)
         return [project_ray(ua)]
@@ -72,8 +92,8 @@ def arc_polyline(ray_a, ray_b, opts: RenderOptions):
         f = s / steps
         w1 = math.sin((1.0 - f) * phi) / sin_phi
         w2 = math.sin(f * phi) / sin_phi
-        sample = tuple(w1 * x + w2 * y for x, y in zip(ua, ub))
-        points.append(project_ray(sample))
+        points.append(project_ray(
+            (w1 * ax + w2 * bx, w1 * ay + w2 * by, w1 * az + w2 * bz)))
     return points
 
 
@@ -86,30 +106,24 @@ def _fmt(x: float) -> str:
 
 
 def _to_pixels(pt):
-    w, h = _VIEWPORT
-    scale = min(w, h) / 6.0
-    return (w / 2.0 + scale * pt[0], h / 2.0 - scale * pt[1])
+    return (_CX + _SCALE * pt[0], _CY - _SCALE * pt[1])
 
 
-def _cone_arcs(rays, opts: RenderOptions):
-    """One polyline per boundary arc, endpoints ordered canonically so a
-    facet shared by two cones is sampled identically from both sides."""
-    arcs = []
-    m = len(rays)
-    for idx in range(m):
-        pair = sorted([rays[idx], rays[(idx + 1) % m]])
-        arcs.append(arc_polyline(pair[0], pair[1], opts))
-    return arcs
+def _path(pixels) -> str:
+    return "M " + " L ".join(f"{_fmt(x)} {_fmt(y)}" for x, y in pixels)
 
 
-def _path_d(arcs) -> str:
-    parts = []
-    for arc in arcs:
-        pix = [_to_pixels(p) for p in arc]
-        parts.append(
-            "M " + " L ".join(f"{_fmt(x)} {_fmt(y)}" for x, y in pix)
-        )
-    return " ".join(parts)
+def _arc(drawn, ray_a, ray_b, opts: RenderOptions):
+    """(polyline, path segment) of the arc between two rays of a cone,
+    sampled from the lexicographically smaller ray so that a facet shared
+    by two cones is sampled identically from both sides, and only once
+    per `drawn`.  A facet that raises NearAntipode is not stored."""
+    pair = (ray_a, ray_b) if ray_a <= ray_b else (ray_b, ray_a)
+    hit = drawn.get(pair)
+    if hit is None:
+        arc = arc_polyline(pair[0], pair[1], opts)
+        hit = drawn[pair] = (arc, _path(map(_to_pixels, arc)))
+    return hit
 
 
 def _guide_circle(axis: int, opts: RenderOptions) -> str:
@@ -135,10 +149,7 @@ def _guide_circle(axis: int, opts: RenderOptions) -> str:
             current = []
     if current:
         segments.append(current)
-    return " ".join(
-        "M " + " L ".join(f"{_fmt(x)} {_fmt(y)}" for x, y in seg)
-        for seg in segments
-    )
+    return " ".join(_path(seg) for seg in segments)
 
 
 def render_svg(fan: Fan, opts: RenderOptions | None = None) -> str:
@@ -162,20 +173,26 @@ def render_svg(fan: Fan, opts: RenderOptions | None = None) -> str:
             f'stroke="#bbbbbb" stroke-width="0.8"/>'
         )
     frontier = fan.frontier if opts.shade_frontier else set()
+    drawn = {}  # sorted ray pair -> (polyline, segment), this call only
     for key in sorted(fan.cones):
         cone = fan.cones[key]
+        r0, r1, r2 = cone.rays
         try:
-            arcs = _cone_arcs(list(cone.rays), opts)
+            arcs = [_arc(drawn, r0, r1, opts),
+                    _arc(drawn, r1, r2, opts),
+                    _arc(drawn, r2, r0, opts)]
         except NearAntipode:
             continue
-        d = _path_d(arcs)
+        d = " ".join(segment for _, segment in arcs)
         fill = "#d9d9d9" if key in frontier else "none"
         lines.append(
             f'<path class="cone" d="{d}" fill="{fill}" '
             f'stroke="black" stroke-width="0.6"/>'
         )
         if opts.label_normals:
-            for arc, normal in zip(arcs, cone.normals):
+            # c_i is normal to the facet spanned by g_{i+1} and g_{i+2}
+            for i, normal in enumerate(cone.normals):
+                arc = arcs[(i + 1) % 3][0]
                 mid = arc[len(arc) // 2]
                 x, y = _to_pixels(mid)
                 text = ",".join(str(c) for c in normal)

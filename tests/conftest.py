@@ -13,6 +13,10 @@ TUNNEL = ((0, -6, 4886), (9, 0, -830), (-7329, 830, 0))
 WIDE_TUNNEL = ((0, -15, 2013), (2, 0, -139), (-1342, 695, 0))
 TUNNEL_CLOSEUP = ((0, -16, 237602), (24, 0, -14889), (-356403, 14889, 0))
 
+# Finite-type controls: complete fans of 14 and 12 cones; B2 x A1 has D != I.
+A3 = ((0, 1, 0), (-1, 0, 1), (0, -1, 0))
+B2_A1 = ((0, 1, 0), (-2, 0, 0), (0, 0, 0))
+
 
 def frame(c0, d0, a=3, b=2):
     """Rank-3 matrix whose vertex v3 reduces to the pair (a, b) with the

@@ -26,7 +26,7 @@ from gfans import (
 )
 from gfans.cli import main
 from gfans.seeds import Seed, apply_word, initial_seed, mutate_seed
-from conftest import MARKOV, WING, frame
+from conftest import A3, MARKOV, WING, frame
 from test_exchange import skew_symmetrizable_matrices
 from test_quadratic import assert_within_one_ulp, float_oracle
 
@@ -100,14 +100,14 @@ def test_pair_json(wing_file, capsys):
 def test_verify_reports_all_checks(markov_file, capsys):
     assert main(["verify", markov_file, "--depth", "3"]) == 0
     out = capsys.readouterr().out
-    for name in ("det_c", "det_g", "sign_coherence", "duality", "d_pairing"):
+    for name in CHECKS:
         assert f"{name}: ok" in out
 
 
 # -- verify: the state walk against the word walk it replaced ---------------
 
-A3 = ((0, 1, 0), (-1, 0, 1), (0, -1, 0))
-CHECKS = ("det_c", "det_g", "sign_coherence", "duality", "d_pairing")
+CHECKS = ("det_c", "det_g", "sign_coherence", "duality", "d_pairing",
+          "involution")
 
 
 def verify_every_word(B, depth, seed=0):
@@ -140,7 +140,8 @@ def verify_every_word(B, depth, seed=0):
         word = [rng.randrange(1, B.n + 1) for _ in range(depth)]
         s = apply_word(s0, word + word[::-1])
         if (s.b.entries, s.c, s.g) != (s0.b.entries, s0.c, s0.g):
-            failures.append(f"word {word} is not undone by its reverse")
+            failures.append(
+                f"word {word} is not undone by its reverse: involution")
     for name in CHECKS:
         lines.append(f"{name}: "
                      f"{'FAIL' if any(name in f for f in failures) else 'ok'}")
@@ -235,9 +236,13 @@ def test_verify_replay_compares_the_whole_seed(markov_file, monkeypatch,
     assert main(["verify", markov_file, "--depth", str(depth)]) == 1
     out = capsys.readouterr().out
     assert "verified 10 seeds to depth 2" in out
-    for name in CHECKS:
-        assert f"{name}: ok" in out
-    assert "is not undone by its reverse" in out
+    lines = out.splitlines()
+    assert "involution: FAIL" in lines
+    for name in CHECKS[:-1]:
+        assert f"{name}: ok" in lines
+    assert any(line.startswith("failure: word [")
+               and line.endswith("is not undone by its reverse: involution")
+               for line in lines)
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

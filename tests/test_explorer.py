@@ -32,10 +32,9 @@ from gfans.seeds import (
     transpose,
     unimodular_inverse,
 )
-from conftest import MARKOV, WING, frame
+from conftest import A3, MARKOV, WING, frame
 from test_exchange import skew_symmetrizable_matrices
 
-A3 = ((0, 1, 0), (-1, 0, 1), (0, -1, 0))
 A4 = ((0, 1, 0, 0), (-1, 0, 1, 0), (0, -1, 0, 1), (0, 0, -1, 0))
 
 

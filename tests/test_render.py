@@ -1,8 +1,13 @@
+import hashlib
+import itertools
 import math
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import gfans.render
 from gfans import (
     ExchangeMatrix,
     NearAntipode,
@@ -12,9 +17,30 @@ from gfans import (
     project_ray,
     render_svg,
 )
-from conftest import MARKOV
+from gfans.render import _B1, _B2, _CLIP_COSINE, _P, _fmt, _path, _to_pixels
+from conftest import A3, B2_A1, MARKOV, TUNNEL
+from test_exchange import random_skew_symmetrizable
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
+
+
+def cone_elements(fan, svg):
+    """{cone key: [its path, then its labels]} from an SVG of `fan` in
+    which no cone is clipped; cone paths come in sorted key order."""
+    keys = iter(sorted(fan.cones))
+    out = {}
+    for e in ET.fromstring(svg):
+        if e.get("class") == "cone":
+            current = out[next(keys)] = [e]
+        elif e.get("class") == "normal":
+            current.append(e)
+    assert len(out) == len(fan.cones)
+    return out
+
+
+def segment(ray_a, ray_b, opts):
+    """The `M ... L ...` segment of the arc between two rays."""
+    return _path(map(_to_pixels, arc_polyline(ray_a, ray_b, opts)))
 
 
 def test_projection_fixes_the_center():
@@ -88,21 +114,19 @@ def test_svg_byte_determinism():
 
 
 def test_shared_boundaries_sample_identically():
-    from gfans.render import _cone_arcs, _path_d
     fan = explore(ExchangeMatrix(MARKOV), 3)
     opts = RenderOptions()
+    paths = {key: elements[0].get("d") for key, elements
+             in cone_elements(fan, render_svg(fan, opts)).items()}
     checked = 0
     for edge in fan.adjacency:
         k1, k2 = tuple(edge)
         shared = sorted(set(fan.cones[k1].rays) & set(fan.cones[k2].rays))
         if len(shared) != 2:
             continue
-        arc = arc_polyline(shared[0], shared[1], opts)
-        fragment = _path_d([arc])
-        d1 = _path_d(_cone_arcs(list(fan.cones[k1].rays), opts))
-        d2 = _path_d(_cone_arcs(list(fan.cones[k2].rays), opts))
-        assert fragment in d1
-        assert fragment in d2
+        fragment = segment(shared[0], shared[1], opts)
+        assert fragment in paths[k1]
+        assert fragment in paths[k2]
         checked += 1
     assert checked > 0
 
@@ -117,7 +141,249 @@ def test_normal_labels_toggle():
     assert texts and all(e.get("class") == "normal" for e in texts)
 
 
+@pytest.mark.parametrize("b", [MARKOV, B2_A1, A3],
+                         ids=["MARKOV", "B2_A1", "A3"])
+def test_normal_labels_sit_on_their_facets(b):
+    # c_i labels the facet normal to D c_i: the arc from g_{i+1} to g_{i+2}
+    fan = explore(ExchangeMatrix(b), 4)
+    opts = RenderOptions(label_normals=True)
+    for key, (_, *labels) in cone_elements(fan, render_svg(fan, opts)).items():
+        cone = fan.cones[key]
+        assert len(labels) == 3
+        for i, label in enumerate(labels):
+            assert label.text == f"({','.join(map(str, cone.normals[i]))})"
+            at = (float(label.get("x")), float(label.get("y")))
+            on = []
+            for pair in itertools.combinations(sorted(cone.rays), 2):
+                arc = arc_polyline(*pair, opts)
+                mid = _to_pixels(arc[len(arc) // 2])
+                if math.dist(mid, at) < 1e-3:
+                    on.append(pair)
+            assert len(on) == 1
+            for ray in on[0]:
+                assert sum(f * g for f, g in zip(cone.facets[i], ray)) == 0
+
+
 def test_rank2_fan_not_renderable():
     fan = explore(ExchangeMatrix(((0, -2), (3, 0))), 2)
     with pytest.raises(ValueError):
         render_svg(fan)
+
+
+# -- byte identity ----------------------------------------------------------
+
+# SHA-256 of render_svg output, recorded before shared facets were sampled
+# once and projections written out as straight-line arithmetic; the
+# label_normals goldens were recorded after labels moved to their facets.
+GOLDEN_OPTIONS = {
+    "default": RenderOptions(),
+    "fine": RenderOptions(arc_resolution=0.7, shade_frontier=False),
+    "labels": RenderOptions(label_normals=True),
+}
+SVG_GOLDENS = {
+    ("MARKOV", 4, "default"):
+        "6370384e0f0b9213466b067a7293401af50327c8ffa799001941458dfe45f124",
+    ("MARKOV", 4, "fine"):
+        "f7f56e8f7d48973f7a2d05cd782246fb3964ff00dc5345f2183c4ee62019c8aa",
+    ("MARKOV", 4, "labels"):
+        "84aa67a5b81bbe2d6582d3472e9c9c242fba40fe4649be8e5b7e7901ba2ffe04",
+    ("A3", 6, "default"):
+        "a2a5decaa6021c4981590ae20dab1d7d80152df4722c522b4c37176556277206",
+    ("A3", 6, "fine"):
+        "24d14a3ee33233ccbb3db6a0051e40d262fb92ac165c50c5c65385d34ee94317",
+    ("A3", 6, "labels"):
+        "4bb1024f1b51ac3a940eeed070af1c01604a2616c730db5a80799f2e910348fd",
+    ("B2_A1", 6, "default"):
+        "6446027a2e51004674d136d1f345b10d8ddd9d6f4fc837c24a7851e1c568d53a",
+    ("B2_A1", 6, "fine"):
+        "00b73f6ea579632d1ff019e0cfb54dc435ecbb4bc100344eb681fa3749a6b8fd",
+    ("B2_A1", 6, "labels"):
+        "19e6f9abf4a6d3d02e3524c3a685e70b3accd69cbdf60df4333c4e08bc2c6490",
+    ("TUNNEL", 5, "default"):
+        "8d4c96c376aba7cd4d86b75f2d074adbc48a0cb949583e529415c808531b4923",
+    ("TUNNEL", 5, "fine"):
+        "9f2ceacb2a67605ec0f63c182530b714c3acdba586128f68d4004a738a672f81",
+    ("TUNNEL", 5, "labels"):
+        "a748fe1da04b6a53fdb48323dbb3169b684af16a8c462949c414f951a43bc657",
+}
+GOLDEN_FANS = {"MARKOV": MARKOV, "A3": A3, "B2_A1": B2_A1, "TUNNEL": TUNNEL}
+
+
+@pytest.mark.parametrize("name,depth,options", sorted(SVG_GOLDENS))
+def test_svg_golden(name, depth, options):
+    fan = explore(ExchangeMatrix(GOLDEN_FANS[name]), depth)
+    svg = render_svg(fan, GOLDEN_OPTIONS[options])
+    assert hashlib.sha256(svg.encode()).hexdigest() == \
+        SVG_GOLDENS[name, depth, options]
+
+
+# Reference renderer: every arc of every cone sampled on its own, dot
+# products and norms summed in a loop.  render_svg must match it byte for
+# byte.
+
+def ref_sum(terms):
+    """Left to right from the integer 0: sum() of floats before Python
+    3.12, which compensates rounding instead."""
+    total = 0
+    for t in terms:
+        total += t
+    return total
+
+
+def ref_unit(ray):
+    norm = math.sqrt(ref_sum(float(x) * float(x) for x in ray))
+    if norm == 0.0:
+        raise ValueError("cannot project the zero vector")
+    return tuple(float(x) / norm for x in ray)
+
+
+def ref_project(ray):
+    u = ref_unit(ray)
+    c = ref_sum(x * y for x, y in zip(u, _P))
+    if c <= _CLIP_COSINE:
+        raise NearAntipode(f"ray {ray} is within the clipped cap")
+    q = tuple(-p + 2.0 * (x + p) / (1.0 + c) for x, p in zip(u, _P))
+    return (ref_sum(x * y for x, y in zip(q, _B1)),
+            ref_sum(x * y for x, y in zip(q, _B2)))
+
+
+def ref_arc(ray_a, ray_b, opts):
+    ua, ub = ref_unit(ray_a), ref_unit(ray_b)
+    dot = ref_sum(x * y for x, y in zip(ua, ub))
+    phi = math.acos(max(-1.0, min(1.0, dot)))
+    if phi < 1e-7:
+        return [ref_project(ua)]
+    steps = int(phi / math.radians(opts.arc_resolution)) + 1
+    points = []
+    for s in range(steps + 1):
+        f = s / steps
+        w1 = math.sin((1.0 - f) * phi) / math.sin(phi)
+        w2 = math.sin(f * phi) / math.sin(phi)
+        points.append(ref_project(
+            tuple(w1 * x + w2 * y for x, y in zip(ua, ub))))
+    return points
+
+
+def ref_pixels(pt):
+    w, h = 640, 640
+    scale = min(w, h) / 6.0
+    return (w / 2.0 + scale * pt[0], h / 2.0 - scale * pt[1])
+
+
+def ref_d(polylines):
+    return " ".join(
+        "M " + " L ".join(f"{_fmt(x)} {_fmt(y)}"
+                          for x, y in map(ref_pixels, pl))
+        for pl in polylines)
+
+
+def ref_guide(axis, opts):
+    others = [i for i in range(3) if i != axis]
+    u, v = [0.0] * 3, [0.0] * 3
+    u[others[0]] = v[others[1]] = 1.0
+    segments, current = [], []
+    steps = max(int(360.0 / opts.arc_resolution), 12)
+    for s in range(steps + 1):
+        ang = 2.0 * math.pi * s / steps
+        try:
+            current.append(ref_project(tuple(
+                math.cos(ang) * x + math.sin(ang) * y for x, y in zip(u, v))))
+        except NearAntipode:
+            if current:
+                segments.append(current)
+            current = []
+    if current:
+        segments.append(current)
+    return ref_d(segments)
+
+
+def reference_svg(fan, opts):
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        'width="640" height="640" viewBox="0 0 640 640">',
+        '<rect width="640" height="640" fill="white"/>',
+    ]
+    for axis in range(3):
+        lines.append(f'<path class="guide" d="{ref_guide(axis, opts)}" '
+                     f'fill="none" stroke="#bbbbbb" stroke-width="0.8"/>')
+    frontier = fan.frontier if opts.shade_frontier else set()
+    for key in sorted(fan.cones):
+        cone = fan.cones[key]
+        rays = cone.rays
+        try:
+            arcs = [ref_arc(*sorted([rays[i], rays[(i + 1) % 3]]), opts)
+                    for i in range(3)]
+        except NearAntipode:
+            continue
+        fill = "#d9d9d9" if key in frontier else "none"
+        lines.append(f'<path class="cone" d="{ref_d(arcs)}" fill="{fill}" '
+                     f'stroke="black" stroke-width="0.6"/>')
+        if opts.label_normals:
+            for i, normal in enumerate(cone.normals):
+                arc = arcs[(i + 1) % 3]
+                x, y = ref_pixels(arc[len(arc) // 2])
+                text = ",".join(str(c) for c in normal)
+                lines.append(f'<text class="normal" x="{_fmt(x)}" '
+                             f'y="{_fmt(y)}" font-size="7">({text})</text>')
+    for axis in range(3):
+        x, y = ref_pixels(ref_project(tuple(int(i == axis) for i in range(3))))
+        lines.append(f'<circle class="vertex" cx="{_fmt(x)}" cy="{_fmt(y)}" '
+                     f'r="4" fill="none" stroke="black" stroke-width="1"/>')
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.builds(random_skew_symmetrizable, st.randoms(use_true_random=False),
+                 st.just(3)),
+       st.integers(0, 4),
+       st.builds(RenderOptions, st.floats(0.5, 30.0), st.booleans(),
+                 st.booleans()))
+def test_render_matches_the_reference(B, depth, opts):
+    fan = explore(B, depth)
+    got = render_svg(fan, opts).split("\n")
+    want = reference_svg(fan, opts).split("\n")
+    # line by line: a failing example reports one element, not a diff of
+    # two whole SVGs (which made shrinking four times slower)
+    assert len(got) == len(want)
+    for line, ref_line in zip(got, want):
+        assert line == ref_line
+
+
+# -- work --------------------------------------------------------------------
+
+def counting_arcs(monkeypatch, fail=frozenset()):
+    """Count arc_polyline calls by ray pair; pairs in `fail` raise
+    NearAntipode."""
+    calls = []
+
+    def counting(ray_a, ray_b, opts):
+        calls.append((ray_a, ray_b))
+        if (ray_a, ray_b) in fail:
+            raise NearAntipode("clipped")
+        return arc_polyline(ray_a, ray_b, opts)
+
+    monkeypatch.setattr(gfans.render, "arc_polyline", counting)
+    return calls
+
+
+def test_each_facet_is_sampled_once(monkeypatch):
+    # the complete A3 fan: 14 cones, 3 * 14 / 2 = 21 facets
+    fan = explore(ExchangeMatrix(A3), 6)
+    calls = counting_arcs(monkeypatch)
+    render_svg(fan)
+    assert len(fan.cones) == 14
+    assert len(calls) == len(set(calls)) == 21
+
+
+def test_a_clipped_facet_is_not_remembered(monkeypatch):
+    # both cones on a clipped facet are skipped, each after its own try
+    fan = explore(ExchangeMatrix(A3), 6)
+    pair = tuple(sorted(fan.cones[min(fan.cones)].rays)[:2])
+    calls = counting_arcs(monkeypatch, fail={pair})
+    svg = render_svg(fan)
+    assert calls.count(pair) == 2
+    cones = [e for e in ET.fromstring(svg).iter(SVG_NS + "path")
+             if e.get("class") == "cone"]
+    assert len(cones) == 12
