@@ -23,8 +23,8 @@ from .explorer import (
     explore,
     find_negative_orthant,
     load_fan_file,
-    save_fan,
     save_fan_file,
+    write_fan,
 )
 from .rank2 import g_sequence, limit_vectors
 from .rank3 import (
@@ -147,7 +147,8 @@ def _cmd_explore(args) -> int:
     if args.out:
         save_fan_file(fan, args.out)
     else:
-        sys.stdout.write(json.dumps(save_fan(fan)) + "\n")
+        write_fan(fan, sys.stdout)
+        sys.stdout.write("\n")
     word = find_negative_orthant(fan)
     sys.stderr.write(
         f"{len(fan.cones)} cones, {len(fan.adjacency)} adjacencies, "
@@ -330,8 +331,9 @@ def main(argv=None) -> int:
             UnexpectedCyclicTriplet) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INVARIANT
-    except (json.JSONDecodeError, FileNotFoundError, KeyError,
-            ValueError) as exc:  # NotCyclic etc. subclass ValueError
+    except (OSError, KeyError, ValueError) as exc:
+        # NotCyclic, json.JSONDecodeError etc. subclass ValueError; an
+        # unreadable or unwritable path is an OSError
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PARSE
 

@@ -31,9 +31,14 @@ Matrix = tuple[tuple[int, ...], ...]
 def int_rows(rows, what: str) -> Matrix:
     """Integer rows of a JSON document as tuples.  Rows must be lists and
     entries ints: `int()` would also pass "0", false and 2.9."""
-    if type(rows) is not list or any(type(r) is not list for r in rows) \
-            or any(type(x) is not int for r in rows for x in r):
+    if type(rows) is not list:
         raise ValueError(f"{what} must be integers in JSON lists")
+    for r in rows:
+        if type(r) is not list:
+            raise ValueError(f"{what} must be integers in JSON lists")
+        for x in r:
+            if type(x) is not int:
+                raise ValueError(f"{what} must be integers in JSON lists")
     return tuple(map(tuple, rows))
 
 

@@ -207,8 +207,8 @@ def save_fan(fan: Fan) -> dict:
 def load_fan(doc: dict) -> Fan:
     """Decode a fan document, rejecting one whose cones are not D-dual,
     whose keys repeat or do not match their rays, whose words are not
-    mutation words of length at most its depth, or whose adjacency names a
-    key that no cone has."""
+    mutation words of length at most its depth, or whose adjacency edges
+    do not join two distinct cones that it has."""
     if json_value(doc, dict, "fan document").get("format") != _FORMAT:
         raise ValueError(f"unsupported fan document format {doc.get('format')}")
     source = ExchangeMatrix.from_json(doc["source"])
@@ -238,18 +238,41 @@ def load_fan(doc: dict) -> Fan:
         words[key] = word
     adjacency = set()
     for edge in json_value(doc["adjacency"], list, "adjacency"):
-        k1, k2 = json_value(edge, list, "adjacency edge")
-        edge = frozenset((int_rows(k1, "adjacency key"),
-                          int_rows(k2, "adjacency key")))
+        if len(json_value(edge, list, "adjacency edge")) != 2:
+            raise ValueError("adjacency edge must name exactly two keys")
+        edge = frozenset(int_rows(k, "adjacency key") for k in edge)
+        if len(edge) != 2:
+            raise ValueError("adjacency edge joins a cone to itself")
         if not edge <= cones.keys():
             raise ValueError("adjacency edge names a key that no cone has")
         adjacency.add(edge)
     return Fan(source, depth, cones, words, adjacency)
 
 
+def write_fan(fan: Fan, fh):
+    """Write exactly `json.dumps(save_fan(fan))` to the text file fh.
+
+    `json.dump` streams through the pure-Python encoder, and a one-shot
+    `json.dumps` holds every token of the document before joining them;
+    encoding the head and then each cone and edge on its own keeps the
+    C encoder and the memory of one entry at a time."""
+    doc = save_fan(fan)
+    items = {name: doc.pop(name) for name in ("cones", "adjacency")}
+    fh.write(json.dumps(doc)[:-1])
+    for name, entries in items.items():
+        fh.write(f', "{name}": [')
+        sep = ""
+        for entry in entries:
+            fh.write(sep)
+            fh.write(json.dumps(entry))
+            sep = ", "
+        fh.write("]")
+    fh.write("}")
+
+
 def save_fan_file(fan: Fan, path: str):
     with open(path, "w") as fh:
-        json.dump(save_fan(fan), fh)
+        write_fan(fan, fh)
 
 
 def load_fan_file(path: str) -> Fan:

@@ -330,6 +330,14 @@ def _set(path, value):
     return edit
 
 
+def _edge(keys):
+    """Document edit: the first adjacency edge becomes keys(edge)."""
+    def edit(doc):
+        doc["adjacency"][0] = keys(doc["adjacency"][0])
+        return doc
+    return edit
+
+
 @pytest.mark.parametrize("command, edit", [
     ("classify", _set(("b", 0, 1), -2.9)),
     ("classify", _set(("b", 0, 0), "0")),
@@ -347,11 +355,16 @@ def _set(path, value):
     ("render", _set(("depth",), -4)),
     ("render", _set(("adjacency", 0, 1, 0, 0), 9)),
     ("render", lambda doc: {**doc, "cones": doc["cones"] + doc["cones"][:1]}),
+    ("render", _edge(lambda edge: [edge[0], edge[0]])),
+    ("render", _edge(lambda edge: edge[:1])),
+    ("render", _edge(lambda edge: edge * 2)),
 ], ids=["float entry", "string entry", "bool entry", "matrix list",
         "matrix number", "float rank", "cone g number", "fan list",
         "float word", "float adjacency entry", "float depth",
         "word letter above n", "word longer than depth", "negative depth",
-        "edge to a missing key", "duplicate cone key"])
+        "edge to a missing key", "duplicate cone key",
+        "self-adjacent edge (once written back as a one-key edge)",
+        "one-key edge", "four-key edge"])
 def test_malformed_documents_exit_2(command, edit, markov_file, tmp_path,
                                     capsys):
     if command == "classify":
@@ -367,6 +380,20 @@ def test_malformed_documents_exit_2(command, edit, markov_file, tmp_path,
     assert main([command, str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("command", [
+    ["classify", "{dir}"],
+    ["explore", "{dir}", "--depth", "1"],
+    ["render", "{dir}"],
+    ["explore", "{matrix}", "--depth", "1", "--out", "{dir}"],
+], ids=["classify input", "explore input", "render input", "explore output"])
+def test_a_directory_path_exits_2(command, markov_file, tmp_path, capsys):
+    argv = [a.format(dir=tmp_path, matrix=markov_file) for a in command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Is a directory" in err
 
 
 def _raising(exc):
@@ -470,6 +497,33 @@ def test_golden_stdout(name, command, tmp_path, capsys):
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == \
         GOLDEN_STDOUT[name, command]
+
+
+# SHA-256 of the fan document `explore --depth 4 --out` writes
+GOLDEN_FAN_DOCUMENTS = {
+    "WING":
+        "2b68f94b79e63a9d303cfc1127f9e092360dd94c38545882fb31d5c9a0439589",
+    "MARKOV":
+        "ad92a475e5bed12766d3f23e31196e476f9fbc030c13efa4cf72da631fdf95d2",
+    "C5":
+        "099fc077e9294c9861f7ba7b90cac41fc14c3bc94ddb2a29000d589f9bb33e49",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_FAN_DOCUMENTS))
+def test_golden_fan_documents(name, tmp_path, capsys):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(
+        {"b": [list(r) for r in GOLDEN_MATRICES[name]]}))
+    out = tmp_path / f"{name}.fan.json"
+    assert main(["explore", str(path), "--depth", "4",
+                 "--out", str(out)]) == 0
+    data = out.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == GOLDEN_FAN_DOCUMENTS[name]
+    # the stdout path writes the same document and one newline
+    capsys.readouterr()
+    assert main(["explore", str(path), "--depth", "4"]) == 0
+    assert capsys.readouterr().out.encode() == data + b"\n"
 
 
 def test_pair_error_names_the_product(tmp_path, capsys):

@@ -17,6 +17,7 @@ from gfans import (
     skew_symmetrizer,
     swap_indices_12,
 )
+from gfans.exchange import int_rows
 from conftest import MARKOV, PINWHEEL, TUNNEL, TUNNEL_CLOSEUP, WIDE_TUNNEL, WING
 
 
@@ -186,3 +187,44 @@ def test_swap_indices_12():
     assert S[1, 2] == B[2, 1]
     assert S[3, 1] == B[3, 2]
     assert swap_indices_12(S).entries == B.entries
+
+
+def _int_rows_by_any(rows, what):
+    """The type rule as first written, with a generator any() per test."""
+    if type(rows) is not list or any(type(r) is not list for r in rows) \
+            or any(type(x) is not int for r in rows for x in r):
+        raise ValueError(f"{what} must be integers in JSON lists")
+    return tuple(map(tuple, rows))
+
+
+def _outcome(decode, rows):
+    try:
+        return "ok", decode(rows, "rows")
+    except ValueError as exc:
+        return "rejected", str(exc)
+
+
+# every JSON type a decoded document can hold, nested one level; well
+# formed rows and rows with one stray entry are drawn on purpose, so that
+# both outcomes and near misses are common
+_json_values = st.one_of(
+    st.integers(), st.booleans(), st.floats(), st.text(max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+    st.lists(st.integers(), max_size=2),
+)
+_int_row = st.lists(st.integers(), max_size=4)
+_stray_row = st.builds(lambda row, i, x: row[:i] + [x] + row[i:],
+                       _int_row, st.integers(0, 4), _json_values)
+_int_rows_inputs = st.one_of(
+    st.lists(_int_row, max_size=4),
+    st.lists(st.one_of(_int_row, _stray_row), max_size=4),
+    st.lists(st.one_of(_int_row, _json_values), max_size=4),
+    st.lists(st.lists(_json_values, max_size=4), max_size=4),
+    _json_values,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_int_rows_inputs)
+def test_int_rows_accepts_what_the_any_rule_accepts(rows):
+    assert _outcome(int_rows, rows) == _outcome(_int_rows_by_any, rows)

@@ -1,10 +1,11 @@
+import io
 import itertools
 import json
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import gfans.explorer
@@ -22,6 +23,7 @@ from gfans import (
     pair_asymptotics,
     save_fan,
     save_fan_file,
+    write_fan,
 )
 from gfans.explorer import Fan
 from gfans.seeds import (
@@ -245,11 +247,40 @@ def test_load_rejects_bad_documents():
         (lambda d: d.update(depth=-4), "negative"),
         (lambda d: d["adjacency"][0][1][0].__setitem__(0, 9), "no cone has"),
         (lambda d: d["cones"].append(d["cones"][0]), "duplicate"),
+        (lambda d: d["adjacency"][0].__setitem__(1, d["adjacency"][0][0]),
+         "to itself"),
+        (lambda d: d["adjacency"][0].pop(), "exactly two keys"),
+        (lambda d: d["adjacency"][0].append(d["cones"][2]["key"]),
+         "exactly two keys"),
     ]:
         edited = json.loads(json.dumps(doc))
         edit(edited)
         with pytest.raises(ValueError, match=message):
             load_fan(edited)
+
+
+@settings(max_examples=100, deadline=None)
+@given(skew_symmetrizable_matrices, st.integers(0, 5))
+@example(ExchangeMatrix(MARKOV), 0)  # one cone, no adjacency
+def test_write_fan_writes_the_one_shot_document(B, depth):
+    fan = explore(B, depth)
+    fh = io.StringIO()
+    write_fan(fan, fh)
+    assert fh.getvalue() == json.dumps(save_fan(fan))
+
+
+def test_write_fan_reads_save_fan_through_the_module(monkeypatch):
+    # the bench tracer rebinds explorer.save_fan and must see every write
+    calls = []
+
+    def counted(fan):
+        calls.append(fan)
+        return save_fan(fan)
+
+    monkeypatch.setattr(gfans.explorer, "save_fan", counted)
+    fan = explore(ExchangeMatrix(MARKOV), 1)
+    write_fan(fan, io.StringIO())
+    assert calls == [fan]
 
 
 def test_reexploring_a_loaded_source_reproduces_the_fan(tmp_path):
