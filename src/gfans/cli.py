@@ -7,8 +7,12 @@ Subcommands: classify, explore, render, rank2, pair, verify.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import errno
+import functools
 import json
+import os
 import random
+import stat
 import sys
 
 from .exchange import (
@@ -278,14 +282,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("matrix")
     p.add_argument("--format", choices=["json", "text"], default="text")
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("explore", help="depth-bounded fan construction")
     p.add_argument("matrix")
     p.add_argument("--depth", type=int, default=6)
     p.add_argument("--max-cones", type=int, default=100_000)
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_explore)
 
     p = sub.add_parser("render", help="fan document to SVG")
     p.add_argument("fan")
@@ -293,14 +295,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--arc-resolution", type=float, default=2.0)
     p.add_argument("--no-shade", action="store_true")
     p.add_argument("--label-normals", action="store_true")
-    p.set_defaults(func=_cmd_render)
 
     p = sub.add_parser("rank2", help="rank-2 g-vector tables and limits")
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--steps", type=int, default=10)
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_rank2)
 
     p = sub.add_parser("pair", help="limit rays for one alternating pair")
     p.add_argument("matrix")
@@ -308,22 +308,44 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--j", type=int, required=True)
     p.add_argument("--format", choices=["json", "text"], default="text")
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_pair)
 
     p = sub.add_parser("verify", help="invariant suite on one matrix")
     p.add_argument("matrix")
     p.add_argument("--depth", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_verify)
 
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on the first main() call, not at import, and then reused: a
+    # parse does not change the parser, and each returns a new namespace
+    return build_parser()
+
+
+def _check_out(path: str) -> None:
+    """Raise the OSError that open(path, "w") would raise because `path`
+    is a directory or lies in a missing one, before any work is done and
+    without creating or truncating a file."""
     try:
-        return args.func(args)
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        if os.path.isdir(os.path.dirname(path) or "."):
+            return  # a new file in an existing directory
+        raise
+    if stat.S_ISDIR(mode):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
+    try:
+        if getattr(args, "out", None):
+            _check_out(args.out)
+        # looked up per call, so a handler replaced after the parser was
+        # built is the one that runs
+        return globals()[f"_cmd_{args.command}"](args)
     except ResourceCapExceeded as exc:
         sys.stderr.write(f"resource cap: {exc}\n")
         return EXIT_RESOURCE

@@ -15,6 +15,7 @@ sampling every arc of every cone.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -98,11 +99,10 @@ def arc_polyline(ray_a, ray_b, opts: RenderOptions):
 
 
 def _fmt(x: float) -> str:
-    # Normalize -0.0 so output is byte-stable across equivalent inputs.
-    v = round(x, 4)
-    if v == 0.0:
-        v = 0.0
-    return f"{v:.4f}"
+    # One correctly rounded format.  Normalize "-0.0000" (from -0.0 or a
+    # tiny negative x) so output is byte-stable across equivalent inputs.
+    s = f"{x:.4f}"
+    return "0.0000" if s == "-0.0000" else s
 
 
 def _to_pixels(pt):
@@ -126,8 +126,10 @@ def _arc(drawn, ray_a, ray_b, opts: RenderOptions):
     return hit
 
 
-def _guide_circle(axis: int, opts: RenderOptions) -> str:
-    """The great circle of the hyperplane e_axis-perp, as a sampled path."""
+@functools.lru_cache(maxsize=6)  # the three circles at two resolutions
+def _guide_circle(axis: int, arc_resolution: float) -> str:
+    """The great circle of the hyperplane e_axis-perp, as a sampled path.
+    It depends on its arguments alone, so it is kept across calls."""
     others = [i for i in range(3) if i != axis]
     u = [0.0, 0.0, 0.0]
     v = [0.0, 0.0, 0.0]
@@ -135,7 +137,7 @@ def _guide_circle(axis: int, opts: RenderOptions) -> str:
     v[others[1]] = 1.0
     segments = []
     current = []
-    steps = max(int(360.0 / opts.arc_resolution), 12)
+    steps = max(int(360.0 / arc_resolution), 12)
     for s in range(steps + 1):
         ang = 2.0 * math.pi * s / steps
         sample = tuple(
@@ -167,7 +169,7 @@ def render_svg(fan: Fan, opts: RenderOptions | None = None) -> str:
         f'<rect width="{w}" height="{h}" fill="white"/>',
     ]
     for axis in range(3):
-        d = _guide_circle(axis, opts)
+        d = _guide_circle(axis, opts.arc_resolution)
         lines.append(
             f'<path class="guide" d="{d}" fill="none" '
             f'stroke="#bbbbbb" stroke-width="0.8"/>'

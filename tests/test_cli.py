@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -24,7 +25,7 @@ from gfans import (
     UnexpectedCyclicTriplet,
     limit_rays,
 )
-from gfans.cli import main
+from gfans.cli import build_parser, main
 from gfans.seeds import Seed, apply_word, initial_seed, mutate_seed
 from conftest import A3, MARKOV, WING, frame
 from test_exchange import skew_symmetrizable_matrices
@@ -424,6 +425,153 @@ def test_input_errors_exit_2(exc, markov_file, monkeypatch, capsys):
     monkeypatch.setattr(gfans.cli, "_cmd_classify", _raising(exc))
     assert main(["classify", markov_file]) == 2
     assert capsys.readouterr().err == f"error: {exc}\n"
+
+
+# -- one parser per process --------------------------------------------------
+
+@pytest.fixture
+def fresh_parser():
+    """main() as in a new process: its parser is not built yet."""
+    gfans.cli._parser.cache_clear()
+    yield
+    gfans.cli._parser.cache_clear()
+
+
+def test_main_builds_the_parser_once(fresh_parser, markov_file, tmp_path,
+                                     monkeypatch, capsys):
+    built = []
+
+    def counting():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(gfans.cli, "build_parser", counting)
+    assert main(["rank2", "--a", "2", "--b", "2", "--steps", "1"]) == 0
+    assert len(built) == 1
+
+    def no_construction(*args, **kwargs):
+        raise AssertionError("argparse construction after the first call")
+
+    for name in ("__init__", "add_argument", "add_subparsers"):
+        monkeypatch.setattr(argparse.ArgumentParser, name, no_construction)
+    for argv in (["classify", markov_file],
+                 ["classify", markov_file, "--format", "json"],
+                 ["explore", markov_file, "--depth", "1"],
+                 ["pair", markov_file, "--i", "1", "--j", "2"],
+                 ["verify", markov_file, "--depth", "1"]):
+        assert main(argv) == 0
+    assert main(["classify", str(tmp_path / "missing.json")]) == 2
+    with pytest.raises(SystemExit):
+        main(["classify", markov_file, "--format", "yaml"])
+    assert len(built) == 1
+
+
+def test_a_handler_replaced_after_the_first_call_runs(markov_file,
+                                                      monkeypatch, capsys):
+    assert main(["classify", markov_file]) == 0  # the parser is built
+    seen = []
+
+    def handler(args):
+        seen.append((args.matrix, args.format))
+        return 0
+
+    monkeypatch.setattr(gfans.cli, "_cmd_classify", handler)
+    assert main(["classify", markov_file, "--format", "json"]) == 0
+    assert seen == [(markov_file, "json")]
+    assert capsys.readouterr().out.startswith("type of fan:")
+
+
+def test_no_argument_leaks_into_the_next_call(markov_file, tmp_path, capsys):
+    out = tmp_path / "classify.json"
+    assert main(["classify", markov_file, "--format", "json",
+                 "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["case"] == "C-1"
+    assert main(["classify", markov_file]) == 0
+    text = capsys.readouterr().out
+    assert text.startswith("type of fan: (4-1, 4-1, 4-1)   case C-1\n")
+    with contextlib.redirect_stdout(io.StringIO()) as fresh:
+        assert gfans.cli._cmd_classify(build_parser().parse_args(
+            ["classify", markov_file])) == 0
+    assert text == fresh.getvalue()
+
+
+def _exit_output(parse, argv):
+    """(exit code, stdout, stderr) of a parse that exits."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+    return exc.value.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"],
+    ["explore", "--help"],
+    ["render", "-h"],
+    [],
+    ["frobnicate", "m.json"],
+    ["classify"],
+    ["explore", "m.json", "--depth", "two"],
+    ["rank2", "--a", "2"],
+], ids=["help", "explore help", "render help", "no command",
+        "unknown command", "missing matrix", "bad depth", "missing --b"])
+def test_help_and_usage_errors_match_a_fresh_parser(fresh_parser, argv):
+    want = _exit_output(build_parser().parse_args, argv)
+    assert want[0] in (0, 2)
+    # the first call builds the cached parser, the second reuses it
+    assert _exit_output(main, argv) == want
+    assert _exit_output(main, argv) == want
+
+
+# -- output paths ------------------------------------------------------------
+
+def _open_error(path) -> str:
+    """The message open(path, "w") raises; `path` must be unopenable."""
+    with pytest.raises(OSError) as exc:
+        open(path, "w")
+    return str(exc.value)
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work done before --out was checked")
+
+    for name in ("explore", "render_svg", "fan_type"):
+        monkeypatch.setattr(gfans.cli, name, refuse)
+
+
+@pytest.mark.parametrize("command", [
+    ["explore", "{matrix}", "--depth", "1"],
+    ["render", "{fan}"],
+    ["classify", "{matrix}"],
+], ids=["explore", "render", "classify"])
+@pytest.mark.parametrize("out", ["{dir}", "{dir}/missing/out",
+                                 "{file}/out"],
+                         ids=["directory", "missing directory",
+                              "under a file"])
+def test_a_bad_out_is_refused_before_the_work(command, out, markov_file,
+                                              tmp_path, no_work, capsys):
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "file").write_text("kept")
+    (tmp_path / "fan.json").write_text("{}")
+    names = dict(matrix=markov_file, fan=tmp_path / "fan.json",
+                 dir=tmp_path / "dir", file=tmp_path / "file")
+    out = out.format(**names)
+    before = sorted(tmp_path.rglob("*"))
+    argv = [a.format(**names) for a in command] + ["--out", out]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {_open_error(out)}\n"
+    assert sorted(tmp_path.rglob("*")) == before
+    assert (tmp_path / "file").read_text() == "kept"
+
+
+def test_a_valid_out_is_not_truncated_by_a_failing_command(tmp_path, capsys):
+    out = tmp_path / "fan.svg"
+    out.write_text("kept")
+    assert main(["render", str(tmp_path / "missing.json"),
+                 "--out", str(out)]) == 2
+    assert out.read_text() == "kept"
 
 
 # -- golden outputs ----------------------------------------------------------

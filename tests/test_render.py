@@ -4,7 +4,7 @@ import math
 import xml.etree.ElementTree as ET
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gfans.render
@@ -218,8 +218,8 @@ def test_svg_golden(name, depth, options):
 
 
 # Reference renderer: every arc of every cone sampled on its own, dot
-# products and norms summed in a loop.  render_svg must match it byte for
-# byte.
+# products and norms summed in a loop, coordinates rounded and then
+# formatted.  render_svg must match it byte for byte.
 
 def ref_sum(terms):
     """Left to right from the integer 0: sum() of floats before Python
@@ -264,6 +264,31 @@ def ref_arc(ray_a, ray_b, opts):
     return points
 
 
+def ref_fmt(x):
+    """The two-step rule _fmt replaced: round to 4 places, erase -0.0,
+    then format."""
+    v = round(x, 4)
+    if v == 0.0:
+        v = 0.0
+    return f"{v:.4f}"
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@example(0.00005)
+@example(-0.00005)
+@example(0.00015)
+@example(1.00005)
+@example(-0.0)
+@example(-1e-300)
+@example(5e-324)
+@example(2.0 ** 40 + 0.00005)
+@example(-123.45665)
+@example(1e308)
+def test_fmt_matches_round_then_format(x):
+    assert _fmt(x) == ref_fmt(x)
+
+
 def ref_pixels(pt):
     w, h = 640, 640
     scale = min(w, h) / 6.0
@@ -272,7 +297,7 @@ def ref_pixels(pt):
 
 def ref_d(polylines):
     return " ".join(
-        "M " + " L ".join(f"{_fmt(x)} {_fmt(y)}"
+        "M " + " L ".join(f"{ref_fmt(x)} {ref_fmt(y)}"
                           for x, y in map(ref_pixels, pl))
         for pl in polylines)
 
@@ -324,11 +349,12 @@ def reference_svg(fan, opts):
                 arc = arcs[(i + 1) % 3]
                 x, y = ref_pixels(arc[len(arc) // 2])
                 text = ",".join(str(c) for c in normal)
-                lines.append(f'<text class="normal" x="{_fmt(x)}" '
-                             f'y="{_fmt(y)}" font-size="7">({text})</text>')
+                lines.append(f'<text class="normal" x="{ref_fmt(x)}" '
+                             f'y="{ref_fmt(y)}" font-size="7">({text})</text>')
     for axis in range(3):
         x, y = ref_pixels(ref_project(tuple(int(i == axis) for i in range(3))))
-        lines.append(f'<circle class="vertex" cx="{_fmt(x)}" cy="{_fmt(y)}" '
+        lines.append(f'<circle class="vertex" cx="{ref_fmt(x)}" '
+                     f'cy="{ref_fmt(y)}" '
                      f'r="4" fill="none" stroke="black" stroke-width="1"/>')
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
@@ -387,3 +413,17 @@ def test_a_clipped_facet_is_not_remembered(monkeypatch):
     cones = [e for e in ET.fromstring(svg).iter(SVG_NS + "path")
              if e.get("class") == "cone"]
     assert len(cones) == 12
+
+
+def test_guide_circles_are_kept_per_resolution(monkeypatch):
+    fan = explore(ExchangeMatrix(MARKOV), 3)
+    cached = gfans.render._guide_circle
+    cached.cache_clear()
+    for resolution in (2.0, 5.0, 2.0):
+        opts = RenderOptions(arc_resolution=resolution)
+        svg = render_svg(fan, opts)
+        with monkeypatch.context() as m:
+            m.setattr(gfans.render, "_guide_circle", cached.__wrapped__)
+            assert svg == render_svg(fan, opts)
+    info = cached.cache_info()
+    assert (info.misses, info.hits) == (6, 3)
