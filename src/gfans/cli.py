@@ -15,13 +15,7 @@ import random
 import stat
 import sys
 
-from .exchange import (
-    ExchangeMatrix,
-    NotCyclic,
-    is_cluster_cyclic,
-    is_totally_infinite,
-    markov_constant,
-)
+from .exchange import ExchangeMatrix
 from .explorer import (
     ResourceCapExceeded,
     explore,
@@ -89,12 +83,10 @@ def _cmd_classify(args) -> int:
     B = _load_matrix(args.matrix)
     report = fan_type(B)
     rays = {i: limit_rays(B, i) for i in (1, 2, 3)}
-    try:
-        constant = markov_constant(B)
-        cyclic_verdict = is_cluster_cyclic(B)
-    except NotCyclic:
-        constant = None
-        cyclic_verdict = False
+    # C(B) is None exactly for acyclic B, and fan_type has already required
+    # total infiniteness, the other half of the cluster-cyclic test
+    constant = report.markov_constant
+    cyclic_verdict = constant is not None and constant <= 4
     doc = {
         "triplet": list(report.triplet),
         "case": report.case_label,

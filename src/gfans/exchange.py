@@ -50,7 +50,9 @@ def json_value(value, kind: type, what: str):
 
 
 def _as_matrix(rows) -> Matrix:
-    m = tuple(tuple(int(x) for x in row) for row in rows)
+    m = tuple(tuple(row) for row in rows)
+    if any(type(x) is not int for row in m for x in row):
+        raise ValueError("entries must be ints")
     n = len(m)
     if n == 0 or any(len(row) != n for row in m):
         raise ValueError("entries must form a nonempty square matrix")

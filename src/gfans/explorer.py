@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass, field
 
 from .exchange import ExchangeMatrix, int_rows, json_value
-from .quadratic import QuadraticNumber, root_sign, split_ray
+from .quadratic import QuadraticRay, root_sign
 from .seeds import (
     GCone,
     Seed,
@@ -102,15 +102,18 @@ def cone_contains(cone: GCone, ray, strictness: str = "interior") -> bool:
     By tropical duality <c_i, D g_j> = d_i delta_ij, the i-th barycentric
     coordinate of the ray is <D c_i, ray> / d_i with d_i > 0, so its sign
     is that of the pairing with the facet normal D c_i.  A ray of ints and
-    Fractions takes one dot product per facet.  A ray with QuadraticNumber
-    components is split once into (P + Q sqrt(delta)) / den with integer
-    P, Q and den > 0; each pairing is then two integer dot products and one
-    `root_sign`.
+    Fractions takes one dot product per facet.  A `QuadraticRay` is
+    (P + Q sqrt(delta)) / den with integer P, Q and den > 0, so each of its
+    pairings is two integer dot products and one `root_sign`.  The ray must
+    have one coordinate per row of the cone's matrix.
     """
-    if not any(isinstance(x, QuadraticNumber) for x in ray):
+    if len(ray) != len(cone.symmetrizer):
+        raise ValueError(f"ray of rank {len(ray)} for a cone of rank "
+                         f"{len(cone.symmetrizer)}")
+    if not isinstance(ray, QuadraticRay):
         return _contains(cone.facets, ray, strictness)
     least = _least(strictness)
-    p, q, delta = split_ray(ray)
+    p, q, delta = ray.p, ray.q, ray.delta
     return all(root_sign(_dot(row, p), _dot(row, q), delta) >= least
                for row in cone.facets)
 

@@ -2,12 +2,13 @@
 
 Every component of a limit ray lies in the field of delta = ab(ab - 4) and
 is linear in the rank-2 slope, so a ray is exactly (P + Q*sqrt(delta)) /
-den with integer vectors P, Q and one positive integer den (`split_ray`,
-`quadratic_ray`).  Its pairing with an integer vector is then two integer
-dot products and one exact sign (`root_sign`), never a float.
-`QuadraticNumber` is the output value of one component: exact sign, float
-and repr.  A perfect-square discriminant is folded into the rational part
-on construction, so affine-type limits collapse to rationals.
+den with integer vectors P, Q and one positive integer den.
+`QuadraticRay` is that value: a tuple of components that keeps P, Q, delta
+and den, so its pairing with an integer vector is two integer dot products
+and one exact sign (`root_sign`), never a float.  `QuadraticNumber` is the
+output value of one component: exact sign, float and repr.  A
+perfect-square discriminant is folded into the rational part of a
+component on construction, so affine-type limits collapse to rationals.
 """
 
 from __future__ import annotations
@@ -86,30 +87,24 @@ class QuadraticNumber:
         return f"{self.x} + {self.y}*sqrt({self.delta})"
 
 
-def quadratic_ray(p, q, delta: int, den: int) -> tuple[QuadraticNumber, ...]:
-    """The ray (p + q*sqrt(delta)) / den as a tuple of QuadraticNumbers."""
-    return tuple(QuadraticNumber(Fraction(pi, den), Fraction(qi, den), delta)
-                 for pi, qi in zip(p, q))
+class QuadraticRay(tuple):
+    """The ray (p + q*sqrt(delta)) / den, with integer vectors p, q and an
+    integer den > 0.
 
-
-def split_ray(ray) -> tuple[list[int], list[int], int]:
-    """(p, q, delta) with integer vectors p, q and ray = (p + q*sqrt(delta))
-    / den for one positive integer den, which is cleared.
-
-    Components may be ints, Fractions or QuadraticNumbers; those with a
-    nonzero irrational part must share one discriminant.
+    As a tuple it is the QuadraticNumber components (p_i + q_i*sqrt(delta))
+    / den, so equality, hashing and indexing are those of that tuple; it
+    also keeps p, q, delta and den, which containment reads directly.
     """
-    xs, ys, delta = [], [], 0
-    for c in ray:
-        if isinstance(c, QuadraticNumber):
-            if c.delta and delta and c.delta != delta:
-                raise ValueError("mixed discriminants")
-            delta = delta or c.delta
-            xs.append(c.x)
-            ys.append(c.y)
-        else:
-            xs.append(Fraction(c))
-            ys.append(Fraction(0))
-    den = math.lcm(*(v.denominator for v in xs + ys))
-    return ([v.numerator * (den // v.denominator) for v in xs],
-            [v.numerator * (den // v.denominator) for v in ys], delta)
+
+    def __new__(cls, p, q, delta: int, den: int):
+        p, q = tuple(p), tuple(q)
+        if len(p) != len(q) or den <= 0:
+            raise ValueError("need p and q of one length and den > 0")
+        ray = super().__new__(cls, (
+            QuadraticNumber(Fraction(pi, den), Fraction(qi, den), delta)
+            for pi, qi in zip(p, q)))
+        ray.p, ray.q, ray.delta, ray.den = p, q, delta, den
+        return ray
+
+    def __getnewargs__(self):
+        return self.p, self.q, self.delta, self.den

@@ -9,7 +9,7 @@ Q(sqrt(ab(ab-4))).
 from __future__ import annotations
 
 from .chebyshev import chebyshev_u
-from .quadratic import quadratic_ray
+from .quadratic import QuadraticRay
 
 Mat2 = tuple[tuple[int, int], tuple[int, int]]
 
@@ -107,4 +107,4 @@ def limit_vectors(a: int, b: int):
     they coincide exactly when ab = 4.
     """
     p, delta, den = limit_parts(a, b)
-    return tuple(quadratic_ray(p, (0, root), delta, den) for root in (-1, 1))
+    return tuple(QuadraticRay(p, (0, root), delta, den) for root in (-1, 1))

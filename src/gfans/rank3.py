@@ -24,7 +24,7 @@ from .exchange import (
     markov_constant,
     swap_indices_12,
 )
-from .quadratic import quadratic_ray
+from .quadratic import QuadraticRay
 from .rank2 import g_sequence, limit_parts
 
 
@@ -222,7 +222,7 @@ def pair_asymptotics(B: ExchangeMatrix, i: int, j: int):
             tag = _tag(a, b, c0, d0)
             p[ell - 1] = _third(tag, forward, True, alpha, beta, c0, d0, b)
             q[ell - 1] = _third(tag, forward, True, 0, root, c0, d0, b)
-        rays.append(quadratic_ray(p, q, delta, den))
+        rays.append(QuadraticRay(p, q, delta, den))
     return tuple(rays)
 
 

@@ -6,7 +6,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import gfans.cli
@@ -23,7 +23,9 @@ from gfans import (
     QuadraticNumber,
     SignCoherenceViolation,
     UnexpectedCyclicTriplet,
+    is_cluster_cyclic,
     limit_rays,
+    markov_constant,
 )
 from gfans.cli import build_parser, main
 from gfans.seeds import Seed, apply_word, initial_seed, mutate_seed
@@ -171,6 +173,49 @@ def test_verify_matches_the_word_walk(tmp_path_factory, B, depth, seed):
     path = write_matrix(tmp_path_factory.mktemp("verify") / "m.json",
                         B.entries)
     assert run_verify(path, depth, seed) == verify_every_word(B, depth, seed)
+
+
+@st.composite
+def totally_infinite_rank3(draw):
+    """B = A D with A skew-symmetric and |b_ij b_ji| = a_ij^2 d_i d_j >= 4.
+    Half are cyclic (b_12, b_23, b_31 of one sign), with C(B) on both
+    sides of 4; the other half have random signs."""
+    d = draw(st.lists(st.integers(1, 3), min_size=3, max_size=3))
+    cyclic = draw(st.booleans())
+    orient = draw(st.sampled_from((1, -1)))
+    b = [[0] * 3 for _ in range(3)]
+    for i, j, cyclic_sign in ((0, 1, 1), (1, 2, 1), (0, 2, -1)):
+        sign = orient * cyclic_sign if cyclic else \
+            draw(st.sampled_from((1, -1)))
+        a = sign * draw(st.integers(1, 4))
+        assume(a * a * d[i] * d[j] >= 4)
+        b[i][j], b[j][i] = a * d[j], -a * d[i]
+    return b
+
+
+@settings(max_examples=150, deadline=None)
+@given(totally_infinite_rank3())
+@example(list(map(list, MARKOV)))  # cyclic, C(B) = 4: cluster-cyclic
+@example(list(map(list, WING)))
+@example([[0, 2, 2], [-2, 0, 2], [-2, -2, 0]])  # acyclic
+@example([[0, 3, -3], [-3, 0, 3], [3, -3, 0]])  # cyclic, C(B) = 0
+@example([[0, 2, -3], [-2, 0, 2], [3, -2, 0]])  # cyclic, C(B) = 5
+def test_classify_markov_constant_matches_the_oracle(tmp_path_factory, b):
+    B = ExchangeMatrix(b)
+    try:
+        constant, cyclic = markov_constant(B), is_cluster_cyclic(B)
+    except NotCyclic:
+        constant, cyclic = None, False
+    folder = tmp_path_factory.mktemp("classify")
+    out = folder / "out.json"
+    code = main(["classify", str(write_matrix(folder / "m.json", b)),
+                 "--format", "json", "--out", str(out)])
+    if code == 1:  # a band search that reaches its bound
+        return
+    assert code == 0
+    doc = json.loads(out.read_text())
+    assert doc["markov_constant"] == constant
+    assert doc["cluster_cyclic"] == cyclic
 
 
 def test_verify_checks_each_distinct_seed_once(tmp_path, monkeypatch):

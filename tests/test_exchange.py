@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -57,6 +58,19 @@ def test_symmetrizer_rejections():
         skew_symmetrizer(((0, 1), (1, 0)))  # same sign
     with pytest.raises(NotSkewSymmetrizable):
         skew_symmetrizer(((0, 1), (0, 0)))  # mismatched zero
+
+
+@pytest.mark.parametrize("bad", [2.9, 2.0, "2", Fraction(5, 2), Fraction(2),
+                                 True])
+def test_non_integer_entries_are_rejected(bad):
+    # int() once truncated these: 2.9 -> 2, "2" -> 2, 5/2 -> 2, True -> 1
+    rows = [[0, bad, 0], [-2, 0, 2], [0, -2, 0]]
+    with pytest.raises(ValueError, match="entries must be ints"):
+        ExchangeMatrix(rows)
+    with pytest.raises(ValueError, match="entries must be ints"):
+        skew_symmetrizer(rows)
+    rows[0][1] = 2
+    assert ExchangeMatrix(rows).entries == ((0, 2, 0), (-2, 0, 2), (0, -2, 0))
 
 
 def test_symmetrizer_disconnected_components():

@@ -5,13 +5,14 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gfans.explorer
 from gfans import (
     ExchangeMatrix,
     QuadraticNumber,
+    QuadraticRay,
     ResourceCapExceeded,
     cone_contains,
     explore,
@@ -172,11 +173,27 @@ def test_cone_membership_interior_vs_closure():
 def test_cone_membership_with_irrational_rays():
     fan = explore(ExchangeMatrix(MARKOV), 0)
     cone = next(iter(fan.cones.values()))
-    one_plus_s = QuadraticNumber(1, 1, 5)  # 1 + sqrt(5)
-    point = (one_plus_s, 1, QuadraticNumber(2, -1, 5))
+    point = QuadraticRay((1, 1, 2), (1, 0, -1), 5, 1)  # (1+√5, 1, 2-√5)
     assert not cone_contains(cone, point, "interior")  # third entry < 0
-    point = (one_plus_s, 1, QuadraticNumber(-2, 1, 5))
+    point = QuadraticRay((1, 1, -2), (1, 0, 1), 5, 1)  # (1+√5, 1, -2+√5)
     assert cone_contains(cone, point, "interior")
+    # the same components in a plain tuple are not a quadratic ray
+    with pytest.raises(TypeError):
+        cone_contains(cone, tuple(point), "interior")
+
+
+def test_cone_contains_rejects_a_ray_of_the_wrong_rank():
+    cone = next(iter(explore(ExchangeMatrix(MARKOV), 0).cones.values()))
+    # zipped pairings once called the first interior and tested the
+    # second on two coordinates only
+    for ray in ((1, 1, 1, -7), (1, 1), QuadraticRay((1, 1), (1, 0), 5, 1),
+                QuadraticRay((1, 1, 1, 1), (0, 0, 0, 1), 5, 2)):
+        for strictness in ("interior", "closure"):
+            with pytest.raises(ValueError, match="rank"):
+                cone_contains(cone, ray, strictness)
+    wing = next(iter(explore(ExchangeMatrix(WING), 0).cones.values()))
+    with pytest.raises(ValueError, match="rank"):
+        cone_contains(wing, (1, 1, 1, 1))
 
 
 def test_pairwise_interior_disjointness():
@@ -468,17 +485,14 @@ def _sign_by_bracket(x, y, delta):
 
 _discriminants = st.one_of(st.sampled_from([0, 1, 4, 9, 16, 2, 5, 12, 32]),
                            st.integers(0, 10 ** 12))
-_rationals = st.fractions(min_value=-50, max_value=50, max_denominator=40)
 
 
 @st.composite
 def _quadratic_rays(draw):
     n = draw(st.integers(2, 4))
-    delta = draw(_discriminants)
-    component = st.one_of(
-        st.integers(-20, 20), _rationals,
-        st.builds(QuadraticNumber, _rationals, _rationals, st.just(delta)))
-    return draw(st.lists(component, min_size=n, max_size=n).map(tuple))
+    vector = st.lists(st.integers(-2000, 2000), min_size=n, max_size=n)
+    return QuadraticRay(draw(vector), draw(vector), draw(_discriminants),
+                        draw(st.integers(1, 40)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -493,18 +507,3 @@ def test_quadratic_containment_matches_the_oracle(ray, data):
     signs = [_sign_by_bracket(*_pairing(row, ray)) for row in facets]
     assert cone_contains(cone, ray, "interior") == (min(signs) >= 1)
     assert cone_contains(cone, ray, "closure") == (min(signs) >= 0)
-
-
-_irrational = st.integers(2, 10 ** 6).filter(
-    lambda v: math.isqrt(v) ** 2 != v)
-
-
-@settings(max_examples=100, deadline=None)
-@given(_irrational, _irrational, _rationals, _rationals,
-       _rationals.filter(bool), _rationals.filter(bool))
-def test_mixed_discriminants_raise(d1, d2, x1, x2, y1, y2):
-    assume(d1 != d2)
-    ray = (QuadraticNumber(x1, y1, d1), 1, QuadraticNumber(x2, y2, d2))
-    cone = GCone((), ((1, 0, 0), (0, 1, 0), (0, 0, 1)), (1, 1, 1))
-    with pytest.raises(ValueError, match="mixed discriminants"):
-        cone_contains(cone, ray)

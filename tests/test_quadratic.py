@@ -1,12 +1,14 @@
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gfans import QuadraticNumber
-from gfans.quadratic import quadratic_ray, root_sign, split_ray
+from gfans import QuadraticNumber, QuadraticRay
+from gfans.quadratic import root_sign
 
 
 def test_perfect_square_discriminant_folds_to_rational():
@@ -38,22 +40,57 @@ def test_sign_of_mixed_terms():
     assert root_sign(Fraction(-1, 2), 5, 0) == -1
 
 
-def test_mixed_discriminants_rejected():
-    a = QuadraticNumber(0, 1, 2)
-    b = QuadraticNumber(0, 1, 3)
-    with pytest.raises(ValueError):
-        split_ray((a, b))
+_ints = st.integers(-10 ** 6, 10 ** 6)
 
 
-def test_split_ray_clears_one_denominator():
-    ray = (1, Fraction(-3, 4), QuadraticNumber(Fraction(1, 6), -2, 5),
-           QuadraticNumber(7, 0, 0))
-    assert split_ray(ray) == ([12, -9, 2, 84], [0, 0, -24, 0], 5)
-    assert split_ray((2, Fraction(1, 3))) == ([6, 1], [0, 0], 0)
-    p, q, delta = split_ray(quadratic_ray((4, -6), (0, 2), 12, 4))
-    assert quadratic_ray(p, q, delta, 2) == (
-        QuadraticNumber(1, 0),
-        QuadraticNumber(Fraction(-3, 2), Fraction(1, 2), 12))
+@st.composite
+def quadratic_rays(draw):
+    n = draw(st.integers(1, 4))
+    vector = st.lists(_ints, min_size=n, max_size=n)
+    return QuadraticRay(draw(vector), draw(vector),
+                        draw(st.sampled_from([0, 1, 4, 2, 5, 12, 45])),
+                        draw(st.integers(1, 10 ** 4)))
+
+
+@given(quadratic_rays())
+def test_quadratic_ray_is_the_tuple_of_its_components(ray):
+    components = tuple(
+        QuadraticNumber(Fraction(pi, ray.den), Fraction(qi, ray.den),
+                        ray.delta)
+        for pi, qi in zip(ray.p, ray.q))
+    assert tuple(ray) == components
+    assert ray == components and components == ray
+    assert hash(ray) == hash(components)
+    assert len(ray) == len(ray.p) == len(ray.q)
+    assert all(type(v) is int for v in ray.p + ray.q)
+    assert ray[-1] == components[-1] and ray[:1] == components[:1]
+
+
+def test_quadratic_ray_keeps_its_integer_parts():
+    ray = QuadraticRay([4, -6], [0, 2], 12, 4)
+    assert (ray.p, ray.q, ray.delta, ray.den) == ((4, -6), (0, 2), 12, 4)
+    assert ray == (QuadraticNumber(1, 0),
+                   QuadraticNumber(Fraction(-3, 2), Fraction(1, 2), 12))
+    first, second = ray
+    assert first == QuadraticNumber(1, 0)
+    # an unfolded perfect square stays in the parts and folds per component
+    square = QuadraticRay((1,), (3,), 49, 2)
+    assert square.delta == 49 and square == (QuadraticNumber(11, 0),)
+    for p, q, den in (((1, 2), (3,), 1), ((1,), (3,), 0), ((1,), (3,), -2)):
+        with pytest.raises(ValueError):
+            QuadraticRay(p, q, 5, den)
+
+
+@given(quadratic_rays())
+def test_quadratic_ray_copies_and_pickles(ray):
+    copies = [copy.copy(ray), copy.deepcopy(ray)]
+    copies += [pickle.loads(pickle.dumps(ray, protocol))
+               for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for other in copies:
+        assert type(other) is QuadraticRay
+        assert other == ray
+        assert (other.p, other.q, other.delta, other.den) == \
+            (ray.p, ray.q, ray.delta, ray.den)
 
 
 def test_float_and_hash():
