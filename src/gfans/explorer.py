@@ -153,31 +153,51 @@ def _cross(u, v):
     )
 
 
+def _pairings(n, rays):
+    """<n, g> for each ray g, all of rank 3."""
+    x, y, z = n
+    return [x * g0 + y * g1 + z * g2 for g0, g1, g2 in rays]
+
+
 def interiors_disjoint(a: GCone, b: GCone) -> bool:
     """Exact test that two full rank-3 simplicial cones have disjoint
-    interiors.
+    interiors, by a separating plane.
 
-    Candidate extreme rays of the intersection are rays of one cone inside
-    the closure of the other, plus cross products of facet-normal pairs.
-    The interiors meet iff some nonnegative combination (here: the sum) of
-    the candidates is interior to both.
+    The interiors are disjoint iff some n != 0 has <n, g> >= 0 on every
+    ray g of a and <n, g> <= 0 on every ray g of b (if so, n is positive
+    on a's interior and negative on b's).  These n form a polyhedral
+    cone, pointed because a's rays span R^3, so if it is not {0} it has
+    an extreme ray, orthogonal to two independent rays among the six.
+    By duality <c_i, D g_j> = d_i delta_ij, that ray is one of:
+
+    - a facet normal D c_i of a, which pairs positively with a's ray g_i,
+      so only b's rays need checking;
+    - minus a facet normal of b, so only a's rays need checking;
+    - +-(u x v) for a ray u of a and a ray v of b, when u x v != 0.
+
+    The 15 candidates are tried in that order, and the first that
+    separates decides; the interiors meet only if none does.  Two cones
+    that share a facet are decided by the first kind, without a cross
+    product.
     """
     if len(a.rays) != 3 or len(b.rays) != 3:
         raise ValueError("interiors_disjoint needs two rank-3 cones")
-    na, nb = a.facets, b.facets
-    candidates = [ray for ray in a.rays if _contains(nb, ray, "closure")]
-    candidates += [ray for ray in b.rays if _contains(na, ray, "closure")]
-    for ra in na:
-        for rb in nb:
-            for cand in (_cross(ra, rb), _cross(rb, ra)):
-                if any(cand) and _contains(na, cand, "closure") \
-                        and _contains(nb, cand, "closure"):
-                    candidates.append(cand)
-    if not candidates:
-        return True
-    total = tuple(sum(c[i] for c in candidates) for i in range(3))
-    return not (_contains(na, total, "interior")
-                and _contains(nb, total, "interior"))
+    ra, rb = a.rays, b.rays
+    for n in a.facets:
+        if max(_pairings(n, rb)) <= 0:
+            return True
+    for n in b.facets:
+        if max(_pairings(n, ra)) <= 0:
+            return True
+    for u in ra:
+        for v in rb:
+            n = _cross(u, v)
+            if not any(n):
+                continue
+            sa, sb = _pairings(n, ra), _pairings(n, rb)
+            if min(sa) >= 0 >= max(sb) or max(sa) <= 0 <= min(sb):
+                return True
+    return False
 
 
 # -- persistence -------------------------------------------------------------

@@ -2,6 +2,7 @@ import io
 import itertools
 import json
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -35,8 +36,11 @@ from gfans.seeds import (
     transpose,
     unimodular_inverse,
 )
-from conftest import A3, MARKOV, WING, frame
-from test_exchange import skew_symmetrizable_matrices
+from conftest import A3, B2_A1, MARKOV, PINWHEEL, TUNNEL, WING, frame
+from test_exchange import (
+    random_skew_symmetrizable,
+    skew_symmetrizable_matrices,
+)
 
 A4 = ((0, 1, 0, 0), (-1, 0, 1, 0), (0, -1, 0, 1), (0, 0, -1, 0))
 
@@ -197,10 +201,45 @@ def test_cone_contains_rejects_a_ray_of_the_wrong_rank():
 
 
 def test_pairwise_interior_disjointness():
-    fan = explore(ExchangeMatrix(MARKOV), 4)
-    cones = list(fan.cones.values())
-    for a, b in itertools.combinations(cones, 2):
-        assert interiors_disjoint(a, b)
+    # the complete A3 and B2 x A1 fans close up by depth 8; B2 x A1 and
+    # Wing have D != I
+    for B, depth, size in ((MARKOV, 4, None), (WING, 5, None),
+                           (PINWHEEL, 5, None), (A3, 8, 14), (B2_A1, 8, 12)):
+        fan = explore(ExchangeMatrix(B), depth)
+        if size is not None:
+            assert len(fan.cones) == size and fan.frontier == set()
+        for a, b in itertools.combinations(fan.cones.values(), 2):
+            assert interiors_disjoint(a, b), (B, a, b)
+
+
+def _counted_cross(monkeypatch):
+    """The list of calls that interiors_disjoint makes to _cross."""
+    cross, calls = gfans.explorer._cross, []
+
+    def counted(u, v):
+        calls.append((u, v))
+        return cross(u, v)
+
+    monkeypatch.setattr(gfans.explorer, "_cross", counted)
+    return calls
+
+
+@pytest.mark.parametrize("B", [MARKOV, WING, TUNNEL],
+                         ids=["MARKOV", "WING", "TUNNEL"])
+def test_adjacent_cones_are_separated_by_their_shared_facet(B, monkeypatch):
+    fan = explore(ExchangeMatrix(B), 5)
+    crossed = _counted_cross(monkeypatch)
+    for edge in fan.adjacency:
+        a, b = (fan.cones[k] for k in edge)
+        for one, other in ((a, b), (b, a)):
+            assert interiors_disjoint(one, other)
+            # the facet of `one` opposite its unshared ray contains the
+            # shared facet, and the other cone's third ray lies strictly
+            # on its far side
+            [i] = [i for i, g in enumerate(one.rays) if g not in other.rays]
+            [far] = [g for g in other.rays if g not in one.rays]
+            assert sum(map(operator.mul, one.facets[i], far)) < 0
+    assert crossed == []
 
 
 def test_interiors_disjoint_detects_overlap():
@@ -211,6 +250,30 @@ def test_interiors_disjoint_detects_overlap():
                                                   (0, -1, 1)), (1, 1, 1))
     assert not interiors_disjoint(a, b)
     assert interiors_disjoint(a, a) is False
+
+
+# Rays of cone pairs with disjoint interiors that only one kind of plane
+# separates.  In the last pair, the dual cone of the first and the negated
+# dual cone of the second cross like the two triangles of a hexagram, so
+# no plane through a facet of either cone separates them.
+_SEPARATED_ONLY_BY = {
+    "a facet of the first cone": (((-1, -1, -1), (3, 2, 0), (-1, 0, 3)),
+                                  ((-1, 0, 1), (-2, 0, 3), (-1, 1, 0))),
+    "a facet of the second cone": (((-1, -1, 0), (-1, 0, 0), (0, -2, -1)),
+                                   ((2, -1, 1), (0, 0, 1), (-3, 2, -3))),
+    "a cross product": (((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+                        ((-2, 1, -2), (3, -2, 2), (-1, 0, -1))),
+}
+
+
+@pytest.mark.parametrize("kind", list(_SEPARATED_ONLY_BY))
+def test_each_kind_of_separating_plane_is_found(kind, monkeypatch):
+    a, b = (GCone(rays, unimodular_inverse(transpose(rays)), (1, 1, 1))
+            for rays in _SEPARATED_ONLY_BY[kind])
+    assert _adjugate_disjoint(a, b)
+    crossed = _counted_cross(monkeypatch)
+    assert interiors_disjoint(a, b)
+    assert bool(crossed) == (kind == "a cross product")
 
 
 def test_limit_rays_never_interior():
@@ -404,6 +467,34 @@ def _adjugate_disjoint(a, b):
     total = tuple(sum(c[i] for c in cands) for i in range(3))
     return not (_inside(na, total, "interior")
                 and _inside(nb, total, "interior"))
+
+
+_rank3_matrices = st.builds(random_skew_symmetrizable,
+                            st.randoms(use_true_random=False), st.just(3))
+
+
+def test_interiors_disjoint_matches_the_oracle_across_fans():
+    # cones of one fan never overlap, so pairs drawn from the fans of two
+    # independent matrices are what reaches the overlapping answer
+    seen = set()
+
+    @settings(max_examples=20, deadline=None)
+    @given(_rank3_matrices, _rank3_matrices, st.integers(1, 3),
+           st.integers(1, 3), st.randoms(use_true_random=False))
+    def check(B1, B2, d1, d2, rng):
+        c1 = list(explore(B1, d1).cones.values())
+        c2 = list(explore(B2, d2).cones.values())
+        for cone in c1 + c2:
+            assert interiors_disjoint(cone, cone) is False
+        pairs = list(itertools.product(c1, c2))
+        for a, b in rng.sample(pairs, min(len(pairs), 40)):
+            disjoint = interiors_disjoint(a, b)
+            assert disjoint == _adjugate_disjoint(a, b), (B1, B2, a, b)
+            seen.add((disjoint, a.key == b.key))
+
+    check()
+    # both answers occur, and some overlap is between different cones
+    assert {(True, False), (False, False)} <= seen
 
 
 def _limit_rays(B):
