@@ -1,47 +1,18 @@
 """Chebyshev recursion of the second kind, specialized at kappa/2.
 
-With kappa^2 = ab, the values U_n live alternately in Z and Z*kappa, so a
-value is a pair (even_part, odd_part) with even_part + odd_part*kappa and at
-most one part nonzero.  Everything downstream (band ratios, rank-2 closed
-forms) stays in exact integers because every expression pairs an odd-index U
-with a factor of nu or 1/nu (nu*kappa = b, kappa/nu = a).
+With kappa^2 = ab, the values U_n live alternately in Z and Z*kappa, so
+U_n is the pair (even_part, odd_part) meaning even_part + odd_part*kappa:
+odd_part is 0 for even n and even_part is 0 for odd n.  `u_pairs` is the
+one recurrence over these pairs; `chebyshev_u` and `nu_ratio` read it by
+index.  Everything downstream (band ratios, rank-2 closed forms) stays in
+exact integers because every expression pairs an odd-index U with a factor
+of nu or 1/nu (nu*kappa = b, kappa/nu = a).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-
-
-@dataclass(frozen=True)
-class ChebyshevValue:
-    even_part: int
-    odd_part: int
-    index: int
-    ab: int
-
-    def __post_init__(self):
-        if self.even_part and self.odd_part:
-            raise ValueError("U_n has a pure integer or pure kappa part")
-
-    def as_int(self) -> int:
-        """The value as a plain integer; requires an even-type value."""
-        if self.odd_part:
-            raise ValueError(f"U_{self.index} is not an integer")
-        return self.even_part
-
-    def times_nu(self, a: int, b: int) -> int:
-        """nu * U_n as an integer; requires an odd-type value."""
-        if self.even_part:
-            raise ValueError(f"nu*U_{self.index} is not an integer")
-        return self.odd_part * b
-
-    def times_inv_nu(self, a: int, b: int) -> int:
-        """U_n / nu as an integer; requires an odd-type value."""
-        if self.even_part:
-            raise ValueError(f"U_{self.index}/nu is not an integer")
-        return self.odd_part * a
 
 
 def u_pairs(ab: int):
@@ -67,12 +38,12 @@ def pair_ratio(up, uq, a: int, b: int) -> Fraction:
     return Fraction(up[1] * b, uq[0])
 
 
-def chebyshev_u(n: int, ab: int) -> ChebyshevValue:
-    """U_n at t = kappa/2 for kappa = sqrt(ab); defined for n >= -2."""
+def chebyshev_u(n: int, ab: int) -> tuple[int, int]:
+    """U_n at t = kappa/2 for kappa = sqrt(ab) as (even_part, odd_part);
+    defined for n >= -2."""
     if n < -2:
         raise ValueError("index must be >= -2")
-    even, odd = next(islice(u_pairs(ab), n + 2, None))
-    return ChebyshevValue(even, odd, n, ab)
+    return next(islice(u_pairs(ab), n + 2, None))
 
 
 def nu_ratio(p: int, q: int, a: int, b: int) -> Fraction:
@@ -82,7 +53,9 @@ def nu_ratio(p: int, q: int, a: int, b: int) -> Fraction:
     """
     if min(p, q) < -2:
         raise ValueError("index must be >= -2")
+    if q == -1:
+        raise ValueError("U_{-1} = 0 cannot be a denominator")
     if (p - q) % 2 == 0:
         raise ValueError("p and q must have opposite parity")
-    values = list(islice(u_pairs(a * b), max(p, q) + 3))
-    return pair_ratio(values[p + 2], values[q + 2], a, b)
+    ab = a * b
+    return pair_ratio(chebyshev_u(p, ab), chebyshev_u(q, ab), a, b)

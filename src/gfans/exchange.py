@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
 
 
 class NotSkewSymmetrizable(ValueError):
@@ -99,14 +99,9 @@ def skew_symmetrizer(entries) -> tuple[int, ...]:
                     stack.append(j)
                 elif ratio[j] != r:
                     raise NotSkewSymmetrizable("conflicting cycle products")
-        denom_lcm = 1
-        for i in component:
-            q = ratio[i].denominator
-            denom_lcm = denom_lcm * q // gcd(denom_lcm, q)
+        denom_lcm = lcm(*(ratio[i].denominator for i in component))
         vals = [int(ratio[i] * denom_lcm) for i in component]
-        g = 0
-        for v in vals:
-            g = gcd(g, v)
+        g = gcd(*vals)
         for i, v in zip(component, vals):
             d[i] = v // g
     return tuple(d)

@@ -110,9 +110,13 @@ def cone_contains(cone: GCone, ray, strictness: str = "interior") -> bool:
     if len(ray) != len(cone.symmetrizer):
         raise ValueError(f"ray of rank {len(ray)} for a cone of rank "
                          f"{len(cone.symmetrizer)}")
-    if not isinstance(ray, QuadraticRay):
-        return _contains(cone.facets, ray, strictness)
     least = _least(strictness)
+    if not isinstance(ray, QuadraticRay):
+        for row in cone.facets:
+            s = _dot(row, ray)
+            if (s > 0) - (s < 0) < least:
+                return False
+        return True
     p, q, delta = ray.p, ray.q, ray.delta
     return all(root_sign(_dot(row, p), _dot(row, q), delta) >= least
                for row in cone.facets)
@@ -130,19 +134,6 @@ def _least(strictness: str) -> int:
 
 def _dot(u, v):
     return sum(x * y for x, y in zip(u, v))
-
-
-def _contains(facets, ray, strictness: str) -> bool:
-    """Membership of a ray of ints or Fractions in the cone with facet
-    normals `facets` (D c_i): every pairing <D c_i, ray>, a positive
-    multiple of a barycentric coordinate, has the sign the strictness asks
-    for."""
-    least = _least(strictness)
-    for row in facets:
-        s = _dot(row, ray)
-        if (s > 0) - (s < 0) < least:
-            return False
-    return True
 
 
 def _cross(u, v):

@@ -8,7 +8,9 @@ Q(sqrt(ab(ab-4))).
 
 from __future__ import annotations
 
-from .chebyshev import chebyshev_u
+from itertools import islice
+
+from .chebyshev import u_pairs
 from .quadratic import QuadraticRay
 
 Mat2 = tuple[tuple[int, int], tuple[int, int]]
@@ -26,19 +28,22 @@ def rank2_matrices(t: int, a: int, b: int) -> tuple[Mat2, Mat2]:
     alternating word toward t.
     """
     _check_ab(a, b)
-    ab = a * b
-
-    def u(n):
-        return chebyshev_u(n, ab).as_int()
-
-    def nu_u(n):
-        return chebyshev_u(n, ab).times_nu(a, b)
-
-    def inv_nu_u(n):
-        return chebyshev_u(n, ab).times_inv_nu(a, b)
-
     if t == 1:
         return ((-1, 0), (0, 1)), ((-1, 0), (0, 1))
+    # U_k is the pair values[k + 2] = (even, odd).  The forms below read
+    # U_k only for even k, where U_k = even, and nu*U_k and U_k/nu only for
+    # odd k, where U_k = odd*kappa, so nu*U_k = odd*b and U_k/nu = odd*a.
+    values = list(islice(u_pairs(a * b), abs(t) + 3))
+
+    def u(k):
+        return values[k + 2][0]
+
+    def nu_u(k):
+        return values[k + 2][1] * b
+
+    def inv_nu_u(k):
+        return values[k + 2][1] * a
+
     if t >= 2 and t % 2 == 0:
         n = t // 2
         c = ((-u(2 * n - 2), nu_u(2 * n - 3)),

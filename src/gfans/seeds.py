@@ -33,13 +33,6 @@ def transpose(m: Matrix) -> Matrix:
     return tuple(zip(*m))
 
 
-def matmul(x, y):
-    yt = list(zip(*y))
-    return tuple(
-        tuple(sum(a * b for a, b in zip(row, col)) for col in yt) for row in x
-    )
-
-
 def det(m: Matrix) -> int:
     """Integer determinant by fraction-free Gaussian elimination."""
     n = len(m)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from gfans import ChebyshevValue, chebyshev_u, nu_ratio
+from gfans import chebyshev_u, nu_ratio
 
 
 def u_float(n, ab):
@@ -20,28 +20,27 @@ def u_float(n, ab):
 def test_values_match_analytic_form(ab):
     kappa = math.sqrt(ab)
     for n in range(-2, 15):
-        v = chebyshev_u(n, ab)
-        approx = v.even_part + v.odd_part * kappa
+        even, odd = chebyshev_u(n, ab)
+        approx = even + odd * kappa
         assert abs(approx - u_float(n, ab)) < 1e-6 * max(1.0, abs(approx))
 
 
 def test_parity_of_parts():
     # U_n is an integer for even n and an integer multiple of kappa for odd n
     for n in range(-2, 20):
-        v = chebyshev_u(n, 6)
+        even, odd = chebyshev_u(n, 6)
         if n % 2 == 0:
-            assert v.odd_part == 0
+            assert odd == 0
         else:
-            assert v.even_part == 0
+            assert even == 0
 
 
 def test_base_cases():
-    assert chebyshev_u(-2, 6).even_part == -1
-    assert chebyshev_u(-1, 6).even_part == 0
-    assert chebyshev_u(-1, 6).odd_part == 0
-    assert chebyshev_u(0, 6).as_int() == 1
-    assert chebyshev_u(1, 6).odd_part == 1  # U_1 = kappa
-    assert chebyshev_u(2, 6).as_int() == 5  # ab - 1
+    assert chebyshev_u(-2, 6) == (-1, 0)
+    assert chebyshev_u(-1, 6) == (0, 0)
+    assert chebyshev_u(0, 6) == (1, 0)
+    assert chebyshev_u(1, 6) == (0, 1)  # U_1 = kappa
+    assert chebyshev_u(2, 6) == (5, 0)  # ab - 1
 
 
 def test_recursion_holds_in_pair_form():
@@ -51,26 +50,14 @@ def test_recursion_holds_in_pair_form():
         un1 = chebyshev_u(n - 1, ab)
         un2 = chebyshev_u(n - 2, ab)
         # kappa * U_{n-1} = U_n + U_{n-2}, in (integer, kappa) components
-        lhs = (ab * un1.odd_part, un1.even_part)
-        rhs = (un.even_part + un2.even_part, un.odd_part + un2.odd_part)
+        lhs = (ab * un1[1], un1[0])
+        rhs = (un[0] + un2[0], un[1] + un2[1])
         assert lhs == rhs
 
 
-def test_type_guards():
-    with pytest.raises(ValueError):
-        chebyshev_u(1, 6).as_int()
-    with pytest.raises(ValueError):
-        chebyshev_u(2, 6).times_nu(3, 2)
+def test_index_guard():
     with pytest.raises(ValueError):
         chebyshev_u(-3, 6)
-    with pytest.raises(ValueError):
-        ChebyshevValue(1, 1, 0, 6)
-
-
-def test_nu_scaling():
-    # (a,b) = (3,2): nu*kappa = 2 and kappa/nu = 3, so nu*U_1 = 2, U_1/nu = 3
-    assert chebyshev_u(1, 6).times_nu(3, 2) == 2
-    assert chebyshev_u(1, 6).times_inv_nu(3, 2) == 3
 
 
 def test_nu_ratio_against_floats():
@@ -89,6 +76,14 @@ def test_nu_ratio_needs_opposite_parity():
         nu_ratio(2, 0, 3, 2)
     with pytest.raises(ValueError):
         nu_ratio(1, 3, 3, 2)
+
+
+@pytest.mark.parametrize("p", [-2, 0, 2])
+def test_nu_ratio_rejects_u_minus_one_as_denominator(p):
+    # U_{-1} = 0, so nu*U_p/U_{-1} is undefined: an input error, not a
+    # division by zero
+    with pytest.raises(ValueError):
+        nu_ratio(p, -1, 3, 2)
 
 
 def test_nu_ratio_monotone_bands():

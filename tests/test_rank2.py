@@ -21,10 +21,11 @@ def word_to(t):
     return [2 - (i % 2) for i in range(-t)]
 
 
-@pytest.mark.parametrize("a,b", [(3, 2), (2, 2), (4, 1), (5, 1)])
+@pytest.mark.parametrize("a,b", [(3, 2), (2, 2), (4, 1), (5, 1), (1, 4),
+                                 (7, 3)])
 def test_closed_forms_equal_mutation(a, b):
     B = ExchangeMatrix(((0, -b), (a, 0)))
-    for t in range(-12, 13):
+    for t in range(-30, 31):
         s = apply_word(initial_seed(B), word_to(t))
         c, g = rank2_matrices(t, a, b)
         assert c == s.c, (t, a, b)

@@ -20,12 +20,18 @@ from gfans.seeds import (
     adjugate,
     cone_key,
     det,
-    matmul,
     transpose,
     unimodular_inverse,
 )
 from conftest import MARKOV, WING
 from test_exchange import random_skew_symmetrizable, skew_symmetrizable_matrices
+
+
+def matmul(x, y):
+    yt = list(zip(*y))
+    return tuple(
+        tuple(sum(a * b for a, b in zip(row, col)) for col in yt) for row in x
+    )
 
 
 def test_det_against_cofactor_expansion():
