@@ -36,6 +36,7 @@ from .render import RenderOptions, render_svg
 from .seeds import (
     SignCoherenceViolation,
     apply_word,
+    children,
     initial_seed,
     verify_seed,
 )
@@ -210,40 +211,30 @@ def _cmd_verify(args) -> int:
     rng = random.Random(args.seed)
     sys.stdout.write(f"seed: {args.seed}\n")
     failures = []
-    checked = set()  # every distinct (B, C, G) met so far
 
     def check(s, where):
-        # verify_seed reads no word, so a seed is checked, and a failure
-        # reported, once: under the first word, in BFS order, reaching it
-        key = _triple(s)
-        if key not in checked:
-            checked.add(key)
-            failures.extend(f"{where}: {name}"
-                            for name, ok in verify_seed(s).items() if not ok)
+        failures.extend(f"{where}: {name}"
+                        for name, ok in verify_seed(s).items() if not ok)
 
+    # verify_seed reads no word, so each distinct (B, C, G) is checked, and
+    # expanded, once: under the first word in BFS order reaching it, as
+    # explore expands each cone once
     s0 = initial_seed(B)
     check(s0, "initial seed")
-    words = 1
-    # A level maps (B, C, G, last letter) to [the seed of the first word
-    # reaching that state, the number of words reaching it].  The children
-    # of a word depend only on its state: the no-backtrack rule reads the
-    # last letter alone.
-    level = {(_triple(s0), 0): [s0, 1]}
+    seen = {_triple(s0)}
+    level = [s0]
     for _ in range(args.depth):
-        nxt = {}
-        for (_, last), (s, count) in level.items():
-            for k in range(1, B.n + 1):
-                if k == last:
-                    continue
-                child = s.mutate(k)
-                state = (_triple(child), k)
-                if state in nxt:
-                    nxt[state][1] += count
-                else:
-                    nxt[state] = [child, count]
+        nxt = []
+        for s in level:
+            for child in children(s):
+                key = _triple(child)
+                if key not in seen:
+                    seen.add(key)
                     check(child, f"word {child.word}")
+                    nxt.append(child)
         level = nxt
-        words += sum(count for _, count in level.values())
+    # the number of words without a letter repeated back to back
+    words = 1 + sum(B.n * (B.n - 1) ** k for k in range(args.depth))
     # a few random word replays double as involution checks
     for _ in range(10):
         word = [rng.randrange(1, B.n + 1) for _ in range(args.depth)]
@@ -345,9 +336,10 @@ def main(argv=None) -> int:
             UnexpectedCyclicTriplet) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INVARIANT
-    except (OSError, KeyError, ValueError) as exc:
+    except (OSError, KeyError, ValueError, OverflowError) as exc:
         # NotCyclic, json.JSONDecodeError etc. subclass ValueError; an
-        # unreadable or unwritable path is an OSError
+        # unreadable or unwritable path is an OSError; a decimal past the
+        # float range is an OverflowError
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PARSE
 

@@ -138,9 +138,6 @@ class ExchangeMatrix:
         i, j = ij
         return self.entries[i - 1][j - 1]
 
-    def mutate(self, k: int) -> "ExchangeMatrix":
-        return mutate_matrix(self, k)
-
     def to_json(self) -> dict:
         return {"n": self.n, "b": [list(row) for row in self.entries]}
 

@@ -6,8 +6,9 @@ same cone, so the stored witness is the first one found (shortest, ties
 broken lexicographically by construction order), and each new cone is
 expanded once, from that witness seed: a seed reaching a known cone has
 the same neighbors as its witness, queued at the same or a shallower
-level, so expanding it would find nothing new.  Exploration is capped by
-depth and cone count because the fans of infinite type grow without bound.
+level, so expanding it would find nothing new.  `seeds.children` states
+which mutations an expansion makes.  Exploration is capped by depth and
+cone count because the fans of infinite type grow without bound.
 """
 
 from __future__ import annotations
@@ -19,12 +20,11 @@ from .exchange import ExchangeMatrix, int_rows, json_value
 from .quadratic import QuadraticRay, root_sign
 from .seeds import (
     GCone,
-    Seed,
+    children,
     cone_key,
     d_paired,
     g_cone,
     initial_seed,
-    mutate_seed,
 )
 
 Key = tuple[tuple[int, ...], ...]
@@ -61,15 +61,10 @@ def explore(B: ExchangeMatrix, depth: int,
     cone0 = g_cone(s0)
     fan = Fan(B, depth, {cone0.key: cone0}, {cone0.key: ()})
     level = [(s0, cone0.key)]
-    n = B.n
     for _ in range(depth):
         next_level = []
         for seed, parent_key in level:
-            last = seed.word[-1] if seed.word else 0
-            for k in range(1, n + 1):
-                if k == last:
-                    continue  # immediate backtrack returns to the parent
-                child = mutate_seed(seed, k)
+            for child in children(seed):
                 cone = g_cone(child)
                 key = cone.key
                 if key != parent_key:
@@ -164,7 +159,15 @@ def interiors_disjoint(a: GCone, b: GCone) -> bool:
     - a facet normal D c_i of a, which pairs positively with a's ray g_i,
       so only b's rays need checking;
     - minus a facet normal of b, so only a's rays need checking;
-    - +-(u x v) for a ray u of a and a ray v of b, when u x v != 0.
+    - u x v for a ray u of a and a ray v of b, when u x v != 0; v x u is
+      never needed.  An extreme ray orthogonal to two rays of one cone is
+      a facet-normal candidate.  If none is, the cone of separating n is
+      full-dimensional (else its implicit equations name two rays of one
+      cone or a ray shared by a and b, and either way each extreme ray is
+      orthogonal to two rays of one cone), so its facets, on the planes
+      <n, g> = 0, alternate between rays u of a and v of b; going round
+      it, its extreme rays alternate between u x (-v) = -(u x v) and
+      (-v') x u' = u' x v'.
 
     The 15 candidates are tried in that order, and the first that
     separates decides; the interiors meet only if none does.  Two cones
@@ -185,8 +188,7 @@ def interiors_disjoint(a: GCone, b: GCone) -> bool:
             n = _cross(u, v)
             if not any(n):
                 continue
-            sa, sb = _pairings(n, ra), _pairings(n, rb)
-            if min(sa) >= 0 >= max(sb) or max(sa) <= 0 <= min(sb):
+            if min(_pairings(n, ra)) >= 0 >= max(_pairings(n, rb)):
                 return True
     return False
 

@@ -103,9 +103,6 @@ class Seed:
     def g_vector(self, i: int) -> tuple[int, ...]:
         return tuple(row[i - 1] for row in self.g)
 
-    def mutate(self, k: int) -> "Seed":
-        return mutate_seed(self, k)
-
     def to_json(self) -> dict:
         return {
             "b": [list(r) for r in self.b.entries],
@@ -156,6 +153,16 @@ def mutate_seed(s: Seed, k: int) -> Seed:
         for row in s.g
     )
     return Seed(mutate_matrix(s.b, k), new_c, new_g, s.word + (k,))
+
+
+def children(s: Seed):
+    """Yield mutate_seed(s, k), one at a time, for k = 1..n except the
+    last letter of s.word: mutation is an involution, so that letter leads
+    back to the parent seed, which a breadth-first walk met a level up."""
+    last = s.word[-1] if s.word else 0
+    for k in range(1, s.n + 1):
+        if k != last:
+            yield mutate_seed(s, k)
 
 
 def apply_word(s: Seed, word) -> Seed:

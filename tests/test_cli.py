@@ -132,7 +132,7 @@ def verify_every_word(B, depth, seed=0):
             for k in range(1, B.n + 1):
                 if k == last:
                     continue
-                child = s.mutate(k)
+                child = mutate_seed(s, k)
                 words += 1
                 for name, ok in gfans.cli.verify_seed(child).items():
                     if not ok:
@@ -235,6 +235,22 @@ def test_verify_checks_each_distinct_seed_once(tmp_path, monkeypatch):
     assert len({(s.b.entries, s.c, s.g) for s in calls}) == 83
 
 
+def test_verify_expands_each_distinct_seed_once(tmp_path, monkeypatch):
+    # 3 children of the initial seed, 2 of each other seed expanded (at
+    # most the 82 others), and the ten replays of words of length 2 * 8
+    calls = []
+
+    def counted(s, k):
+        calls.append(k)
+        return mutate_seed(s, k)
+
+    monkeypatch.setattr(gfans.seeds, "mutate_seed", counted)
+    code, out = run_verify(write_matrix(tmp_path / "a3.json", A3), 8)
+    assert code == 0
+    assert "verified 766 seeds to depth 8\n" in out
+    assert len(calls) <= 3 + 2 * (83 - 1) + 10 * 2 * 8
+
+
 def test_failing_seed_is_reported_once_under_its_shortest_word(
         tmp_path, monkeypatch):
     # on A3, b_13 = 0: the words (1, 3), (3, 1) reach one seed, and
@@ -300,6 +316,28 @@ def test_parse_error_exit_code(tmp_path, capsys):
     finite = tmp_path / "finite.json"
     finite.write_text(json.dumps({"b": [[0, -1, -2], [3, 0, -6], [2, 2, 0]]}))
     assert main(["classify", str(finite)]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["pair", "--i", "1", "--j", "2"],
+    ["pair", "--i", "1", "--j", "2", "--format", "json"],
+    ["classify"],
+    ["rank2", "--a", str(2 ** 1100), "--b", "1"],
+])
+def test_a_decimal_past_the_float_range_exits_2(argv, tmp_path, capsys):
+    # b_12 = -2^600 puts limit-ray coordinates near 2^600, whose decimals
+    # (and the rank-2 slope for a = 2^1100) no float holds
+    path = write_matrix(tmp_path / "big.json",
+                        [[0, -2 ** 600, 5], [2 ** 600, 0, -3], [-5, 3, 0]])
+    if argv[0] != "rank2":
+        argv = argv[:1] + [str(path)] + argv[1:]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    # the exact document prints no decimals
+    assert main(["classify", str(path), "--format", "json"]) == 0
 
 
 def test_resource_cap_exit_code(markov_file, capsys):

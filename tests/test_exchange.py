@@ -140,7 +140,7 @@ def test_apply_word_and_json_round_trip():
     word = (1, 3, 2, 1)
     direct = B
     for k in word:
-        direct = direct.mutate(k)
+        direct = mutate_matrix(direct, k)
     assert apply_matrix_word(B, word).entries == direct.entries
     assert ExchangeMatrix.from_json(B.to_json()).entries == B.entries
     with pytest.raises(ValueError):
@@ -190,7 +190,7 @@ def test_markov_constant_is_mutation_invariant_while_cyclic():
     rng = random.Random(3)
     cur = B
     for _ in range(30):
-        cur = cur.mutate(rng.randint(1, 3))
+        cur = mutate_matrix(cur, rng.randint(1, 3))
         assert cyclic_presentation(cur).cyclic
         assert markov_constant(cur) == 2
 

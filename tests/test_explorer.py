@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gfans.explorer
+import gfans.seeds
 from gfans import (
     ExchangeMatrix,
     QuadraticNumber,
@@ -390,7 +391,7 @@ def test_each_cone_is_expanded_once(monkeypatch):
         calls.append(k)
         return mutate_seed(seed, k)
 
-    monkeypatch.setattr(gfans.explorer, "mutate_seed", counted)
+    monkeypatch.setattr(gfans.seeds, "mutate_seed", counted)
     fan = explore(ExchangeMatrix(A3), 11)
     assert len(fan.cones) == 14
     assert len(calls) <= 3 * len(fan.cones)

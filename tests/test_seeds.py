@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gfans.seeds
 from gfans import (
     ExchangeMatrix,
     Seed,
@@ -18,6 +19,7 @@ from gfans import (
 )
 from gfans.seeds import (
     adjugate,
+    children,
     cone_key,
     det,
     transpose,
@@ -240,6 +242,30 @@ def test_mutation_direction_bounds():
         mutate_seed(s, 0)
     with pytest.raises(IndexError):
         mutate_seed(s, 4)
+
+
+def test_children_skip_the_last_letter_and_mutate_lazily(monkeypatch):
+    calls = []
+
+    def counted(s, k):
+        calls.append(k)
+        return mutate_seed(s, k)
+
+    monkeypatch.setattr(gfans.seeds, "mutate_seed", counted)
+    s0 = initial_seed(ExchangeMatrix(MARKOV))
+    for word in ((), (1,), (2,), (3,), (1, 3), (3, 2, 1)):
+        s = apply_word(s0, word)
+        calls.clear()
+        kids = children(s)
+        assert calls == []  # nothing is mutated before iteration
+        first = next(kids)
+        assert len(calls) == 1
+        kids = [first, *kids]
+        assert len(kids) == (3 if not word else 2)
+        letters = [k for k in (1, 2, 3) if not word or k != word[-1]]
+        assert calls == letters
+        assert [c.word for c in kids] == [s.word + (k,) for k in letters]
+        assert kids == [mutate_seed(s, k) for k in letters]
 
 
 def test_seed_json_round_trip():
