@@ -61,6 +61,17 @@ def _emit(text: str, out: str | None):
         sys.stdout.write(text)
 
 
+def _float(x) -> float:
+    """float(x) for a limit-ray coordinate or slope, or a ValueError that
+    says which command prints it exactly when it is past the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise ValueError(
+            "a limit-ray decimal exceeds the float range (about 1.8e308); "
+            "`classify --format json` prints it exactly") from None
+
+
 def _exact(vec) -> list:
     """Quadratic numbers as exact [str(x), str(y), delta] triples."""
     return [[str(c.x), str(c.y), c.delta] for c in vec]
@@ -72,7 +83,7 @@ def _ray_lines(v, vp, indent: str) -> list[str]:
         return "(" + ", ".join(fmt(c) for c in vec) + ")"
 
     def dec(c):
-        return f"{float(c):.6f}"
+        return f"{_float(c):.6f}"
 
     return [f"{indent}v  = {row(v, repr)}",
             f"{indent}v' = {row(vp, repr)}",
@@ -175,8 +186,8 @@ def _cmd_rank2(args) -> int:
         gp = g_sequence("backward", m, args.a, args.b)
         lines.append(f"{m:<4} {str(g):<13} {gp}")
     v, vp = limit_vectors(args.a, args.b)
-    lines.append(f"limit slope v2  = {v[1]!r} = {float(v[1]):.8f}")
-    lines.append(f"limit slope v'2 = {vp[1]!r} = {float(vp[1]):.8f}")
+    lines.append(f"limit slope v2  = {v[1]!r} = {_float(v[1]):.8f}")
+    lines.append(f"limit slope v'2 = {vp[1]!r} = {_float(vp[1]):.8f}")
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
@@ -189,8 +200,8 @@ def _cmd_pair(args) -> int:
         "j": args.j,
         "v": _exact(v),
         "v_prime": _exact(vp),
-        "v_decimal": [float(c) for c in v],
-        "v_prime_decimal": [float(c) for c in vp],
+        "v_decimal": [_float(c) for c in v],
+        "v_prime_decimal": [_float(c) for c in vp],
     }
     if args.format == "json":
         _emit(json.dumps(doc, indent=2) + "\n", args.out)
@@ -337,9 +348,10 @@ def main(argv=None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INVARIANT
     except (OSError, KeyError, ValueError, OverflowError) as exc:
-        # NotCyclic, json.JSONDecodeError etc. subclass ValueError; an
-        # unreadable or unwritable path is an OSError; a decimal past the
-        # float range is an OverflowError
+        # NotCyclic, json.JSONDecodeError etc. subclass ValueError, and so
+        # does _float's error for a limit-ray decimal past the float range;
+        # an unreadable or unwritable path is an OSError; any other float
+        # past the range is an OverflowError
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PARSE
 

@@ -154,7 +154,8 @@ def mutate_row(x: tuple[int, ...], pivot: tuple[int, ...],
     """Row x of an extended exchange matrix with row kk `pivot`, mutated
     in direction kk (0-based): x_k -> -x_k and, for j != k,
     x_j -> x_j + [x_k]_+ [b_kj]_+ - [-x_k]_+ [-b_kj]_+.  It serves every
-    row of B but the pivot and every row of C (principal coefficients)."""
+    row of B but the pivot; a seed's c- and g-vectors follow the vector
+    rules of `seeds.mutate_seed`."""
     xk = x[kk]
     if not xk:
         return x

@@ -65,8 +65,7 @@ def explore(B: ExchangeMatrix, depth: int,
         next_level = []
         for seed, parent_key in level:
             for child in children(seed):
-                cone = g_cone(child)
-                key = cone.key
+                key = cone_key(child.g)
                 if key != parent_key:
                     fan.adjacency.add(frozenset((parent_key, key)))
                 if key not in fan.cones:
@@ -75,7 +74,7 @@ def explore(B: ExchangeMatrix, depth: int,
                             f"cone cap {max_cones} reached at depth "
                             f"{len(child.word)}"
                         )
-                    fan.cones[key] = cone
+                    fan.cones[key] = g_cone(child)
                     fan.words[key] = child.word
                     next_level.append((child, key))
         level = next_level

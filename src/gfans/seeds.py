@@ -1,11 +1,14 @@
 """Seed mutation: (B, C, G) triples tracked along mutation words.
 
-C- and G-matrices are stored as row tuples; the i-th c- or g-vector is the
-i-th column.  C is the bottom block of the extended exchange matrix (B over
-C), so its rows follow B's row rule `exchange.mutate_row`.  G's rule reads
-the tropical sign of the mutating c-vector, so sign coherence is
-load-bearing: a mixed-sign c-vector aborts with SignCoherenceViolation,
-which signals a bug rather than a reachable state.
+A seed holds its c- and g-vectors, the columns of C and G, as tuples:
+`s.c[i - 1]` is c_i and `s.g[i - 1]` is g_i.  B follows the row rule
+`exchange.mutate_row`; the vectors follow the rules of Fomin-Zelevinsky
+(Cluster algebras IV), in which mutation in direction k changes only c_k,
+g_k and the c-vectors c_j with [eps b_kj]_+ > 0, where eps is the
+tropical sign of c_k.  A child shares every other vector with its parent,
+as the same tuple object.  Sign coherence is load-bearing: a mixed-sign
+c-vector aborts with SignCoherenceViolation, which signals a bug rather
+than a reachable state.  Seed documents keep the row layout of C and G.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from math import prod
 from operator import mul
 
 from .exchange import (ExchangeMatrix, Matrix, int_rows, json_value,
-                       mutate_matrix, mutate_row)
+                       mutate_matrix)
 
 
 class SignCoherenceViolation(RuntimeError):
@@ -88,6 +91,9 @@ def unimodular_inverse(m: Matrix) -> Matrix:
 
 @dataclass(frozen=True)
 class Seed:
+    """Exchange matrix B with the c-vectors `c` and g-vectors `g`: the
+    columns of C and G, c_i = c[i - 1] and g_i = g[i - 1]."""
+
     b: ExchangeMatrix
     c: Matrix
     g: Matrix
@@ -98,25 +104,37 @@ class Seed:
         return self.b.n
 
     def c_vector(self, i: int) -> tuple[int, ...]:
-        return tuple(row[i - 1] for row in self.c)
+        return self.c[i - 1]
 
     def g_vector(self, i: int) -> tuple[int, ...]:
-        return tuple(row[i - 1] for row in self.g)
+        return self.g[i - 1]
 
     def to_json(self) -> dict:
+        """B, C and G as lists of rows, and the word."""
         return {
             "b": [list(r) for r in self.b.entries],
-            "c": [list(r) for r in self.c],
-            "g": [list(r) for r in self.g],
+            "c": [list(r) for r in zip(*self.c)],
+            "g": [list(r) for r in zip(*self.g)],
             "word": list(self.word),
         }
 
     @classmethod
     def from_json(cls, doc: dict) -> "Seed":
+        """Decode `to_json`, rejecting a C or G that is not n x n for the
+        rank n of B and a word letter outside 1..n."""
         json_value(doc, dict, "seed")
-        return cls(ExchangeMatrix(int_rows(doc["b"], "seed b")),
-                   int_rows(doc["c"], "seed c"), int_rows(doc["g"], "seed g"),
-                   int_rows([doc["word"]], "seed word")[0])
+        b = ExchangeMatrix(int_rows(doc["b"], "seed b"))
+        n = b.n
+        c = int_rows(doc["c"], "seed c")
+        g = int_rows(doc["g"], "seed g")
+        for name, m in (("c", c), ("g", g)):
+            if len(m) != n or any(len(row) != n for row in m):
+                raise ValueError(f"seed {name} must be {n}x{n}, as b is")
+        word = int_rows([doc["word"]], "seed word")[0]
+        if not all(1 <= k <= n for k in word):
+            raise ValueError(f"seed word {list(word)} is not a word in "
+                             f"1..{n}")
+        return cls(b, transpose(c), transpose(g), word)
 
 
 def initial_seed(B: ExchangeMatrix) -> Seed:
@@ -124,10 +142,10 @@ def initial_seed(B: ExchangeMatrix) -> Seed:
 
 
 def tropical_sign(s: Seed, k: int) -> int:
-    """+1 or -1: the uniform sign of the k-th c-vector column."""
-    col = s.c_vector(k)
-    has_pos = any(x > 0 for x in col)
-    has_neg = any(x < 0 for x in col)
+    """+1 or -1: the uniform sign of the k-th c-vector."""
+    col = s.c[k - 1]
+    has_pos = max(col) > 0
+    has_neg = min(col) < 0
     if has_pos and has_neg:
         raise SignCoherenceViolation(
             f"mixed signs in c-vector {k} at word {s.word}: {col}"
@@ -145,14 +163,23 @@ def mutate_seed(s: Seed, k: int) -> Seed:
     eps = tropical_sign(s, k)
     b = s.b.entries
     kk = k - 1
-    new_c = tuple(mutate_row(row, b[kk], kk) for row in s.c)
-    # g_k -> -g_k + sum_j [-eps b_jk]_+ g_j; the other g-vectors stay.
-    f = [max(-eps * row[kk], 0) for row in b]
-    new_g = tuple(
-        row[:kk] + (sum(map(mul, f, row)) - row[kk],) + row[k:]
-        for row in s.g
-    )
-    return Seed(mutate_matrix(s.b, k), new_c, new_g, s.word + (k,))
+    c, g = s.c, s.g
+    # c_j -> c_j + [eps b_kj]_+ c_k and c_k -> -c_k; b_kk = 0
+    ck = c[kk]
+    new_c = list(c)
+    for j, bkj in enumerate(b[kk]):
+        f = eps * bkj
+        if f > 0:
+            new_c[j] = tuple([x + f * y for x, y in zip(c[j], ck)])
+    new_c[kk] = tuple([-x for x in ck])
+    # g_k -> -g_k + sum_j [-eps b_jk]_+ g_j; b_kk = 0
+    gk = [-x for x in g[kk]]
+    for gj, row in zip(g, b):
+        f = -eps * row[kk]
+        if f > 0:
+            gk = [x + f * y for x, y in zip(gk, gj)]
+    new_g = g[:kk] + (tuple(gk),) + g[k:]
+    return Seed(mutate_matrix(s.b, k), tuple(new_c), new_g, s.word + (k,))
 
 
 def children(s: Seed):
@@ -175,7 +202,7 @@ def apply_word(s: Seed, word) -> Seed:
 
 @dataclass(frozen=True)
 class GCone:
-    """Simplicial cone spanned by the columns of a unimodular G-matrix.
+    """Simplicial cone spanned by the g-vectors `rays` of a seed.
 
     `normals` are the seed's c-vectors and `symmetrizer` is D; together
     they give the facet normals.
@@ -199,11 +226,11 @@ class GCone:
 
 
 def cone_key(rays) -> tuple[tuple[int, ...], ...]:
-    return tuple(sorted(tuple(r) for r in rays))
+    return tuple(sorted(map(tuple, rays)))
 
 
 def g_cone(s: Seed) -> GCone:
-    return GCone(transpose(s.g), transpose(s.c), s.b.symmetrizer)
+    return GCone(s.g, s.c, s.b.symmetrizer)
 
 
 def d_paired(normals, rays, d) -> bool:
@@ -229,12 +256,12 @@ def verify_seed(s: Seed) -> dict[str, bool]:
     """Per-check report: determinants, sign coherence, duality, D-pairing."""
     d = s.b.symmetrizer
     report = {}
+    # det C^T = det C, so the determinants read the vectors as rows
     report["det_c"] = det(s.c) in (1, -1)
     report["det_g"] = det(s.g) in (1, -1)
 
-    ct = transpose(s.c)  # its rows are the c-vectors
     coherent = True
-    for col in ct:
+    for col in s.c:
         if (any(x > 0 for x in col) and any(x < 0 for x in col)) or not any(col):
             coherent = False
     report["sign_coherence"] = coherent
@@ -244,11 +271,12 @@ def verify_seed(s: Seed) -> dict[str, bool]:
     # sum_j g_ij c_kj (L d_i / d_j) = L delta_ik, in integers.
     big = prod(d)
     scaled = [[g * (big * di // dj) for g, dj in zip(g_row, d)]
-              for di, g_row in zip(d, s.g)]  # the rows of L D G D^{-1}
+              for di, g_row in zip(d, transpose(s.g))]  # rows of L D G D^{-1}
+    c_rows = transpose(s.c)
     report["duality"] = report["det_c"] and all(
         sum(map(mul, row, c_row)) == (big if i == k else 0)
-        for i, row in enumerate(scaled) for k, c_row in enumerate(s.c)
+        for i, row in enumerate(scaled) for k, c_row in enumerate(c_rows)
     )
 
-    report["d_pairing"] = d_paired(ct, transpose(s.g), d)
+    report["d_pairing"] = d_paired(s.c, s.g, d)
     return report

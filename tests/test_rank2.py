@@ -10,7 +10,7 @@ from gfans import (
     limit_vectors,
     rank2_matrices,
 )
-from gfans.seeds import apply_word
+from gfans.seeds import apply_word, transpose
 
 
 def word_to(t):
@@ -27,9 +27,9 @@ def test_closed_forms_equal_mutation(a, b):
     B = ExchangeMatrix(((0, -b), (a, 0)))
     for t in range(-30, 31):
         s = apply_word(initial_seed(B), word_to(t))
-        c, g = rank2_matrices(t, a, b)
-        assert c == s.c, (t, a, b)
-        assert g == s.g, (t, a, b)
+        c, g = rank2_matrices(t, a, b)  # C and G as rows
+        assert c == transpose(s.c), (t, a, b)
+        assert g == transpose(s.g), (t, a, b)
 
 
 def test_golden_forward_sequence():

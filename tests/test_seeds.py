@@ -17,6 +17,7 @@ from gfans import (
     tropical_sign,
     verify_seed,
 )
+from gfans.exchange import mutate_row
 from gfans.seeds import (
     adjugate,
     children,
@@ -27,6 +28,12 @@ from gfans.seeds import (
 )
 from conftest import MARKOV, WING
 from test_exchange import random_skew_symmetrizable, skew_symmetrizable_matrices
+
+# skew_symmetrizable_matrices with rank 1 as well
+matrices_of_rank_1_to_4 = st.builds(
+    random_skew_symmetrizable, st.randoms(use_true_random=False),
+    st.sampled_from([1, 2, 3, 4]),
+)
 
 
 def matmul(x, y):
@@ -133,7 +140,7 @@ def test_integer_duality_matches_the_adjugate_rule(B, word, kind, data):
     # a random pair (mostly with det C not +-1) are not
     n = B.n
     s = apply_word(initial_seed(B), [(k - 1) % n + 1 for k in word])
-    c, g = s.c, s.g
+    c, g = transpose(s.c), transpose(s.g)  # C and G as rows
     if kind == "perturbed":
         i, j = data.draw(st.tuples(st.integers(0, n - 1),
                                    st.integers(0, n - 1)))
@@ -147,7 +154,7 @@ def test_integer_duality_matches_the_adjugate_rule(B, word, kind, data):
         g = data.draw(square_matrices(n))
     elif kind == "random":
         c, g = data.draw(square_matrices(n)), data.draw(square_matrices(n))
-    report = verify_seed(Seed(s.b, c, g))
+    report = verify_seed(Seed(s.b, transpose(c), transpose(g)))
     assert report["duality"] == adjugate_duality(c, g, s.b.symmetrizer)
 
 
@@ -158,25 +165,32 @@ def test_tropical_sign_flips_after_mutation():
 
 
 def test_sign_coherence_guard_rejects_bad_column():
+    # C is written as rows; its first column c_1 = (1, -1, 0) is mixed
     s = initial_seed(ExchangeMatrix(MARKOV))
-    broken = Seed(s.b, ((1, 0, 0), (-1, 1, 0), (0, 0, 1)), s.g, ())
-    with pytest.raises(SignCoherenceViolation):
+    mixed = transpose(((1, 0, 0), (-1, 1, 0), (0, 0, 1)))
+    broken = Seed(s.b, mixed, s.g, ())
+    with pytest.raises(SignCoherenceViolation,
+                       match=r"^mixed signs in c-vector 1 at word \(\)"
+                             r": \(1, -1, 0\)$"):
         tropical_sign(broken, 1)
-    with pytest.raises(SignCoherenceViolation):
-        tropical_sign(Seed(s.b, ((0, 0, 0), (0, 1, 0), (0, 0, 1)), s.g), 1)
+    zero = transpose(((0, 0, 0), (0, 1, 0), (0, 0, 1)))
+    with pytest.raises(SignCoherenceViolation,
+                       match=r"^zero c-vector 1 at word \(\)$"):
+        tropical_sign(Seed(s.b, zero, s.g), 1)
 
 
 def test_mutate_seed_rejects_a_mixed_c_vector():
-    # C's row rule never reads the tropical sign; the guard must still fire
+    # the guard fires before any vector is built
     s = initial_seed(ExchangeMatrix(MARKOV))
-    broken = Seed(s.b, ((1, 0, 0), (-1, 1, 0), (0, 0, 1)), s.g, ())
+    mixed = transpose(((1, 0, 0), (-1, 1, 0), (0, 0, 1)))
+    broken = Seed(s.b, mixed, s.g, ())
     with pytest.raises(SignCoherenceViolation):
         mutate_seed(broken, 1)
 
 
-# Reference: matrix mutation entry by entry, and seed mutation on c- and
-# g-vector columns with the tropical sign; the shared row rule must agree
-# with both.
+# Reference: matrix mutation entry by entry, and seed mutation on C and G
+# held as rows, with the vector rules written column by column.  B's row
+# rule and the seed's vector rules must agree with both.
 
 def reference_mutate_matrix(B, k):
     b, kk, n = B.entries, k - 1, B.n
@@ -192,11 +206,14 @@ def reference_mutate_matrix(B, k):
 
 
 def reference_mutate_seed(s, k):
+    """mu_k of a Seed whose c and g hold the rows of C and G."""
     n, kk = s.n, k - 1
-    eps = tropical_sign(s, k)
     b = s.b.entries
     c_cols = [tuple(row[i] for row in s.c) for i in range(n)]
     g_cols = [tuple(row[i] for row in s.g) for i in range(n)]
+    signs = {(x > 0) - (x < 0) for x in c_cols[kk]} - {0}
+    assert len(signs) == 1, c_cols[kk]  # sign coherence
+    eps = signs.pop()
     new_c = [
         tuple(-x for x in c_cols[kk]) if i == kk else tuple(
             x + max(eps * b[kk][i], 0) * y
@@ -222,7 +239,8 @@ def test_row_rule_matches_the_column_rule(B, word):
         s, ref = mutate_seed(s, k), reference_mutate_seed(ref, k)
         assert s.b.entries == ref.b.entries
         assert s.b.symmetrizer == ref.b.symmetrizer
-        assert (s.c, s.g, s.word) == (ref.c, ref.g, ref.word)
+        assert (transpose(s.c), transpose(s.g), s.word) == (
+            ref.c, ref.g, ref.word)
 
 
 def test_seed_json_is_decoded_strictly():
@@ -283,3 +301,88 @@ def test_g_cone_rays_are_columns():
     assert cone.key == cone_key(cone.rays)
     # the key forgets ray order
     assert cone_key(reversed(cone.rays)) == cone.key
+
+
+def row_rule_mutate_seed(b, c, g, k):
+    """mu_k of (C, G) held as rows: each row of C by B's row rule
+    `mutate_row`, and G's k-th column as -g_k + sum_j [-eps b_jk]_+ g_j."""
+    kk = k - 1
+    eps = 1 if any(row[kk] > 0 for row in c) else -1
+    new_c = tuple(mutate_row(row, b[kk], kk) for row in c)
+    f = [max(-eps * row[kk], 0) for row in b]
+    new_g = tuple(
+        row[:kk] + (sum(x * y for x, y in zip(f, row)) - row[kk],) + row[k:]
+        for row in g
+    )
+    return new_c, new_g
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices_of_rank_1_to_4, st.lists(st.integers(1, 4), max_size=10))
+def test_vector_rules_match_the_row_rule(B, word):
+    s = initial_seed(B)
+    c, g = s.c, s.g  # the identity is its own transpose
+    for k in word:
+        k = (k - 1) % B.n + 1
+        c, g = row_rule_mutate_seed(s.b.entries, c, g, k)
+        s = mutate_seed(s, k)
+        assert (transpose(s.c), transpose(s.g)) == (c, g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices_of_rank_1_to_4, st.lists(st.integers(1, 4), max_size=6),
+       st.integers(1, 4))
+def test_mutation_shares_the_vectors_it_keeps(B, word, k):
+    s = apply_word(initial_seed(B), [(x - 1) % B.n + 1 for x in word])
+    k = (k - 1) % B.n + 1
+    eps = tropical_sign(s, k)
+    child = mutate_seed(s, k)
+    for j in range(B.n):
+        if j != k - 1:
+            assert child.g[j] is s.g[j]
+            if max(eps * s.b.entries[k - 1][j], 0) == 0:
+                assert child.c[j] is s.c[j]
+
+
+def test_seed_json_keeps_the_row_layout():
+    B = ExchangeMatrix(WING)
+    assert apply_word(initial_seed(B), (1, 2)).to_json() == {
+        "b": [[0, -2, 4], [3, 0, 6], [-2, -2, 0]],
+        "c": [[-1, 0, 0], [0, -1, 0], [0, 0, 1]],
+        "g": [[-1, 0, 0], [0, -1, 0], [0, 0, 1]],
+        "word": [1, 2],
+    }
+    # C and G are not symmetric here, so a missing transpose would show
+    s = apply_word(initial_seed(B), (2, 1))
+    assert s.to_json() == {
+        "b": [[0, -2, 16], [3, 0, -42], [-8, 14, 0]],
+        "c": [[-1, 2, 0], [-3, 5, 0], [0, 0, 1]],
+        "g": [[5, 2, 0], [-3, -1, 0], [0, 0, 1]],
+        "word": [2, 1],
+    }
+    assert s.c_vector(1) == (-1, -3, 0)
+    assert s.g_vector(1) == (5, -3, 0)
+
+
+@pytest.mark.parametrize("bad", [
+    # a 2x2 seed of a rank-3 b passed four of the five verify_seed checks
+    {"c": [[1, 0], [0, 1]], "g": [[1, 0], [0, 1]]},
+    {"g": [[5, 2], [-3, -1]]},
+    {"c": [[-1, 2, 0], [-3, 5], [0, 0, 1]]},  # a ragged row
+    {"g": [[5, 2, 0], [-3, -1, 0, 0], [0, 0, 1]]},
+    {"c": [[-1, 2, 0], [-3, 5, 0]]},  # a missing row
+    {"g": [[5, 2, 0], [-3, -1, 0], [0, 0, 1], [0, 0, 0]]},
+    {"c": []},
+])
+def test_seed_json_rejects_a_misshapen_matrix(bad):
+    good = apply_word(initial_seed(ExchangeMatrix(WING)), (2, 1)).to_json()
+    with pytest.raises(ValueError, match=f"^seed {min(bad)} must be 3x3"):
+        Seed.from_json({**good, **bad})
+
+
+@pytest.mark.parametrize("word", [[7, 0, -1], [4], [0], [-1], [1, 2, 3, 9]])
+def test_seed_json_rejects_letters_outside_1_to_n(word):
+    good = apply_word(initial_seed(ExchangeMatrix(WING)), (2, 1)).to_json()
+    with pytest.raises(ValueError, match=r"^seed word \[.*\] is not a word "
+                                         r"in 1\.\.3$"):
+        Seed.from_json({**good, "word": word})
