@@ -7,8 +7,10 @@ broken lexicographically by construction order), and each new cone is
 expanded once, from that witness seed: a seed reaching a known cone has
 the same neighbors as its witness, queued at the same or a shallower
 level, so expanding it would find nothing new.  `seeds.children` states
-which mutations an expansion makes.  Exploration is capped by depth and
-cone count because the fans of infinite type grow without bound.
+which mutations an expansion makes; only an expansion reads a seed's B,
+so the seeds at the depth bound never build theirs.  Exploration is
+capped by depth and cone count because the fans of infinite type grow
+without bound.
 """
 
 from __future__ import annotations

@@ -1,14 +1,21 @@
 """Seed mutation: (B, C, G) triples tracked along mutation words.
 
 A seed holds its c- and g-vectors, the columns of C and G, as tuples:
-`s.c[i - 1]` is c_i and `s.g[i - 1]` is g_i.  B follows the row rule
-`exchange.mutate_row`; the vectors follow the rules of Fomin-Zelevinsky
-(Cluster algebras IV), in which mutation in direction k changes only c_k,
-g_k and the c-vectors c_j with [eps b_kj]_+ > 0, where eps is the
-tropical sign of c_k.  A child shares every other vector with its parent,
-as the same tuple object.  Sign coherence is load-bearing: a mixed-sign
-c-vector aborts with SignCoherenceViolation, which signals a bug rather
-than a reachable state.  Seed documents keep the row layout of C and G.
+`s.c[i - 1]` is c_i and `s.g[i - 1]` is g_i.  The vectors follow the
+rules of Fomin-Zelevinsky (Cluster algebras IV), in which mutation in
+direction k changes only c_k, g_k and the c-vectors c_j with
+[eps b_kj]_+ > 0, where eps is the tropical sign of c_k.  A child shares
+every other vector with its parent, as the same tuple object.
+
+A child's B is built on first read: until then it holds its parent's B
+and k, and `exchange.mutate_matrix` builds mu_k(B) by the row rule
+`mutate_row`.  So a seed that is keyed and stored but never expanded
+never builds its B.  D, which every B in the mutation class shares, is
+read from the parent's B meanwhile.
+
+Sign coherence is load-bearing: a mixed-sign c-vector aborts with
+SignCoherenceViolation, which signals a bug rather than a reachable
+state.  Seed documents keep the row layout of C and G.
 """
 
 from __future__ import annotations
@@ -99,9 +106,17 @@ class Seed:
     g: Matrix
     word: tuple[int, ...] = ()
 
+    _from = None  # (parent B, k) while a child of mutate_seed has no b
+
     @property
     def n(self) -> int:
-        return self.b.n
+        return len(self.c)
+
+    @property
+    def symmetrizer(self) -> tuple[int, ...]:
+        """D, read without building B: every B in the class shares it."""
+        source = self._from
+        return (source[0] if source else self.b).symmetrizer
 
     def c_vector(self, i: int) -> tuple[int, ...]:
         return self.c[i - 1]
@@ -137,6 +152,27 @@ class Seed:
         return cls(b, transpose(c), transpose(g), word)
 
 
+class _BuiltOnRead:
+    """`Seed.b` of a child of mutate_seed, which holds no b yet: builds
+    mu_k(parent B) on the first read, keeps it on the seed and drops the
+    parent's B.  A seed that holds b never reaches this descriptor."""
+
+    def __get__(self, s: Seed, owner=None) -> ExchangeMatrix:
+        if s is None:
+            return self
+        parent_b, k = s._from
+        b = mutate_matrix(parent_b, k)
+        object.__setattr__(s, "b", b)
+        object.__setattr__(s, "_from", None)
+        return b
+
+
+# set after @dataclass, which would take it for b's default; a descriptor,
+# not Seed.__getattr__, which would take every attribute read of every
+# seed off CPython's specialized fast path
+Seed.b = _BuiltOnRead()
+
+
 def initial_seed(B: ExchangeMatrix) -> Seed:
     return Seed(B, identity(B.n), identity(B.n), ())
 
@@ -156,12 +192,14 @@ def tropical_sign(s: Seed, k: int) -> int:
 
 
 def mutate_seed(s: Seed, k: int) -> Seed:
-    """Mutation in direction k (1-based) of the full (B, C, G) triple."""
+    """Mutation in direction k (1-based) of the full (B, C, G) triple;
+    the child builds its B when it is first read."""
     n = s.n
     if not 1 <= k <= n:
         raise IndexError(f"mutation direction {k} out of range 1..{n}")
     eps = tropical_sign(s, k)
-    b = s.b.entries
+    B = s.b
+    b = B.entries
     kk = k - 1
     c, g = s.c, s.g
     # c_j -> c_j + [eps b_kj]_+ c_k and c_k -> -c_k; b_kk = 0
@@ -179,7 +217,14 @@ def mutate_seed(s: Seed, k: int) -> Seed:
         if f > 0:
             gk = [x + f * y for x, y in zip(gk, gj)]
     new_g = g[:kk] + (tuple(gk),) + g[k:]
-    return Seed(mutate_matrix(s.b, k), tuple(new_c), new_g, s.word + (k,))
+    # the frozen dataclass's __init__ would need b
+    child = object.__new__(Seed)
+    set_ = object.__setattr__
+    set_(child, "_from", (B, k))
+    set_(child, "c", tuple(new_c))
+    set_(child, "g", new_g)
+    set_(child, "word", s.word + (k,))
+    return child
 
 
 def children(s: Seed):
@@ -230,7 +275,7 @@ def cone_key(rays) -> tuple[tuple[int, ...], ...]:
 
 
 def g_cone(s: Seed) -> GCone:
-    return GCone(s.g, s.c, s.b.symmetrizer)
+    return GCone(s.g, s.c, s.symmetrizer)
 
 
 def d_paired(normals, rays, d) -> bool:
@@ -254,7 +299,7 @@ def d_paired(normals, rays, d) -> bool:
 
 def verify_seed(s: Seed) -> dict[str, bool]:
     """Per-check report: determinants, sign coherence, duality, D-pairing."""
-    d = s.b.symmetrizer
+    d = s.symmetrizer
     report = {}
     # det C^T = det C, so the determinants read the vectors as rows
     report["det_c"] = det(s.c) in (1, -1)

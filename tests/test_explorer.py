@@ -23,6 +23,7 @@ from gfans import (
     limit_rays,
     load_fan,
     load_fan_file,
+    mutate_matrix,
     pair_asymptotics,
     save_fan,
     save_fan_file,
@@ -395,6 +396,22 @@ def test_each_cone_is_expanded_once(monkeypatch):
     fan = explore(ExchangeMatrix(A3), 11)
     assert len(fan.cones) == 14
     assert len(calls) <= 3 * len(fan.cones)
+
+
+@pytest.mark.parametrize("B, depth, built", [(A3, 11, 13), (TUNNEL, 8, 381)])
+def test_only_expanded_seeds_build_their_b(B, depth, built, monkeypatch):
+    # a child builds mu_k(B) when its B is first read, and explore reads
+    # the B of the seeds it expands, at depths 1..depth-1, and of no other
+    calls = []
+
+    def counted(b, k):
+        calls.append(k)
+        return mutate_matrix(b, k)
+
+    monkeypatch.setattr(gfans.seeds, "mutate_matrix", counted)
+    fan = explore(ExchangeMatrix(B), depth)
+    assert len(calls) == built == sum(
+        1 for w in fan.words.values() if 1 <= len(w) < depth)
 
 
 def test_interiors_disjoint_needs_rank_3():

@@ -17,7 +17,7 @@ from gfans import (
     tropical_sign,
     verify_seed,
 )
-from gfans.exchange import mutate_row
+from gfans.exchange import mutate_matrix, mutate_row
 from gfans.seeds import (
     adjugate,
     children,
@@ -241,6 +241,27 @@ def test_row_rule_matches_the_column_rule(B, word):
         assert s.b.symmetrizer == ref.b.symmetrizer
         assert (transpose(s.c), transpose(s.g), s.word) == (
             ref.c, ref.g, ref.word)
+        # tropical duality of Nakanishi-Zelevinsky: G_t B_t = B C_t, with
+        # B_t = s.b and B the initial matrix; nothing in gfans computes it
+        assert matmul(ref.g, s.b.entries) == matmul(B.entries, ref.c)
+
+
+@settings(max_examples=100, deadline=None)
+@given(skew_symmetrizable_matrices,
+       st.lists(st.integers(1, 4), min_size=1, max_size=6))
+def test_a_child_builds_the_b_a_direct_mutation_builds(B, word):
+    s = initial_seed(B)
+    for k in word:
+        k = (k - 1) % B.n + 1
+        child = mutate_seed(s, k)
+        assert child.symmetrizer == B.symmetrizer
+        assert "b" not in vars(child)
+        direct = Seed(mutate_matrix(s.b, k), child.c, child.g, child.word)
+        assert child == direct
+        assert hash(child) == hash(direct)
+        assert repr(child) == repr(direct)
+        assert child.to_json() == direct.to_json()
+        s = child
 
 
 def test_seed_json_is_decoded_strictly():
