@@ -36,9 +36,9 @@ from .render import RenderOptions, render_svg
 from .seeds import (
     SignCoherenceViolation,
     apply_word,
-    children,
     initial_seed,
     verify_seed,
+    walk,
 )
 
 EXIT_OK = 0
@@ -219,6 +219,14 @@ def _cmd_verify(args) -> int:
     if args.depth < 0:
         raise ValueError("depth must be >= 0")
     B = _load_matrix(args.matrix)
+    # the number of words without a letter repeated back to back
+    words = 1 + sum(B.n * (B.n - 1) ** k for k in range(args.depth))
+    try:
+        count = f"verified {words} seeds to depth {args.depth}\n"
+    except ValueError:  # past sys.get_int_max_str_digits()
+        raise ValueError(
+            f"--depth {args.depth} is too deep to print its count of words "
+            f"(more than {sys.get_int_max_str_digits()} digits)") from None
     rng = random.Random(args.seed)
     sys.stdout.write(f"seed: {args.seed}\n")
     failures = []
@@ -227,25 +235,13 @@ def _cmd_verify(args) -> int:
         failures.extend(f"{where}: {name}"
                         for name, ok in verify_seed(s).items() if not ok)
 
-    # verify_seed reads no word, so each distinct (B, C, G) is checked, and
-    # expanded, once: under the first word in BFS order reaching it, as
-    # explore expands each cone once
     s0 = initial_seed(B)
     check(s0, "initial seed")
-    seen = {_triple(s0)}
-    level = [s0]
-    for _ in range(args.depth):
-        nxt = []
-        for s in level:
-            for child in children(s):
-                key = _triple(child)
-                if key not in seen:
-                    seen.add(key)
-                    check(child, f"word {child.word}")
-                    nxt.append(child)
-        level = nxt
-    # the number of words without a letter repeated back to back
-    words = 1 + sum(B.n * (B.n - 1) ** k for k in range(args.depth))
+    # verify_seed reads no word, so each labelled seed (C, G) is checked
+    # once, under the first word that reaches it
+    for child, _, _, new in walk(s0, lambda s: (s.c, s.g), args.depth):
+        if new:
+            check(child, f"word {child.word}")
     # a few random word replays double as involution checks
     for _ in range(10):
         word = [rng.randrange(1, B.n + 1) for _ in range(args.depth)]
@@ -257,7 +253,7 @@ def _cmd_verify(args) -> int:
     for name in checks:
         status = "FAIL" if any(name in f for f in failures) else "ok"
         sys.stdout.write(f"{name}: {status}\n")
-    sys.stdout.write(f"verified {words} seeds to depth {args.depth}\n")
+    sys.stdout.write(count)
     if failures:
         for f in failures[:20]:
             sys.stdout.write(f"failure: {f}\n")

@@ -1,16 +1,9 @@
 """Depth-bounded breadth-first construction of G-fans.
 
-Seeds are expanded level by level along the mutation tree; the resulting
-G-cones are deduplicated by their sorted ray set.  Many words reach the
-same cone, so the stored witness is the first one found (shortest, ties
-broken lexicographically by construction order), and each new cone is
-expanded once, from that witness seed: a seed reaching a known cone has
-the same neighbors as its witness, queued at the same or a shallower
-level, so expanding it would find nothing new.  `seeds.children` states
-which mutations an expansion makes; only an expansion reads a seed's B,
-so the seeds at the depth bound never build theirs.  Exploration is
-capped by depth and cone count because the fans of infinite type grow
-without bound.
+`seeds.walk` walks the mutation tree keyed by G-cone, the sorted ray set,
+and states which seeds it expands.  The stored witness of a cone is the
+first word found, a shortest one.  Exploration is capped by depth and
+cone count because the fans of infinite type grow without bound.
 """
 
 from __future__ import annotations
@@ -22,11 +15,11 @@ from .exchange import ExchangeMatrix, int_rows, json_value
 from .quadratic import QuadraticRay, root_sign
 from .seeds import (
     GCone,
-    children,
     cone_key,
     d_paired,
     g_cone,
     initial_seed,
+    walk,
 )
 
 Key = tuple[tuple[int, ...], ...]
@@ -62,24 +55,18 @@ def explore(B: ExchangeMatrix, depth: int,
     s0 = initial_seed(B)
     cone0 = g_cone(s0)
     fan = Fan(B, depth, {cone0.key: cone0}, {cone0.key: ()})
-    level = [(s0, cone0.key)]
-    for _ in range(depth):
-        next_level = []
-        for seed, parent_key in level:
-            for child in children(seed):
-                key = cone_key(child.g)
-                if key != parent_key:
-                    fan.adjacency.add(frozenset((parent_key, key)))
-                if key not in fan.cones:
-                    if len(fan.cones) >= max_cones:
-                        raise ResourceCapExceeded(
-                            f"cone cap {max_cones} reached at depth "
-                            f"{len(child.word)}"
-                        )
-                    fan.cones[key] = g_cone(child)
-                    fan.words[key] = child.word
-                    next_level.append((child, key))
-        level = next_level
+    steps = walk(s0, lambda s: cone_key(s.g), depth)
+    for child, key, parent_key, new in steps:
+        if key != parent_key:
+            fan.adjacency.add(frozenset((parent_key, key)))
+        if new:
+            if len(fan.cones) >= max_cones:
+                raise ResourceCapExceeded(
+                    f"cone cap {max_cones} reached at depth "
+                    f"{len(child.word)}"
+                )
+            fan.cones[key] = g_cone(child)
+            fan.words[key] = child.word
     return fan
 
 

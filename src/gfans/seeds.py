@@ -227,14 +227,41 @@ def mutate_seed(s: Seed, k: int) -> Seed:
     return child
 
 
-def children(s: Seed):
-    """Yield mutate_seed(s, k), one at a time, for k = 1..n except the
-    last letter of s.word: mutation is an involution, so that letter leads
-    back to the parent seed, which a breadth-first walk met a level up."""
-    last = s.word[-1] if s.word else 0
-    for k in range(1, s.n + 1):
-        if k != last:
-            yield mutate_seed(s, k)
+def walk(s0: Seed, key, depth: int):
+    """Breadth-first walk of the mutation tree from s0 to words of length
+    `depth`, yielding (child, key(child), key(parent), new) for every
+    child it makes, one at a time; `new` is true only the first time the
+    walk meets a key.
+
+    A seed is expanded in every direction k = 1..n but the last letter of
+    its word: mutation is an involution, so that letter leads back to the
+    parent, which the walk met a level up.  Many words reach the same key,
+    and each key is expanded once, from the first seed that reaches it,
+    which has a shortest word (ties broken by construction order).  This
+    loses nothing when the key fixes the seed's neighbors: a later seed
+    with a known key has the same neighbors as the first, queued at the
+    same or a shallower level.  A G-cone fixes them, as does the labelled
+    seed (C, G), which fixes B by G_t B_t = B C_t (Nakanishi-Zelevinsky).
+    Only an expansion reads a seed's B, so the seeds at the depth bound,
+    which are never expanded, never build theirs."""
+    key0 = key(s0)
+    seen = {key0}
+    level = [(s0, key0)]
+    for length in range(1, depth + 1):
+        nxt = []
+        for s, parent_key in level:
+            last = s.word[-1] if s.word else 0
+            for k in range(1, s.n + 1):
+                if k != last:
+                    child = mutate_seed(s, k)
+                    child_key = key(child)
+                    new = child_key not in seen
+                    if new:
+                        seen.add(child_key)
+                        if length < depth:
+                            nxt.append((child, child_key))
+                    yield child, child_key, parent_key, new
+        level = nxt
 
 
 def apply_word(s: Seed, word) -> Seed:

@@ -28,8 +28,9 @@ from gfans import (
     markov_constant,
 )
 from gfans.cli import build_parser, main
+from gfans.exchange import mutate_matrix
 from gfans.seeds import Seed, apply_word, initial_seed, mutate_seed
-from conftest import A3, MARKOV, WING, frame
+from conftest import A3, MARKOV, TUNNEL, WING, frame
 from test_exchange import skew_symmetrizable_matrices
 from test_quadratic import assert_within_one_ulp, float_oracle
 
@@ -249,6 +250,46 @@ def test_verify_expands_each_distinct_seed_once(tmp_path, monkeypatch):
     assert code == 0
     assert "verified 766 seeds to depth 8\n" in out
     assert len(calls) <= 3 + 2 * (83 - 1) + 10 * 2 * 8
+
+
+@pytest.mark.parametrize("B, depth, built", [(A3, 8, 237), (TUNNEL, 7, 329)])
+def test_verify_builds_b_only_for_the_seeds_it_expands(B, depth, built,
+                                                      tmp_path, monkeypatch):
+    # keyed on (C, G), which fixes B, verify builds the B of each distinct
+    # seed it expands, at word lengths 1..depth-1, and one B per letter of
+    # each of the ten replays of w w^-1, the last for the comparison
+    s0 = initial_seed(ExchangeMatrix(B))
+    level, expanded = [s0], set()
+    for _ in range(depth - 1):
+        level = [mutate_seed(s, k) for s in level
+                 for k in range(1, s.n + 1) if k not in s.word[-1:]]
+        expanded |= {(s.c, s.g) for s in level}
+    expanded.discard((s0.c, s0.g))
+    calls = []
+
+    def counted(b, k):
+        calls.append(k)
+        return mutate_matrix(b, k)
+
+    monkeypatch.setattr(gfans.seeds, "mutate_matrix", counted)
+    code, _ = run_verify(write_matrix(tmp_path / "m.json", B), depth)
+    assert code == 0
+    assert len(calls) == built == len(expanded) + 10 * 2 * depth
+
+
+def test_verify_refuses_a_depth_whose_count_it_cannot_print(
+        tmp_path, monkeypatch, capsys):
+    # 1 + 3 * (2^15000 - 1) has more digits than Python prints by default
+    def refuse(s):
+        raise AssertionError("a seed was checked")
+
+    monkeypatch.setattr(gfans.cli, "verify_seed", refuse)
+    path = write_matrix(tmp_path / "a3.json", A3)
+    assert main(["verify", str(path), "--depth", "15000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --depth 15000 ")
+    assert captured.err.count("\n") == 1
 
 
 def test_failing_seed_is_reported_once_under_its_shortest_word(

@@ -20,11 +20,11 @@ from gfans import (
 from gfans.exchange import mutate_matrix, mutate_row
 from gfans.seeds import (
     adjugate,
-    children,
     cone_key,
     det,
     transpose,
     unimodular_inverse,
+    walk,
 )
 from conftest import MARKOV, WING
 from test_exchange import random_skew_symmetrizable, skew_symmetrizable_matrices
@@ -283,28 +283,51 @@ def test_mutation_direction_bounds():
         mutate_seed(s, 4)
 
 
-def test_children_skip_the_last_letter_and_mutate_lazily(monkeypatch):
+@settings(max_examples=60, deadline=None)
+@given(skew_symmetrizable_matrices, st.integers(0, 5), st.booleans())
+def test_walk_expands_each_key_once_in_letter_order(B, depth, by_cone):
+    def key(s):
+        return cone_key(s.g) if by_cone else (s.c, s.g)
+
     calls = []
 
     def counted(s, k):
-        calls.append(k)
+        calls.append((s.word, k))
         return mutate_seed(s, k)
 
-    monkeypatch.setattr(gfans.seeds, "mutate_seed", counted)
-    s0 = initial_seed(ExchangeMatrix(MARKOV))
-    for word in ((), (1,), (2,), (3,), (1, 3), (3, 2, 1)):
-        s = apply_word(s0, word)
-        calls.clear()
-        kids = children(s)
-        assert calls == []  # nothing is mutated before iteration
-        first = next(kids)
-        assert len(calls) == 1
-        kids = [first, *kids]
-        assert len(kids) == (3 if not word else 2)
-        letters = [k for k in (1, 2, 3) if not word or k != word[-1]]
-        assert calls == letters
-        assert [c.word for c in kids] == [s.word + (k,) for k in letters]
-        assert kids == [mutate_seed(s, k) for k in letters]
+    s0 = initial_seed(B)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(gfans.seeds, "mutate_seed", counted)
+        walker = walk(s0, key, depth)
+        assert calls == []  # nothing is mutated before the first next
+        steps = []
+        for step in walker:
+            steps.append(step)
+            assert len(calls) == len(steps)  # one child at a time
+    # one mutation per child, in the order the children come
+    assert calls == [(child.word[:-1], child.word[-1])
+                     for child, _, _, _ in steps]
+    lengths = [len(child.word) for child, _, _, _ in steps]
+    assert lengths == sorted(lengths) and set(lengths) <= set(
+        range(1, depth + 1))
+    # new exactly at the first occurrence of each key
+    seen = {key(s0)}
+    expanded = [s0] if depth else []
+    for child, child_key, _, new in steps:
+        assert child_key == key(child)
+        assert new == (child_key not in seen)
+        seen.add(child_key)
+        if new and len(child.word) < depth:
+            expanded.append(child)
+    # the children of each expanded seed, in letter order without its
+    # last letter, one seed after the other in the order they were new
+    want = []
+    for s in expanded:
+        last = s.word[-1] if s.word else 0
+        want += [(s.word + (k,), key(s)) for k in range(1, B.n + 1)
+                 if k != last]
+    assert [(child.word, parent_key)
+            for child, _, parent_key, _ in steps] == want
 
 
 def test_seed_json_round_trip():
