@@ -36,6 +36,7 @@ from .render import RenderOptions, render_svg
 from .seeds import (
     SignCoherenceViolation,
     apply_word,
+    collector_paused,
     initial_seed,
     verify_seed,
     walk,
@@ -239,9 +240,10 @@ def _cmd_verify(args) -> int:
     check(s0, "initial seed")
     # verify_seed reads no word, so each labelled seed (C, G) is checked
     # once, under the first word that reaches it
-    for child, _, _, new in walk(s0, lambda s: (s.c, s.g), args.depth):
-        if new:
-            check(child, f"word {child.word}")
+    with collector_paused():
+        for child, _, _, new in walk(s0, lambda s: (s.c, s.g), args.depth):
+            if new:
+                check(child, f"word {child.word}")
     # a few random word replays double as involution checks
     for _ in range(10):
         word = [rng.randrange(1, B.n + 1) for _ in range(args.depth)]

@@ -15,6 +15,7 @@ from .exchange import ExchangeMatrix, int_rows, json_value
 from .quadratic import QuadraticRay, root_sign
 from .seeds import (
     GCone,
+    collector_paused,
     cone_key,
     d_paired,
     g_cone,
@@ -47,7 +48,17 @@ class Fan:
 def explore(B: ExchangeMatrix, depth: int,
             max_cones: int = 100_000) -> Fan:
     """BFS to depth `depth` from the initial seed, expanding each cone
-    once from its first witness seed."""
+    once from its first witness seed.
+
+    `depth` and `max_cones` must be ints (not bools).  The walk runs with
+    the cyclic garbage collector paused (`seeds.collector_paused`), since
+    nothing it allocates is cyclic.  The pause is process-wide: cyclic
+    garbage that other threads make meanwhile waits until `explore`
+    returns or raises."""
+    if type(depth) is not int:
+        raise ValueError("depth must be an int")
+    if type(max_cones) is not int:
+        raise ValueError("max_cones must be an int")
     if depth < 0:
         raise ValueError("depth must be >= 0")
     if max_cones < 1:
@@ -55,18 +66,19 @@ def explore(B: ExchangeMatrix, depth: int,
     s0 = initial_seed(B)
     cone0 = g_cone(s0)
     fan = Fan(B, depth, {cone0.key: cone0}, {cone0.key: ()})
-    steps = walk(s0, lambda s: cone_key(s.g), depth)
-    for child, key, parent_key, new in steps:
-        if key != parent_key:
-            fan.adjacency.add(frozenset((parent_key, key)))
-        if new:
-            if len(fan.cones) >= max_cones:
-                raise ResourceCapExceeded(
-                    f"cone cap {max_cones} reached at depth "
-                    f"{len(child.word)}"
-                )
-            fan.cones[key] = g_cone(child)
-            fan.words[key] = child.word
+    with collector_paused():
+        steps = walk(s0, lambda s: cone_key(s.g), depth)
+        for child, key, parent_key, new in steps:
+            if key != parent_key:
+                fan.adjacency.add(frozenset((parent_key, key)))
+            if new:
+                if len(fan.cones) >= max_cones:
+                    raise ResourceCapExceeded(
+                        f"cone cap {max_cones} reached at depth "
+                        f"{len(child.word)}"
+                    )
+                fan.cones[key] = g_cone(child)
+                fan.words[key] = child.word
     return fan
 
 

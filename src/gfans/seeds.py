@@ -20,6 +20,8 @@ state.  Seed documents keep the row layout of C and G.
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from math import prod
@@ -243,7 +245,14 @@ def walk(s0: Seed, key, depth: int):
     same or a shallower level.  A G-cone fixes them, as does the labelled
     seed (C, G), which fixes B by G_t B_t = B C_t (Nakanishi-Zelevinsky).
     Only an expansion reads a seed's B, so the seeds at the depth bound,
-    which are never expanded, never build theirs."""
+    which are never expanded, never build theirs.
+
+    Each child's key is hashed once: `seen` grows exactly when the key is
+    new.  Callers run the walk inside `collector_paused`, whose pause is
+    process-wide, so cyclic garbage that other threads make meanwhile waits
+    until the caller returns.  The walk does not pause the collector
+    itself: a suspended walk, which a kept traceback can hold, would hold
+    the pause too."""
     key0 = key(s0)
     seen = {key0}
     level = [(s0, key0)]
@@ -255,13 +264,33 @@ def walk(s0: Seed, key, depth: int):
                 if k != last:
                     child = mutate_seed(s, k)
                     child_key = key(child)
-                    new = child_key not in seen
-                    if new:
-                        seen.add(child_key)
-                        if length < depth:
-                            nxt.append((child, child_key))
+                    size = len(seen)
+                    seen.add(child_key)
+                    new = len(seen) > size
+                    if new and length < depth:
+                        nxt.append((child, child_key))
                     yield child, child_key, parent_key, new
         level = nxt
+
+
+@contextmanager
+def collector_paused():
+    """Run the body of a `with` block with the cyclic garbage collector
+    paused, and enable it again afterwards only if it was enabled before,
+    so nested pauses and a caller that disabled it keep their state.
+
+    The seeds, keys and cones of a walk hold no reference cycles, so
+    reference counting frees them all, and the collector would only
+    rescan a heap of seeds that keeps growing.  The pause is process-wide:
+    cyclic garbage that other threads make meanwhile waits until the block
+    ends."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def apply_word(s: Seed, word) -> Seed:

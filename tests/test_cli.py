@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -106,6 +107,39 @@ def test_verify_reports_all_checks(markov_file, capsys):
     out = capsys.readouterr().out
     for name in CHECKS:
         assert f"{name}: ok" in out
+
+
+def test_verify_pauses_the_collector_and_enables_it_again(markov_file,
+                                                         monkeypatch):
+    states = []
+    real = gfans.cli.verify_seed
+
+    def recording(s):
+        states.append(gc.isenabled())
+        return real(s)
+
+    monkeypatch.setattr(gfans.cli, "verify_seed", recording)
+    gc.enable()
+    try:
+        code, _ = run_verify(markov_file, 3)
+        assert gc.isenabled()
+    finally:
+        gc.enable()
+    assert code == 0
+    # the initial seed is checked before the walk, the 21 others in it
+    assert states == [True] + [False] * 21
+
+
+def test_explore_cap_leaves_the_collector_enabled(tmp_path, capsys):
+    path = write_matrix(tmp_path / "tunnel.json", TUNNEL)
+    gc.enable()
+    try:
+        assert main(["explore", str(path), "--depth", "8",
+                     "--max-cones", "700"]) == 3
+        assert gc.isenabled()
+    finally:
+        gc.enable()
+    assert capsys.readouterr().err.startswith("resource cap:")
 
 
 # -- verify: the state walk against the word walk it replaced ---------------

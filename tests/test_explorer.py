@@ -1,3 +1,4 @@
+import gc
 import io
 import itertools
 import json
@@ -32,6 +33,7 @@ from gfans import (
 from gfans.explorer import Fan
 from gfans.seeds import (
     GCone,
+    SignCoherenceViolation,
     g_cone,
     initial_seed,
     mutate_seed,
@@ -45,6 +47,9 @@ from test_exchange import (
 )
 
 A4 = ((0, 1, 0, 0), (-1, 0, 1, 0), (0, -1, 0, 1), (0, 0, -1, 0))
+
+_rank3_matrices = st.builds(random_skew_symmetrizable,
+                            st.randoms(use_true_random=False), st.just(3))
 
 
 def explore_every_word(B, depth, max_cones=100_000):
@@ -153,6 +158,100 @@ def test_cone_cap_below_one_is_an_input_error(max_cones):
     # a precondition, not a cap reached at depth 1
     with pytest.raises(ValueError, match="max_cones must be >= 1"):
         explore(ExchangeMatrix(MARKOV), 2, max_cones=max_cones)
+
+
+@pytest.mark.parametrize("depth, max_cones, name", [
+    (2.5, 10, "depth"), (True, 10, "depth"), ("3", 10, "depth"),
+    (3, 2.5, "max_cones"), (3, True, "max_cones"), (3, None, "max_cones"),
+])
+def test_depth_and_cone_cap_must_be_ints(depth, max_cones, name,
+                                         monkeypatch):
+    # not a TypeError from the walk, a cap "reached" at 2.5 cones or True
+    # read as depth 1: an input error before any mutation
+    def refuse(s, k):
+        raise AssertionError("mutated before the inputs were checked")
+
+    monkeypatch.setattr(gfans.seeds, "mutate_seed", refuse)
+    with pytest.raises(ValueError, match=f"^{name} must be an int$"):
+        explore(ExchangeMatrix(MARKOV), depth, max_cones=max_cones)
+
+
+# -- the cyclic garbage collector is paused over the walk ---------------------
+
+@pytest.fixture
+def collector_enabled():
+    # every test here starts and ends with the collector enabled
+    gc.enable()
+    yield
+    gc.enable()
+
+
+def test_explore_pauses_the_collector_and_enables_it_again(
+        collector_enabled, monkeypatch):
+    states = []
+
+    def recording(s, k):
+        states.append(gc.isenabled())
+        return mutate_seed(s, k)
+
+    monkeypatch.setattr(gfans.seeds, "mutate_seed", recording)
+    fan = explore(ExchangeMatrix(MARKOV), 4)
+    assert len(fan.cones) == 46
+    assert states and not any(states)
+    assert gc.isenabled()
+
+
+def test_collector_enabled_after_the_cone_cap_while_the_error_is_held(
+        collector_enabled):
+    # the kept traceback holds explore's frame, and that frame the
+    # suspended walk
+    with pytest.raises(ResourceCapExceeded) as info:
+        explore(ExchangeMatrix(TUNNEL), 8, max_cones=700)
+    assert info.value.__traceback__ is not None
+    assert gc.isenabled()
+
+
+def test_collector_enabled_after_an_error_mid_walk(collector_enabled,
+                                                   monkeypatch):
+    calls = []
+
+    def failing(s, k):
+        calls.append(k)
+        if len(calls) == 5:
+            raise SignCoherenceViolation("planted")
+        return mutate_seed(s, k)
+
+    monkeypatch.setattr(gfans.seeds, "mutate_seed", failing)
+    with pytest.raises(SignCoherenceViolation, match="planted"):
+        explore(ExchangeMatrix(MARKOV), 4)
+    assert len(calls) == 5
+    assert gc.isenabled()
+
+
+def test_explore_leaves_a_disabled_collector_disabled(collector_enabled):
+    gc.disable()
+    explore(ExchangeMatrix(MARKOV), 4)
+    assert not gc.isenabled()
+    with pytest.raises(ResourceCapExceeded):
+        explore(ExchangeMatrix(MARKOV), 8, max_cones=20)
+    assert not gc.isenabled()
+
+
+@settings(max_examples=40, deadline=None)
+@given(_rank3_matrices, st.integers(0, 6))
+def test_explore_makes_no_cyclic_garbage(B, depth):
+    # so pausing the collector lets nothing pile up: reference counting
+    # frees all the walk makes, the fan included once it is dropped
+    enabled = gc.isenabled()
+    gc.disable()  # no automatic pass may collect a cycle before we count
+    try:
+        gc.collect()
+        fan = explore(B, depth)
+        del fan
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_exploration_is_order_independent():
@@ -485,10 +584,6 @@ def _adjugate_disjoint(a, b):
     total = tuple(sum(c[i] for c in cands) for i in range(3))
     return not (_inside(na, total, "interior")
                 and _inside(nb, total, "interior"))
-
-
-_rank3_matrices = st.builds(random_skew_symmetrizable,
-                            st.randoms(use_true_random=False), st.just(3))
 
 
 def test_interiors_disjoint_matches_the_oracle_across_fans():

@@ -26,7 +26,7 @@ from gfans.seeds import (
     unimodular_inverse,
     walk,
 )
-from conftest import MARKOV, WING
+from conftest import A3, MARKOV, TUNNEL, WING
 from test_exchange import random_skew_symmetrizable, skew_symmetrizable_matrices
 
 # skew_symmetrizable_matrices with rank 1 as well
@@ -281,6 +281,33 @@ def test_mutation_direction_bounds():
         mutate_seed(s, 0)
     with pytest.raises(IndexError):
         mutate_seed(s, 4)
+
+
+@pytest.mark.parametrize("B, depth, children, new", [
+    (A3, 8, 29, 13),  # most children revisit a known cone
+    (TUNNEL, 6, 189, 189),  # every child is a new cone
+])
+def test_walk_hashes_each_child_key_once(B, depth, children, new):
+    # tuple hashes are not cached, and a deep Tunnel key takes microseconds
+    # to hash: the membership test and the insert share one hash
+    hashes = []
+
+    class Key:
+        def __init__(self, value):
+            self.value = value
+
+        def __eq__(self, other):
+            return self.value == other.value
+
+        def __hash__(self):
+            hashes.append(self.value)
+            return hash(self.value)
+
+    steps = list(walk(initial_seed(ExchangeMatrix(B)),
+                      lambda s: Key(cone_key(s.g)), depth))
+    assert len(steps) == children
+    assert sum(step[3] for step in steps) == new
+    assert len(hashes) == 1 + children
 
 
 @settings(max_examples=60, deadline=None)
