@@ -241,7 +241,8 @@ def _cmd_verify(args) -> int:
     # verify_seed reads no word, so each labelled seed (C, G) is checked
     # once, under the first word that reaches it
     with collector_paused():
-        for child, _, _, new in walk(s0, lambda s: (s.c, s.g), args.depth):
+        steps = walk(s0, lambda s: (s.c, s.g), args.depth, {})
+        for child, _, _, new in steps:
             if new:
                 check(child, f"word {child.word}")
     # a few random word replays double as involution checks

@@ -15,6 +15,7 @@ from .exchange import ExchangeMatrix, int_rows, json_value
 from .quadratic import QuadraticRay, root_sign
 from .seeds import (
     GCone,
+    _BuiltOnRead,
     collector_paused,
     cone_key,
     d_paired,
@@ -32,11 +33,24 @@ class ResourceCapExceeded(RuntimeError):
 
 @dataclass
 class Fan:
+    """The cones an exploration met, keyed by G-cone, with the first word
+    that reached each and the adjacency: the pairs of distinct cones that
+    one mutation joins, as frozensets of two keys.
+
+    A fan from `explore` builds its adjacency on first read, from a flat
+    list of (parent key, key) pairs, and then drops the list, so a caller
+    that reads only cones and words, such as a route search, never pays
+    for the edge set.  Equality and `repr` read it, and copies and
+    pickles carry the list, so all four match those of a fan built with
+    its adjacency."""
+
     source: ExchangeMatrix
     depth: int
     cones: dict[Key, GCone]
     words: dict[Key, tuple[int, ...]]
     adjacency: set[frozenset] = field(default_factory=set)
+
+    _edges = None  # parent key, key, ... until adjacency is first read
 
     @property
     def frontier(self) -> set[Key]:
@@ -45,16 +59,29 @@ class Fan:
         return {k for k, w in self.words.items() if len(w) == self.depth}
 
 
+def _edge_set(fan: Fan) -> set[frozenset]:
+    """The adjacency of an explored fan from its flat list of (parent key,
+    key) pairs; drops the list."""
+    pairs = iter(fan._edges)
+    fan._edges = None
+    return {frozenset(edge) for edge in zip(pairs, pairs)}
+
+
+Fan.adjacency = _BuiltOnRead("adjacency", _edge_set)
+
+
 def explore(B: ExchangeMatrix, depth: int,
             max_cones: int = 100_000) -> Fan:
     """BFS to depth `depth` from the initial seed, expanding each cone
     once from its first witness seed.
 
-    `depth` and `max_cones` must be ints (not bools).  The walk runs with
-    the cyclic garbage collector paused (`seeds.collector_paused`), since
-    nothing it allocates is cyclic.  The pause is process-wide: cyclic
-    garbage that other threads make meanwhile waits until `explore`
-    returns or raises."""
+    `depth` and `max_cones` must be ints (not bools).  The walk's table of
+    first words is the fan's `words`, and the fan builds its adjacency on
+    first read (see `Fan`).  The walk runs with the cyclic garbage
+    collector paused (`seeds.collector_paused`), since nothing it
+    allocates is cyclic.  The pause is process-wide: cyclic garbage that
+    other threads make meanwhile waits until `explore` returns or
+    raises."""
     if type(depth) is not int:
         raise ValueError("depth must be an int")
     if type(max_cones) is not int:
@@ -64,21 +91,23 @@ def explore(B: ExchangeMatrix, depth: int,
     if max_cones < 1:
         raise ValueError("max_cones must be >= 1")
     s0 = initial_seed(B)
-    cone0 = g_cone(s0)
-    fan = Fan(B, depth, {cone0.key: cone0}, {cone0.key: ()})
+    cones = {cone_key(s0.g): g_cone(s0)}
+    fan = Fan(B, depth, cones, {})
+    del fan.adjacency  # built from fan._edges on first read
+    fan._edges = edges = []
     with collector_paused():
-        steps = walk(s0, lambda s: cone_key(s.g), depth)
+        steps = walk(s0, lambda s: cone_key(s.g), depth, fan.words)
         for child, key, parent_key, new in steps:
             if key != parent_key:
-                fan.adjacency.add(frozenset((parent_key, key)))
+                edges.append(parent_key)
+                edges.append(key)
             if new:
-                if len(fan.cones) >= max_cones:
+                if len(cones) >= max_cones:
                     raise ResourceCapExceeded(
                         f"cone cap {max_cones} reached at depth "
                         f"{len(child.word)}"
                     )
-                fan.cones[key] = g_cone(child)
-                fan.words[key] = child.word
+                cones[key] = g_cone(child)
     return fan
 
 

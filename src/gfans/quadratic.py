@@ -43,7 +43,9 @@ class QuadraticNumber:
     def __post_init__(self):
         x = Fraction(self.x)
         y = Fraction(self.y)
-        delta = int(self.delta)
+        delta = self.delta
+        if type(delta) is not int:
+            raise ValueError("discriminant must be an int")
         if delta < 0:
             raise ValueError("discriminant must be nonnegative")
         root = math.isqrt(delta)
@@ -88,8 +90,8 @@ class QuadraticNumber:
 
 
 class QuadraticRay(tuple):
-    """The ray (p + q*sqrt(delta)) / den, with integer vectors p, q and an
-    integer den > 0.
+    """The ray (p + q*sqrt(delta)) / den, with integer vectors p, q, an int
+    delta >= 0 and an int den > 0.
 
     As a tuple it is the QuadraticNumber components (p_i + q_i*sqrt(delta))
     / den, so equality, hashing and indexing are those of that tuple; it
@@ -98,6 +100,8 @@ class QuadraticRay(tuple):
 
     def __new__(cls, p, q, delta: int, den: int):
         p, q = tuple(p), tuple(q)
+        if type(delta) is not int or type(den) is not int:
+            raise ValueError("delta and den must be ints")
         if len(p) != len(q) or den <= 0:
             raise ValueError("need p and q of one length and den > 0")
         ray = super().__new__(cls, (

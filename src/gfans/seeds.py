@@ -155,24 +155,36 @@ class Seed:
 
 
 class _BuiltOnRead:
-    """`Seed.b` of a child of mutate_seed, which holds no b yet: builds
-    mu_k(parent B) on the first read, keeps it on the seed and drops the
-    parent's B.  A seed that holds b never reaches this descriptor."""
+    """A field built on its first read: `build(obj)` makes the value, which
+    is kept on the instance as the attribute `name`, where every later read
+    finds it before this descriptor.  An instance that holds the field
+    never reaches it.  Set on the class after @dataclass, which would take
+    it for the field's default; a descriptor, not `__getattr__`, which
+    would take every attribute read of every instance off CPython's
+    specialized fast path."""
 
-    def __get__(self, s: Seed, owner=None) -> ExchangeMatrix:
-        if s is None:
+    def __init__(self, name: str, build):
+        self.name = name
+        self.build = build
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
             return self
-        parent_b, k = s._from
-        b = mutate_matrix(parent_b, k)
-        object.__setattr__(s, "b", b)
-        object.__setattr__(s, "_from", None)
-        return b
+        value = self.build(obj)
+        object.__setattr__(obj, self.name, value)
+        return value
 
 
-# set after @dataclass, which would take it for b's default; a descriptor,
-# not Seed.__getattr__, which would take every attribute read of every
-# seed off CPython's specialized fast path
-Seed.b = _BuiltOnRead()
+def _child_b(s: Seed) -> ExchangeMatrix:
+    """mu_k(parent B) of a child of mutate_seed, which holds no b yet;
+    drops the parent's B."""
+    parent_b, k = s._from
+    b = mutate_matrix(parent_b, k)
+    object.__setattr__(s, "_from", None)
+    return b
+
+
+Seed.b = _BuiltOnRead("b", _child_b)
 
 
 def initial_seed(B: ExchangeMatrix) -> Seed:
@@ -195,29 +207,35 @@ def tropical_sign(s: Seed, k: int) -> int:
 
 def mutate_seed(s: Seed, k: int) -> Seed:
     """Mutation in direction k (1-based) of the full (B, C, G) triple;
-    the child builds its B when it is first read."""
-    n = s.n
+    the child builds its B when it is first read.
+
+    The rules branch on the signs of eps and b_kj rather than multiply
+    by eps: a product with a big entry allocates a new integer."""
+    c, g = s.c, s.g
+    n = len(c)
     if not 1 <= k <= n:
         raise IndexError(f"mutation direction {k} out of range 1..{n}")
     eps = tropical_sign(s, k)
     B = s.b
     b = B.entries
     kk = k - 1
-    c, g = s.c, s.g
     # c_j -> c_j + [eps b_kj]_+ c_k and c_k -> -c_k; b_kk = 0
     ck = c[kk]
     new_c = list(c)
     for j, bkj in enumerate(b[kk]):
-        f = eps * bkj
-        if f > 0:
-            new_c[j] = tuple([x + f * y for x, y in zip(c[j], ck)])
+        if eps > 0 and bkj > 0:
+            new_c[j] = tuple([x + bkj * y for x, y in zip(c[j], ck)])
+        elif eps < 0 and bkj < 0:
+            new_c[j] = tuple([x - bkj * y for x, y in zip(c[j], ck)])
     new_c[kk] = tuple([-x for x in ck])
     # g_k -> -g_k + sum_j [-eps b_jk]_+ g_j; b_kk = 0
     gk = [-x for x in g[kk]]
     for gj, row in zip(g, b):
-        f = -eps * row[kk]
-        if f > 0:
-            gk = [x + f * y for x, y in zip(gk, gj)]
+        bjk = row[kk]
+        if eps > 0 and bjk < 0:
+            gk = [x - bjk * y for x, y in zip(gk, gj)]
+        elif eps < 0 and bjk > 0:
+            gk = [x + bjk * y for x, y in zip(gk, gj)]
     new_g = g[:kk] + (tuple(gk),) + g[k:]
     # the frozen dataclass's __init__ would need b
     child = object.__new__(Seed)
@@ -229,11 +247,12 @@ def mutate_seed(s: Seed, k: int) -> Seed:
     return child
 
 
-def walk(s0: Seed, key, depth: int):
+def walk(s0: Seed, key, depth: int, seen: dict):
     """Breadth-first walk of the mutation tree from s0 to words of length
     `depth`, yielding (child, key(child), key(parent), new) for every
     child it makes, one at a time; `new` is true only the first time the
-    walk meets a key.
+    walk meets a key.  `seen`, a dict the caller owns, maps each key the
+    walk meets to the word that first reached it, s0's word included.
 
     A seed is expanded in every direction k = 1..n but the last letter of
     its word: mutation is an involution, so that letter leads back to the
@@ -247,14 +266,14 @@ def walk(s0: Seed, key, depth: int):
     Only an expansion reads a seed's B, so the seeds at the depth bound,
     which are never expanded, never build theirs.
 
-    Each child's key is hashed once: `seen` grows exactly when the key is
-    new.  Callers run the walk inside `collector_paused`, whose pause is
-    process-wide, so cyclic garbage that other threads make meanwhile waits
-    until the caller returns.  The walk does not pause the collector
-    itself: a suspended walk, which a kept traceback can hold, would hold
-    the pause too."""
+    Each key is hashed once: one `setdefault` both tests and inserts it,
+    and `seen` grows exactly when the key is new.  Callers run the walk
+    inside `collector_paused`, whose pause is process-wide, so cyclic
+    garbage that other threads make meanwhile waits until the caller
+    returns.  The walk does not pause the collector itself: a suspended
+    walk, which a kept traceback can hold, would hold the pause too."""
     key0 = key(s0)
-    seen = {key0}
+    seen.setdefault(key0, s0.word)
     level = [(s0, key0)]
     for length in range(1, depth + 1):
         nxt = []
@@ -265,7 +284,7 @@ def walk(s0: Seed, key, depth: int):
                     child = mutate_seed(s, k)
                     child_key = key(child)
                     size = len(seen)
-                    seen.add(child_key)
+                    seen.setdefault(child_key, child.word)
                     new = len(seen) > size
                     if new and length < depth:
                         nxt.append((child, child_key))

@@ -1,9 +1,12 @@
+import copy
+import functools
 import gc
 import io
 import itertools
 import json
 import math
 import operator
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -482,6 +485,57 @@ def test_expanding_each_cone_once_matches_expanding_every_word(
     # same document byte for byte, and the cap trips on the same cone
     assert _document_or_cap(explore, B, depth, max_cones) == \
         _document_or_cap(explore_every_word, B, depth, max_cones)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_rank3_matrices, st.integers(0, 6))
+def test_explore_equals_the_eager_oracle(B, depth):
+    fan = explore(B, depth)
+    assert "adjacency" not in vars(fan)
+    oracle = explore_every_word(B, depth)
+    assert fan == oracle  # adjacency included, which this read builds
+    assert list(fan.words.items()) == list(oracle.words.items())
+
+
+def test_a_route_search_builds_no_adjacency():
+    fan = explore(ExchangeMatrix(TUNNEL), 8)
+    assert find_negative_orthant(fan) is None
+    assert len(fan.cones) == 766 and len(fan.frontier) == 384
+    assert "adjacency" not in vars(fan)
+    # the first read builds the edge set and drops the list it came from
+    assert len(fan.adjacency) == 765
+    assert "adjacency" in vars(fan) and fan._edges is None
+
+
+def _pickled(fan, protocol):
+    return pickle.loads(pickle.dumps(fan, protocol))
+
+
+@pytest.mark.parametrize("B, depth", [(A3, 11), (WING, 4), (MARKOV, 0)])
+def test_an_unread_fan_compares_prints_copies_and_pickles_as_an_eager_one(
+        B, depth):
+    eager = explore_every_word(ExchangeMatrix(B), depth)
+
+    def unread():
+        fan = explore(ExchangeMatrix(B), depth)
+        assert "adjacency" not in vars(fan)
+        return fan
+
+    assert unread() == eager and eager == unread()
+    assert repr(unread()) == repr(eager)
+    clones = [copy.copy, copy.deepcopy] + [
+        functools.partial(_pickled, protocol=p)
+        for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for clone in clones:
+        other = clone(unread())
+        assert other == eager
+        assert repr(other) == repr(eager)
+    # a shallow copy shares the edge list: reading one side must leave the
+    # other's adjacency whole
+    fan = unread()
+    twin = copy.copy(fan)
+    assert twin.adjacency == eager.adjacency
+    assert fan.adjacency == eager.adjacency
 
 
 def test_each_cone_is_expanded_once(monkeypatch):

@@ -105,6 +105,24 @@ def test_float_and_hash():
     assert len({QuadraticNumber(7, 0), QuadraticNumber(3, 1, 16)}) == 1
 
 
+# int() used to truncate or convert these: 2.9 printed as sqrt(2), '5'
+# was accepted, and True became 1 and folded 1 + sqrt(1) to 2
+@pytest.mark.parametrize("delta", [2.9, "5", True, Fraction(5), 5.0])
+def test_a_discriminant_that_is_not_an_int_is_refused(delta):
+    with pytest.raises(ValueError, match="discriminant must be an int"):
+        QuadraticNumber(1, 1, delta)
+
+
+# QuadraticRay(p, q, 5, True) used to keep den = True
+@pytest.mark.parametrize("delta, den", [
+    (5, True), (5, 2.0), (5, "2"), (5, Fraction(2)),
+    (True, 2), (2.9, 2), ("5", 2)])
+def test_a_ray_refuses_a_delta_or_den_that_is_not_an_int(delta, den):
+    for p, q in (((1, 2), (3, 4)), ((), ())):  # with and without components
+        with pytest.raises(ValueError, match="delta and den must be ints"):
+            QuadraticRay(p, q, delta, den)
+
+
 def float_oracle(q):
     """Correctly rounded float of q: x + y*r at both ends of a bracket
     [r, r + 2^-p] around sqrt(delta), with p doubled until the two ends

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gfans.explorer
 import gfans.seeds
 from gfans import (
     ExchangeMatrix,
     Seed,
     SignCoherenceViolation,
     apply_word,
+    explore,
     g_cone,
     initial_seed,
     mutate_seed,
@@ -287,7 +289,8 @@ def test_mutation_direction_bounds():
     (A3, 8, 29, 13),  # most children revisit a known cone
     (TUNNEL, 6, 189, 189),  # every child is a new cone
 ])
-def test_walk_hashes_each_child_key_once(B, depth, children, new):
+def test_walk_hashes_each_child_key_once(B, depth, children, new,
+                                         monkeypatch):
     # tuple hashes are not cached, and a deep Tunnel key takes microseconds
     # to hash: the membership test and the insert share one hash
     hashes = []
@@ -304,10 +307,24 @@ def test_walk_hashes_each_child_key_once(B, depth, children, new):
             return hash(self.value)
 
     steps = list(walk(initial_seed(ExchangeMatrix(B)),
-                      lambda s: Key(cone_key(s.g)), depth))
+                      lambda s: Key(cone_key(s.g)), depth, {}))
     assert len(steps) == children
     assert sum(step[3] for step in steps) == new
     assert len(hashes) == 1 + children
+
+    # explore: the walk's table is fan.words, so besides the walk's hashes
+    # only the fan.cones insert hashes a key, and no edge hashes one until
+    # the adjacency is read
+    hashes.clear()
+    monkeypatch.setattr(gfans.explorer, "cone_key",
+                        lambda rays: Key(cone_key(rays)))
+    fan = explore(ExchangeMatrix(B), depth)
+    assert len(fan.cones) == 1 + new
+    assert len(hashes) == 1 + children + len(fan.cones)
+    hashes.clear()
+    assert fan.adjacency  # the first read builds it
+    # every child is an edge to its parent; each frozenset hashes both keys
+    assert len(hashes) == 2 * children
 
 
 @settings(max_examples=60, deadline=None)
@@ -325,7 +342,7 @@ def test_walk_expands_each_key_once_in_letter_order(B, depth, by_cone):
     s0 = initial_seed(B)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(gfans.seeds, "mutate_seed", counted)
-        walker = walk(s0, key, depth)
+        walker = walk(s0, key, depth, {})
         assert calls == []  # nothing is mutated before the first next
         steps = []
         for step in walker:
@@ -398,6 +415,34 @@ def test_vector_rules_match_the_row_rule(B, word):
         c, g = row_rule_mutate_seed(s.b.entries, c, g, k)
         s = mutate_seed(s, k)
         assert (transpose(s.c), transpose(s.g)) == (c, g)
+
+
+def test_green_and_red_steps_match_the_row_rule():
+    # on WING, D = (3, 2, 6); the word (1, 3, 1) ends in a green step
+    # (eps = +1) and a red one (eps = -1), and each moves a c_j with
+    # j != k and adds a g_j to -g_k, so each sign's branch of both vector
+    # rules runs
+    s = initial_seed(ExchangeMatrix(WING))
+    assert s.symmetrizer == (3, 2, 6)
+    c, g = s.c, s.g
+    signs = []
+    for k in (1, 3, 1):
+        signs.append(tropical_sign(s, k))
+        c, g = row_rule_mutate_seed(s.b.entries, c, g, k)
+        child = mutate_seed(s, k)
+        assert (transpose(child.c), transpose(child.g)) == (c, g)
+        moved = [j for j in range(3) if j != k - 1 and child.c[j] != s.c[j]]
+        flipped = tuple(-x for x in s.g[k - 1])
+        if len(signs) > 1:
+            assert moved and child.g[k - 1] != flipped
+        s = child
+    assert signs == [1, 1, -1]
+    assert s.to_json() == {
+        "b": [[0, -10, 4], [15, 0, -54], [-2, 18, 0]],
+        "c": [[1, 0, -4], [0, 1, 0], [0, 2, -1]],
+        "g": [[1, 0, 0], [12, 1, 6], [-2, 0, -1]],
+        "word": [1, 3, 1],
+    }
 
 
 @settings(max_examples=200, deadline=None)
