@@ -9,6 +9,7 @@ cone count because the fans of infinite type grow without bound.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 
 from .exchange import ExchangeMatrix, int_rows, json_value
@@ -228,6 +229,11 @@ _FORMAT = 1
 
 
 def save_fan(fan: Fan) -> dict:
+    """The fan document as a dict of JSON values: the format, the source
+    matrix, the depth, the cones sorted by key and the adjacency edges,
+    each a sorted pair of keys, sorted.  `write_fan` does not build it; it
+    writes exactly its `json.dumps` straight from the fan, and the tests
+    hold the two to the same bytes."""
     cones = []
     for key, cone in sorted(fan.cones.items()):
         cones.append({
@@ -294,30 +300,88 @@ def load_fan(doc: dict) -> Fan:
     return Fan(source, depth, cones, words, adjacency)
 
 
+def _vector_text(v) -> str:
+    """JSON text of a vector of ints, as `json.dumps(list(v))` has it: the
+    repr of a list of ints is that text."""
+    return repr([*v])
+
+
+def _fan_writer(fan: Fan):
+    """`write(fh)` for the document of `fan`, with every vector of the fan
+    already turned into text.
+
+    Each distinct vector is encoded once, into a table local to the call,
+    and each cone's key text is joined once from it and reused for the
+    cone and for every edge that names the key.  The edges are sorted as
+    pairs of key ranks, which orders them as their keys would.  All of
+    this happens here, before anything is written, so an entry past
+    `sys.get_int_max_str_digits()` raises ValueError while the target is
+    still untouched.  Every edge must join two cones of the fan, as in
+    the fans of `explore` and `load_fan`."""
+    cones = fan.cones
+    order = sorted(cones)
+    texts = {}  # each distinct vector -> its JSON text
+    keys = []  # the key texts, in key order
+    try:
+        for key in order:
+            cone = cones[key]
+            for v in cone.rays + cone.normals:
+                if v not in texts:
+                    texts[v] = _vector_text(v)
+            keys.append(f"[{', '.join([texts[v] for v in key])}]")
+        head = json.dumps({"format": _FORMAT, "source": fan.source.to_json(),
+                           "depth": fan.depth})[:-1]
+    except ValueError:  # past sys.get_int_max_str_digits()
+        raise ValueError(
+            f"depth {fan.depth} is too deep to write its fan document (an "
+            f"entry has more than {sys.get_int_max_str_digits()} digits)"
+        ) from None
+    rank = {key: i for i, key in enumerate(order)}
+    edges = []
+    for a, b in fan.adjacency:
+        i, j = rank[a], rank[b]
+        edges.append((i, j) if i < j else (j, i))
+    edges.sort()
+
+    def write(fh):
+        fh.write(f'{head}, "cones": [')
+        sep = ""
+        for key, key_text in zip(order, keys):
+            cone = cones[key]
+            g = ", ".join([texts[v] for v in cone.rays])
+            c = ", ".join([texts[v] for v in cone.normals])
+            word = _vector_text(fan.words[key])
+            fh.write(f'{sep}{{"key": {key_text}, "g": [{g}], "c": [{c}], '
+                     f'"word": {word}}}')
+            sep = ", "
+        fh.write('], "adjacency": [')
+        sep = ""
+        for i, j in edges:
+            fh.write(f"{sep}[{keys[i]}, {keys[j]}]")
+            sep = ", "
+        fh.write("]}")
+
+    return write
+
+
 def write_fan(fan: Fan, fh):
     """Write exactly `json.dumps(save_fan(fan))` to the text file fh.
 
-    `json.dump` streams through the pure-Python encoder, and a one-shot
-    `json.dumps` holds every token of the document before joining them;
-    encoding the head and then each cone and edge on its own keeps the
-    C encoder and the memory of one entry at a time."""
-    doc = save_fan(fan)
-    items = {name: doc.pop(name) for name in ("cones", "adjacency")}
-    fh.write(json.dumps(doc)[:-1])
-    for name, entries in items.items():
-        fh.write(f', "{name}": [')
-        sep = ""
-        for entry in entries:
-            fh.write(sep)
-            fh.write(json.dumps(entry))
-            sep = ", "
-        fh.write("]")
-    fh.write("}")
+    The document is written from the fan itself, not from `save_fan`'s
+    dict: the head, then one cone or edge at a time, with the text of
+    each distinct vector made once and kept in a table local to the call
+    (see `_fan_writer`).  Nothing is written unless every vector could
+    be encoded."""
+    _fan_writer(fan)(fh)
 
 
 def save_fan_file(fan: Fan, path: str):
+    """Write the document of `fan` to `path`.  The file is opened only
+    after every vector has been encoded, so a fan that cannot be written
+    leaves an existing file unchanged and creates no new one."""
+    write = _fan_writer(fan)
     with open(path, "w") as fh:
-        write_fan(fan, fh)
+        write(fh)
 
 
 def load_fan_file(path: str) -> Fan:

@@ -41,6 +41,10 @@ class QuadraticNumber:
     delta: int = 0
 
     def __post_init__(self):
+        # Fraction() would also take a str, a float or a bool
+        if type(self.x) not in (int, Fraction) or \
+                type(self.y) not in (int, Fraction):
+            raise ValueError("x and y must be ints or Fractions")
         x = Fraction(self.x)
         y = Fraction(self.y)
         delta = self.delta

@@ -350,7 +350,17 @@ def cone_key(rays) -> tuple[tuple[int, ...], ...]:
 
 
 def g_cone(s: Seed) -> GCone:
-    return GCone(s.g, s.c, s.symmetrizer)
+    """`GCone(s.g, s.c, s.symmetrizer)`, built without the frozen
+    dataclass's `__init__`, which costs about four times the three reads.
+    The fields are set one by one, as `mutate_seed` sets a child's:
+    reading the instance's `__dict__` would give each cone a dict of its
+    own, more than twice the memory."""
+    cone = object.__new__(GCone)
+    set_ = object.__setattr__
+    set_(cone, "rays", s.g)
+    set_(cone, "normals", s.c)
+    set_(cone, "symmetrizer", s.symmetrizer)
+    return cone
 
 
 def d_paired(normals, rays, d) -> bool:

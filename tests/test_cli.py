@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import random
+import sys
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -324,6 +325,34 @@ def test_verify_refuses_a_depth_whose_count_it_cannot_print(
     assert captured.out == ""
     assert captured.err.startswith("error: --depth 15000 ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.fixture
+def int_digits_640():
+    """Python's int-to-str limit lowered to its least, 640 digits."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+def test_explore_refuses_a_fan_it_cannot_print_before_writing(
+        tmp_path, capsys, int_digits_640):
+    # Tunnel's entries reach 800 digits at depth 11; the --out file used
+    # to be cut down to the document's head before the error
+    path = write_matrix(tmp_path / "tunnel.json", TUNNEL)
+    kept = tmp_path / "kept.json"
+    kept.write_bytes(b"kept\n")
+    missing = tmp_path / "new.json"
+    for out in (["--out", str(kept)], ["--out", str(missing)], []):
+        assert main(["explore", str(path), "--depth", "11", *out]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: depth 11 is too deep to write its fan document "
+            "(an entry has more than 640 digits)\n")
+    assert kept.read_bytes() == b"kept\n"
+    assert not missing.exists()
 
 
 def test_failing_seed_is_reported_once_under_its_shortest_word(

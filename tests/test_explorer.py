@@ -7,6 +7,7 @@ import json
 import math
 import operator
 import pickle
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -443,28 +444,56 @@ def test_load_rejects_bad_documents():
             load_fan(edited)
 
 
-@settings(max_examples=100, deadline=None)
-@given(skew_symmetrizable_matrices, st.integers(0, 5))
-@example(ExchangeMatrix(MARKOV), 0)  # one cone, no adjacency
-def test_write_fan_writes_the_one_shot_document(B, depth):
-    fan = explore(B, depth)
+def _written(fan):
     fh = io.StringIO()
     write_fan(fan, fh)
-    assert fh.getvalue() == json.dumps(save_fan(fan))
+    return fh.getvalue()
 
 
-def test_write_fan_reads_save_fan_through_the_module(monkeypatch):
-    # the bench tracer rebinds explorer.save_fan and must see every write
+@settings(max_examples=100, deadline=None)
+@given(skew_symmetrizable_matrices, st.integers(0, 5), st.booleans())
+@example(ExchangeMatrix(MARKOV), 0, False)  # one cone, no adjacency
+@example(ExchangeMatrix(TUNNEL), 8, False)  # entries past 600 bits
+def test_write_fan_writes_the_one_shot_document(B, depth, read_adjacency):
+    fan = explore(B, depth)
+    if read_adjacency:
+        fan.adjacency  # else the writer builds it on its own read
+    doc = _written(fan)
+    assert doc == json.dumps(save_fan(fan))
+    # a fan read back holds equal keys and vectors as new objects
+    assert _written(load_fan(json.loads(doc))) == doc
+
+
+@pytest.mark.parametrize("adjacency", [False, True])
+def test_write_fan_writes_hand_built_fans(adjacency):
+    B = ExchangeMatrix(WING)
+    built = explore_every_word(B, 3)
+    if not adjacency:
+        built = Fan(B, 3, built.cones, built.words)
+        assert built.adjacency == set()
+    assert _written(built) == json.dumps(save_fan(built))
+
+
+@pytest.mark.parametrize("matrix, depth", [(A3, 11), (TUNNEL, 6)])
+def test_write_fan_encodes_each_distinct_vector_once(matrix, depth,
+                                                     monkeypatch):
+    # the keys repeat the g-vectors, the edges repeat the keys, and
+    # neighbors share all but one g-vector and some c-vectors
     calls = []
+    encode = gfans.explorer._vector_text
 
-    def counted(fan):
-        calls.append(fan)
-        return save_fan(fan)
+    def counting(v):
+        calls.append(tuple(v))
+        return encode(v)
 
-    monkeypatch.setattr(gfans.explorer, "save_fan", counted)
-    fan = explore(ExchangeMatrix(MARKOV), 1)
-    write_fan(fan, io.StringIO())
-    assert calls == [fan]
+    monkeypatch.setattr(gfans.explorer, "_vector_text", counting)
+    fan = explore(ExchangeMatrix(matrix), depth)
+    doc = _written(fan)
+    vectors = {v for cone in fan.cones.values()
+               for v in cone.rays + cone.normals}
+    # each word is written once, by the same encoder
+    assert Counter(calls) == Counter([*vectors, *fan.words.values()])
+    assert doc == json.dumps(save_fan(fan))
 
 
 def test_reexploring_a_loaded_source_reproduces_the_fan(tmp_path):

@@ -113,6 +113,16 @@ def test_a_discriminant_that_is_not_an_int_is_refused(delta):
         QuadraticNumber(1, 1, delta)
 
 
+# Fraction() used to take these: '1/3' printed as 1/3, 0.1 as its binary
+# fraction, and True as 1
+@pytest.mark.parametrize("x, y", [
+    ("1/3", 0), (0, "1/3"), (0.1, 1), (1, 0.5), (True, 0), (0, False),
+    (1.0, 0)])
+def test_parts_that_are_not_ints_or_fractions_are_refused(x, y):
+    with pytest.raises(ValueError, match="x and y must be ints or Fractions"):
+        QuadraticNumber(x, y, 5)
+
+
 # QuadraticRay(p, q, 5, True) used to keep den = True
 @pytest.mark.parametrize("delta, den", [
     (5, True), (5, 2.0), (5, "2"), (5, Fraction(2)),

@@ -21,6 +21,7 @@ from gfans import (
 )
 from gfans.exchange import mutate_matrix, mutate_row
 from gfans.seeds import (
+    GCone,
     adjugate,
     cone_key,
     det,
@@ -389,6 +390,17 @@ def test_g_cone_rays_are_columns():
     assert cone.key == cone_key(cone.rays)
     # the key forgets ray order
     assert cone_key(reversed(cone.rays)) == cone.key
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices_of_rank_1_to_4, st.lists(st.integers(1, 4), max_size=6))
+def test_g_cone_is_the_cone_the_dataclass_builds(B, word):
+    s = apply_word(initial_seed(B), [k for k in word if k <= B.n])
+    cone, want = g_cone(s), GCone(s.g, s.c, s.symmetrizer)
+    assert cone == want
+    assert hash(cone) == hash(want)
+    assert repr(cone) == repr(want)
+    assert cone.facets == want.facets
 
 
 def row_rule_mutate_seed(b, c, g, k):
