@@ -232,19 +232,22 @@ def _cmd_verify(args) -> int:
     sys.stdout.write(f"seed: {args.seed}\n")
     failures = []
 
-    def check(s, where):
-        failures.extend(f"{where}: {name}"
-                        for name, ok in verify_seed(s).items() if not ok)
+    def check(s):
+        report = verify_seed(s)
+        if not all(report.values()):  # the label is made only for a failure
+            where = f"word {s.word}" if s.word else "initial seed"
+            failures.extend(f"{where}: {name}"
+                            for name, ok in report.items() if not ok)
 
     s0 = initial_seed(B)
-    check(s0, "initial seed")
+    check(s0)
     # verify_seed reads no word, so each labelled seed (C, G) is checked
     # once, under the first word that reaches it
     with collector_paused():
         steps = walk(s0, lambda s: (s.c, s.g), args.depth, {})
         for child, _, _, new in steps:
             if new:
-                check(child, f"word {child.word}")
+                check(child)
     # a few random word replays double as involution checks
     for _ in range(10):
         word = [rng.randrange(1, B.n + 1) for _ in range(args.depth)]

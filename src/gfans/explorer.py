@@ -17,6 +17,7 @@ from .quadratic import QuadraticRay, root_sign
 from .seeds import (
     GCone,
     _BuiltOnRead,
+    _new_cone,
     collector_paused,
     cone_key,
     d_paired,
@@ -266,26 +267,32 @@ def load_fan(doc: dict) -> Fan:
     depth = json_value(doc["depth"], int, "fan depth")
     if depth < 0:
         raise ValueError(f"fan depth {depth} is negative")
+    n, d = source.n, source.symmetrizer
     cones: dict[Key, GCone] = {}
     words: dict[Key, tuple[int, ...]] = {}
     for entry in json_value(doc["cones"], list, "cones"):
         json_value(entry, dict, "cone")
         rays = int_rows(entry["g"], "cone g")
         normals = int_rows(entry["c"], "cone c")
-        if not d_paired(normals, rays, source.symmetrizer):
+        if not d_paired(normals, rays, d):
             raise ValueError(
                 f"c-vectors not dual to the g-vectors in document: {rays}")
-        cone = GCone(rays, normals, source.symmetrizer)
-        key = cone.key
+        key = cone_key(rays)
         if int_rows(entry["key"], "cone key") != key:
             raise ValueError("cone key does not match its rays")
         if key in cones:
             raise ValueError(f"duplicate cone key {[list(r) for r in key]}")
-        word = int_rows([entry["word"]], "cone word")[0]
-        if len(word) > depth or not all(1 <= k <= source.n for k in word):
+        word = entry["word"]
+        if type(word) is not list:
+            raise ValueError("cone word must be integers in JSON lists")
+        for k in word:
+            if type(k) is not int:
+                raise ValueError("cone word must be integers in JSON lists")
+        word = tuple(word)
+        if len(word) > depth or not all(1 <= k <= n for k in word):
             raise ValueError(f"cone word {list(word)} is not a word in "
-                             f"1..{source.n} of length at most {depth}")
-        cones[key] = cone
+                             f"1..{n} of length at most {depth}")
+        cones[key] = _new_cone(rays, normals, d)
         words[key] = word
     adjacency = set()
     for edge in json_value(doc["adjacency"], list, "adjacency"):

@@ -46,8 +46,18 @@ def transpose(m: Matrix) -> Matrix:
 
 
 def det(m: Matrix) -> int:
-    """Integer determinant by fraction-free Gaussian elimination."""
+    """Integer determinant: a 3 x 3 matrix by cofactor expansion along its
+    first row, in straight-line arithmetic, and any other square matrix by
+    fraction-free Gaussian elimination."""
     n = len(m)
+    if n == 3:
+        try:
+            (a, b, c), (d, e, f), (g, h, i) = m
+        except ValueError:  # rows of another length: the elimination below
+            pass
+        else:
+            return (a * (e * i - f * h) - b * (d * i - f * g)
+                    + c * (d * h - e * g))
     a = [list(row) for row in m]
     sign = 1
     prev = 1
@@ -349,18 +359,23 @@ def cone_key(rays) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(map(tuple, rays)))
 
 
-def g_cone(s: Seed) -> GCone:
-    """`GCone(s.g, s.c, s.symmetrizer)`, built without the frozen
+def _new_cone(rays, normals, symmetrizer) -> GCone:
+    """`GCone(rays, normals, symmetrizer)`, built without the frozen
     dataclass's `__init__`, which costs about four times the three reads.
     The fields are set one by one, as `mutate_seed` sets a child's:
     reading the instance's `__dict__` would give each cone a dict of its
     own, more than twice the memory."""
     cone = object.__new__(GCone)
     set_ = object.__setattr__
-    set_(cone, "rays", s.g)
-    set_(cone, "normals", s.c)
-    set_(cone, "symmetrizer", s.symmetrizer)
+    set_(cone, "rays", rays)
+    set_(cone, "normals", normals)
+    set_(cone, "symmetrizer", symmetrizer)
     return cone
+
+
+def g_cone(s: Seed) -> GCone:
+    """`GCone(s.g, s.c, s.symmetrizer)`, built by `_new_cone`."""
+    return _new_cone(s.g, s.c, s.symmetrizer)
 
 
 def d_paired(normals, rays, d) -> bool:
@@ -368,8 +383,31 @@ def d_paired(normals, rays, d) -> bool:
     `normals` and the g-vectors `rays` of one seed, all of length n = len(d).
 
     In matrix form C^T D G = D, so det C * det G = 1: both are unimodular.
+    At rank 3 the nine entries of C^T D G are written out in straight-line
+    arithmetic; any other rank takes the generic loops.  Both give the same
+    answer, false also for vectors of the wrong count or length.
     """
     n = len(d)
+    if n == 3:
+        # c_ij and g_ij are the entries of C and G: the vectors are columns
+        try:
+            (c11, c21, c31), (c12, c22, c32), (c13, c23, c33) = normals
+            (g11, g21, g31), (g12, g22, g32), (g13, g23, g33) = rays
+        except ValueError:  # not three vectors of length 3
+            return False
+        d1, d2, d3 = d
+        h11, h12, h13 = d1 * g11, d1 * g12, d1 * g13  # the rows of D G
+        h21, h22, h23 = d2 * g21, d2 * g22, d2 * g23
+        h31, h32, h33 = d3 * g31, d3 * g32, d3 * g33
+        return (c11 * h11 + c21 * h21 + c31 * h31 == d1
+                and c11 * h12 + c21 * h22 + c31 * h32 == 0
+                and c11 * h13 + c21 * h23 + c31 * h33 == 0
+                and c12 * h11 + c22 * h21 + c32 * h31 == 0
+                and c12 * h12 + c22 * h22 + c32 * h32 == d2
+                and c12 * h13 + c22 * h23 + c32 * h33 == 0
+                and c13 * h11 + c23 * h21 + c33 * h31 == 0
+                and c13 * h12 + c23 * h22 + c33 * h32 == 0
+                and c13 * h13 + c23 * h23 + c33 * h33 == d3)
     if any(len(v) != n for v in (normals, rays, *normals, *rays)):
         return False
     d_rays = [tuple(map(mul, d, g)) for g in rays]
@@ -382,31 +420,64 @@ def d_paired(normals, rays, d) -> bool:
 
 # -- verification ------------------------------------------------------------
 
-def verify_seed(s: Seed) -> dict[str, bool]:
-    """Per-check report: determinants, sign coherence, duality, D-pairing."""
-    d = s.symmetrizer
-    report = {}
-    # det C^T = det C, so the determinants read the vectors as rows
-    report["det_c"] = det(s.c) in (1, -1)
-    report["det_g"] = det(s.g) in (1, -1)
-
-    coherent = True
-    for col in s.c:
-        if (any(x > 0 for x in col) and any(x < 0 for x in col)) or not any(col):
-            coherent = False
-    report["sign_coherence"] = coherent
-
-    # G = D^{-1} (C^T)^{-1} D, checked as (D G D^{-1}) C^T = I: the right
-    # inverse side of the D-pairing below.  Scaled by L = prod(d) it reads
-    # sum_j g_ij c_kj (L d_i / d_j) = L delta_ik, in integers.
+def _duality(c, g, d) -> bool:
+    """G = D^{-1} (C^T)^{-1} D for the c-vectors c and g-vectors g, checked
+    as (D G D^{-1}) C^T = I: the right inverse side of the D-pairing.
+    Scaled by L = prod(d) it reads sum_j g_ij c_kj (L d_i / d_j) = L
+    delta_ik, in integers.  A 3 x 3 pair is checked in straight-line
+    arithmetic, any other by the generic loops, with the same answer."""
+    if len(d) == 3:
+        try:
+            (c11, c21, c31), (c12, c22, c32), (c13, c23, c33) = c
+            (g11, g21, g31), (g12, g22, g32), (g13, g23, g33) = g
+        except ValueError:  # not 3 x 3: the generic loops below
+            pass
+        else:
+            # row i divided by d_i > 0: with p_j = L / d_j the rule reads
+            # sum_j g_ij p_j c_kj = p_i delta_ik
+            d1, d2, d3 = d
+            p1, p2, p3 = d2 * d3, d1 * d3, d1 * d2
+            q11, q12, q13 = p1 * c11, p2 * c12, p3 * c13  # the rows of C P
+            q21, q22, q23 = p1 * c21, p2 * c22, p3 * c23
+            q31, q32, q33 = p1 * c31, p2 * c32, p3 * c33
+            return (g11 * q11 + g12 * q12 + g13 * q13 == p1
+                    and g11 * q21 + g12 * q22 + g13 * q23 == 0
+                    and g11 * q31 + g12 * q32 + g13 * q33 == 0
+                    and g21 * q11 + g22 * q12 + g23 * q13 == 0
+                    and g21 * q21 + g22 * q22 + g23 * q23 == p2
+                    and g21 * q31 + g22 * q32 + g23 * q33 == 0
+                    and g31 * q11 + g32 * q12 + g33 * q13 == 0
+                    and g31 * q21 + g32 * q22 + g33 * q23 == 0
+                    and g31 * q31 + g32 * q32 + g33 * q33 == p3)
     big = prod(d)
-    scaled = [[g * (big * di // dj) for g, dj in zip(g_row, d)]
-              for di, g_row in zip(d, transpose(s.g))]  # rows of L D G D^{-1}
-    c_rows = transpose(s.c)
-    report["duality"] = report["det_c"] and all(
+    scaled = [[x * (big * di // dj) for x, dj in zip(g_row, d)]
+              for di, g_row in zip(d, transpose(g))]  # rows of L D G D^{-1}
+    c_rows = transpose(c)
+    return all(
         sum(map(mul, row, c_row)) == (big if i == k else 0)
         for i, row in enumerate(scaled) for k, c_row in enumerate(c_rows)
     )
 
-    report["d_pairing"] = d_paired(s.c, s.g, d)
+
+def verify_seed(s: Seed) -> dict[str, bool]:
+    """Per-check report: det C = +-1, det G = +-1, sign coherence of the
+    c-vectors, duality (false whenever det C is not +-1) and D-pairing.
+    A seed of rank 3 is checked in straight-line arithmetic (`det`,
+    `_duality`, `d_paired`), any other by the generic rule; both report
+    the same checks with the same answers."""
+    c, g, d = s.c, s.g, s.symmetrizer
+    report = {}
+    # det C^T = det C, so the determinants read the vectors as rows
+    report["det_c"] = det(c) in (1, -1)
+    report["det_g"] = det(g) in (1, -1)
+
+    coherent = True
+    for col in c:
+        if not any(col) or (max(col) > 0 and min(col) < 0):
+            coherent = False
+            break
+    report["sign_coherence"] = coherent
+
+    report["duality"] = report["det_c"] and _duality(c, g, d)
+    report["d_pairing"] = d_paired(c, g, d)
     return report

@@ -24,6 +24,7 @@ from gfans.seeds import (
     GCone,
     adjugate,
     cone_key,
+    d_paired,
     det,
     transpose,
     unimodular_inverse,
@@ -59,6 +60,22 @@ def test_det_against_cofactor_expansion():
         assert prod == tuple(
             tuple(d if i == j else 0 for j in range(n)) for i in range(n)
         )
+    # 3 x 3 with entries past 600 bits: cofactor expansion against the
+    # adjugate identity and against the elimination of m (+) (1)
+    for _ in range(50):
+        m = tuple(tuple(rng.randint(-2 ** 640, 2 ** 640) for _ in range(3))
+                  for _ in range(3))
+        d = det(m)
+        assert matmul(m, adjugate(m)) == ((d, 0, 0), (0, d, 0), (0, 0, d))
+        assert det(plus_one(m)) == d
+    unimodular = ((1, 2 ** 700, 0), (0, 1, 3 ** 450), (0, 0, -1))
+    assert det(unimodular) == -1
+
+
+def plus_one(vectors):
+    """The vectors (rows or columns) of M (+) (1) for those of a 3 x 3
+    matrix M: each with a fourth coordinate 0, and then e_4."""
+    return tuple((*v, 0) for v in vectors) + ((0, 0, 0, 1),)
 
 
 def test_unimodular_inverse():
@@ -159,6 +176,96 @@ def test_integer_duality_matches_the_adjugate_rule(B, word, kind, data):
         c, g = data.draw(square_matrices(n)), data.draw(square_matrices(n))
     report = verify_seed(Seed(s.b, transpose(c), transpose(g)))
     assert report["duality"] == adjugate_duality(c, g, s.b.symmetrizer)
+
+
+def transvection_product(d, steps):
+    """C and G, as vectors, with C^T D G = D: for W the product of the
+    transvections I + d_j s E_ij in `steps`, G = W^-1 and C^T = D W D^-1,
+    the product of the I + d_i s E_ij.  Both are integral."""
+    c_t = [[int(i == j) for j in range(3)] for i in range(3)]
+    g = [row[:] for row in c_t]
+    for i, j, s in steps:
+        if i == j:
+            continue
+        for row in c_t:  # C^T <- C^T (I + d_i s E_ij)
+            row[j] += d[i] * s * row[i]
+        # G <- (I - d_j s E_ij) G, the inverse of the step on the left
+        g[i] = [x - d[j] * s * y for x, y in zip(g[i], g[j])]
+    return tuple(map(tuple, c_t)), transpose(tuple(map(tuple, g)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(*[st.integers(1, 12)] * 3),
+       st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2),
+                          st.integers(-2 ** 230, 2 ** 230)), max_size=3),
+       st.sampled_from(["dual", "perturbed", "random", "misshapen"]),
+       st.data())
+def test_rank_3_d_pairing_matches_the_generic_rule(d, steps, kind, data):
+    # the generic rule, reached at rank 4 through C (+) (1), G (+) (1) and
+    # D (+) (1), answers for the rank-3 pair
+    c, g = transvection_product(d, steps)
+    assert d_paired(c, g, d)
+    if kind == "perturbed":
+        i, j = data.draw(st.tuples(st.integers(0, 2), st.integers(0, 2)))
+        bump = data.draw(st.sampled_from([-1, 1]))
+        on_c = data.draw(st.booleans())
+        vectors = [list(v) for v in (c if on_c else g)]
+        vectors[i][j] += bump
+        vectors = tuple(map(tuple, vectors))
+        c, g = (vectors, g) if on_c else (c, vectors)
+    elif kind == "random":
+        vectors = st.tuples(*[st.tuples(*[st.integers(-2 ** 700,
+                                                      2 ** 700)] * 3)] * 3)
+        c, g = data.draw(vectors), data.draw(vectors)
+    elif kind == "misshapen":  # a vector cut short, or one left out
+        i = data.draw(st.integers(0, 2))
+        on_c = data.draw(st.booleans())
+        vectors = list(c if on_c else g)
+        if data.draw(st.booleans()):
+            vectors[i] = vectors[i][:2]
+        else:
+            del vectors[i]
+        vectors = tuple(vectors)
+        c, g = (vectors, g) if on_c else (c, vectors)
+    assert d_paired(c, g, d) == d_paired(plus_one(c), plus_one(g), d + (1,))
+    if kind == "perturbed":
+        assert not d_paired(c, g, d)
+
+
+def embedded(s):
+    """The seed of rank 4 with B (+) (0), C (+) (1) and G (+) (1)."""
+    b = tuple((*row, 0) for row in s.b.entries) + ((0, 0, 0, 0),)
+    return Seed(ExchangeMatrix(b), plus_one(s.c), plus_one(s.g), s.word)
+
+
+def test_rank_3_report_matches_the_generic_rule():
+    # reached seeds pass every check; each change below fails at least one
+    rng = random.Random(21)
+    failed = set()
+    for _ in range(300):
+        B = random_skew_symmetrizable(rng, 3)
+        s = apply_word(initial_seed(B),
+                       [rng.randint(1, 3) for _ in range(rng.randint(0, 7))])
+        c, g = [list(v) for v in s.c], [list(v) for v in s.g]
+        i, j = rng.randrange(3), rng.randrange(3)
+        kind = rng.choice(["reached", "bump", "double", "mixed", "zero"])
+        vectors = rng.choice([c, g])
+        if kind == "bump":  # one entry moved by +-1
+            vectors[i][j] += rng.choice([-1, 1])
+        elif kind == "double":  # det C or det G = +-2
+            vectors[i] = [2 * x for x in vectors[i]]
+        elif kind == "mixed":  # c_i = e_i - e_(i+1), the others e_k: det C = 1
+            c[:] = [[int(k == m) for k in range(3)] for m in range(3)]
+            c[i][(i + 1) % 3] = -1
+        elif kind == "zero":
+            vectors[i] = [0, 0, 0]
+        t = Seed(s.b, tuple(map(tuple, c)), tuple(map(tuple, g)), s.word)
+        report = verify_seed(t)
+        assert report == verify_seed(embedded(t))
+        assert all(report.values()) == (kind == "reached")
+        failed |= {name for name, ok in report.items() if not ok}
+    assert failed == {"det_c", "det_g", "sign_coherence", "duality",
+                      "d_pairing"}
 
 
 def test_tropical_sign_flips_after_mutation():
