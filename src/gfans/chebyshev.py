@@ -29,13 +29,23 @@ def u_pairs(ab: int):
         prev2, prev1 = prev1, cur
 
 
-def pair_ratio(up, uq, a: int, b: int) -> Fraction:
-    """nu * U_p / U_q from the (even_part, odd_part) pairs of U_p and U_q,
-    p and q of opposite parity."""
+def pair_terms(up, uq, a: int, b: int) -> tuple[int, int]:
+    """(num, den) with nu * U_p / U_q = num / den, from the (even_part,
+    odd_part) pairs of U_p and U_q, p and q of opposite parity.
+
+    Not reduced.  den > 0 for every q >= 0, the only denominators the band
+    search uses, so a ratio compares with another by cross-multiplying.
+    """
     if uq[1]:  # U_q = w*kappa, so nu*U_p/U_q = U_p / (a*w)
-        return Fraction(up[0], a * uq[1])
+        return up[0], a * uq[1]
     # U_q integer, so U_p = w*kappa and nu*U_p/U_q = w*b / U_q
-    return Fraction(up[1] * b, uq[0])
+    return up[1] * b, uq[0]
+
+
+def pair_ratio(up, uq, a: int, b: int) -> Fraction:
+    """nu * U_p / U_q as a Fraction, the value `nu_ratio` returns.  The
+    band search cross-multiplies the terms of `pair_terms` instead."""
+    return Fraction(*pair_terms(up, uq, a, b))
 
 
 def chebyshev_u(n: int, ab: int) -> tuple[int, int]:

@@ -8,7 +8,6 @@ ints, so they may grow without bound under mutation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
@@ -65,7 +64,8 @@ def skew_symmetrizer(entries) -> tuple[int, ...]:
     The result has gcd 1 and is componentwise minimal on every
     sign-connected component.  Raises NotSkewSymmetrizable when no positive
     solution exists (wrong sign pattern, mismatched zeros, or conflicting
-    cycle products).
+    cycle products).  The ratios d_j/d_i propagate as reduced pairs of
+    ints, so every comparison is between integers.
     """
     b = _as_matrix(entries)
     n = len(b)
@@ -78,29 +78,35 @@ def skew_symmetrizer(entries) -> tuple[int, ...]:
             if b[i][j] * b[j][i] > 0:
                 raise NotSkewSymmetrizable(f"b_ij*b_ji > 0 at ({i},{j})")
 
-    # Propagate the ratios d_j/d_i = -b_ij/b_ji over each component.
-    ratio: list[Fraction | None] = [None] * n
+    # Propagate the ratios d_j/d_root = num/den, each a reduced pair of
+    # positive ints, over each component: d_j/d_i = -b_ij/b_ji > 0.
+    ratio: list[tuple[int, int] | None] = [None] * n
     d = [0] * n
     for root in range(n):
         if ratio[root] is not None:
             continue
-        ratio[root] = Fraction(1)
+        ratio[root] = (1, 1)
         component = [root]
         stack = [root]
         while stack:
             i = stack.pop()
+            num_i, den_i = ratio[i]
+            row = b[i]
             for j in range(n):
-                if b[i][j] == 0 or j == i:
+                bij = row[j]
+                if bij == 0 or j == i:
                     continue
-                r = ratio[i] * Fraction(-b[i][j], b[j][i])
+                num, den = num_i * abs(bij), den_i * abs(b[j][i])
+                g = gcd(num, den)
+                r = (num // g, den // g)
                 if ratio[j] is None:
                     ratio[j] = r
                     component.append(j)
                     stack.append(j)
                 elif ratio[j] != r:
                     raise NotSkewSymmetrizable("conflicting cycle products")
-        denom_lcm = lcm(*(ratio[i].denominator for i in component))
-        vals = [int(ratio[i] * denom_lcm) for i in component]
+        denom_lcm = lcm(*(ratio[i][1] for i in component))
+        vals = [ratio[i][0] * (denom_lcm // ratio[i][1]) for i in component]
         g = gcd(*vals)
         for i, v in zip(component, vals):
             d[i] = v // g
@@ -235,11 +241,17 @@ def cyclic_presentation(B: ExchangeMatrix) -> CyclicPresentation:
 
 
 def swap_indices_12(B: ExchangeMatrix) -> ExchangeMatrix:
-    """Exchange the roles of indices 1 and 2 (conjugation by the swap)."""
+    """Exchange the roles of indices 1 and 2 (conjugation by the swap).
+
+    The minimal symmetrizer of the swapped matrix is B's with d_1 and d_2
+    exchanged, so it is carried over, not recomputed."""
     perm = [1, 0] + list(range(2, B.n))
     b = B.entries
-    return ExchangeMatrix(
-        tuple(tuple(b[perm[i]][perm[j]] for j in range(B.n)) for i in range(B.n))
+    d = B.symmetrizer
+    return ExchangeMatrix._with_symmetrizer(
+        tuple(tuple(b[perm[i]][perm[j]] for j in range(B.n))
+              for i in range(B.n)),
+        tuple(d[k] for k in perm),
     )
 
 

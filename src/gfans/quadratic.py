@@ -34,6 +34,23 @@ def root_sign(x, y, delta: int) -> int:
     return sx if lhs > rhs else sy
 
 
+_ZERO = Fraction(0)
+
+
+def _set_parts(number, x: Fraction, y: Fraction, delta: int, root: int):
+    """Give `number` the value x + y*sqrt(delta), with root = isqrt(delta):
+    a perfect-square delta folds into x, and y = 0 sets delta to 0.
+    Returns `number`."""
+    if root * root == delta:
+        x, y, delta = x + y * root, _ZERO, 0
+    elif not y:
+        delta = 0
+    object.__setattr__(number, "x", x)
+    object.__setattr__(number, "y", y)
+    object.__setattr__(number, "delta", delta)
+    return number
+
+
 @dataclass(frozen=True)
 class QuadraticNumber:
     x: Fraction
@@ -45,21 +62,13 @@ class QuadraticNumber:
         if type(self.x) not in (int, Fraction) or \
                 type(self.y) not in (int, Fraction):
             raise ValueError("x and y must be ints or Fractions")
-        x = Fraction(self.x)
-        y = Fraction(self.y)
         delta = self.delta
         if type(delta) is not int:
             raise ValueError("discriminant must be an int")
         if delta < 0:
             raise ValueError("discriminant must be nonnegative")
-        root = math.isqrt(delta)
-        if root * root == delta:
-            x, y, delta = x + y * root, Fraction(0), 0
-        if y == 0:
-            delta = 0
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "delta", delta)
+        _set_parts(self, Fraction(self.x), Fraction(self.y), delta,
+                   math.isqrt(delta))
 
     def sign(self) -> int:
         """Exact sign in {-1, 0, 1}."""
@@ -94,22 +103,31 @@ class QuadraticNumber:
 
 
 class QuadraticRay(tuple):
-    """The ray (p + q*sqrt(delta)) / den, with integer vectors p, q, an int
+    """The ray (p + q*sqrt(delta)) / den, with int vectors p, q, an int
     delta >= 0 and an int den > 0.
 
     As a tuple it is the QuadraticNumber components (p_i + q_i*sqrt(delta))
     / den, so equality, hashing and indexing are those of that tuple; it
-    also keeps p, q, delta and den, which containment reads directly.
+    also keeps p, q, delta and den, which containment reads directly.  The
+    arguments are checked once per ray, and each component is folded by
+    the rule of `QuadraticNumber` with one integer square root per ray.
     """
 
     def __new__(cls, p, q, delta: int, den: int):
         p, q = tuple(p), tuple(q)
         if type(delta) is not int or type(den) is not int:
             raise ValueError("delta and den must be ints")
+        for v in p + q:
+            if type(v) is not int:
+                raise ValueError("p and q must be int vectors")
         if len(p) != len(q) or den <= 0:
             raise ValueError("need p and q of one length and den > 0")
+        if delta < 0:
+            raise ValueError("discriminant must be nonnegative")
+        root = math.isqrt(delta)
         ray = super().__new__(cls, (
-            QuadraticNumber(Fraction(pi, den), Fraction(qi, den), delta)
+            _set_parts(object.__new__(QuadraticNumber), Fraction(pi, den),
+                       Fraction(qi, den) if qi else _ZERO, delta, root)
             for pi, qi in zip(p, q)))
         ray.p, ray.q, ray.delta, ray.den = p, q, delta, den
         return ray

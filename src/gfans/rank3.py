@@ -4,18 +4,17 @@ Each vertex v_i of a totally-infinite rank-3 fan is assigned one of six
 asymptotic types (1, 2, 3, 4-1, 4-2, 4-3) by orienting the pair
 complementary to i into the frame [[0,-b,-b c0],[a,0,-a d0],[c0,d0,0]] and
 inspecting (c0, d0).  Types 4-2 and 4-3 carry a band index N located by
-exact rational Chebyshev ratios.  One third-component rule gives both the
-lifted g-vector sequences and, as its m -> infinity case, the limit rays of
-any alternating pair; the module also labels the triplet/case of a whole
-fan.
+exact Chebyshev ratios, compared in integers.  One third-component rule
+gives both the lifted g-vector sequences and, as its m -> infinity case,
+the limit rays of any alternating pair; the module also labels the
+triplet/case of a whole fan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .chebyshev import pair_ratio, u_pairs
+from .chebyshev import pair_terms, u_pairs
 from .exchange import (
     ExchangeMatrix,
     NotTotallyInfinite,
@@ -115,10 +114,16 @@ def find_band_index(c0: int, d0: int, a: int, b: int,
                     tag: str) -> tuple[int, bool]:
     """(N, boundary_equality) for a Type 4-2 or 4-3 vertex.
 
-    The ratio -d0/c0 falls into exactly one Chebyshev band:
-    nu U_{N+1}/U_N <= -d0/c0 < nu U_N/U_{N-1} for 4-2 (upper bound ignored
-    at N = 0), or nu U_{N-1}/U_N <= -d0/c0 < nu U_N/U_{N+1} for 4-3.
+    The ratio r = -d0/c0 falls into exactly one Chebyshev band:
+    nu U_{N+1}/U_N <= r < nu U_N/U_{N-1} for 4-2 (upper bound ignored
+    at N = 0), or nu U_{N-1}/U_N <= r < nu U_N/U_{N+1} for 4-3.  With
+    e = -c0 > 0 and each bound num/den from `pair_terms` (den > 0), every
+    comparison is one of the integers num*e and d0*den.  c0, d0, a and b
+    must be ints.
     """
+    for x in (c0, d0, a, b):
+        if type(x) is not int:
+            raise ValueError("c0, d0, a and b must be ints")
     if not (c0 < 0 < d0):
         raise ValueError("band index requires c0 < 0 < d0")
     if tag not in ("T42", "T43"):
@@ -127,19 +132,22 @@ def find_band_index(c0: int, d0: int, a: int, b: int,
         raise ValueError(
             f"(c0,d0)=({c0},{d0}) is not of type {tag} for (a,b)=({a},{b})"
         )
-    r = Fraction(d0, -c0)
-    bound = 10 * max(d0.bit_length(), (-c0).bit_length(), 4)
+    e = -c0
+    bound = 10 * max(d0.bit_length(), e.bit_length(), 4)
     u = u_pairs(a * b)  # rejects ab < 4
     next(u)  # U_{-2}
     prev, cur = next(u), next(u)  # U_{n-1}, U_n at n = 0
     for n in range(bound):
         nxt = next(u)
         if tag == "T42":
-            lo = pair_ratio(nxt, cur, a, b)
-            if lo <= r:
-                return n, lo == r
-        elif r < pair_ratio(cur, nxt, a, b):
-            return n, pair_ratio(prev, cur, a, b) == r
+            num, den = pair_terms(nxt, cur, a, b)
+            if num * e <= d0 * den:
+                return n, num * e == d0 * den
+        else:
+            num, den = pair_terms(cur, nxt, a, b)
+            if d0 * den < num * e:
+                num, den = pair_terms(prev, cur, a, b)
+                return n, num * e == d0 * den
         prev, cur = cur, nxt
     raise InternalBandSearchFailure(
         f"no band within bound for (c0,d0)=({c0},{d0}), (a,b)=({a},{b})"

@@ -769,34 +769,17 @@ GOLDEN_MATRICES = {
     "MARKOV": MARKOV,
     "C5": ((0, -2, 7), (3, 0, -3), (-7, 2, 0)),  # case C-5
     "T42": frame(-100, 159).entries,  # v3 of type 4-2, band 3
+    # -WING: indices 1 and 2 are swapped, and D = (3, 2, 6) is swapped too
+    "NEG_WING": tuple(tuple(-x for x in row) for row in WING),
+    "NEG_C5": ((0, 2, -7), (-3, 0, 3), (7, -2, 0)),  # swap and band search
+    # ab = 4: v3 of type 4-2, band 3, on its lower bound
+    "AB4_EQUALITY": frame(-2, 5, a=1, b=4).entries,
 }
 
-# SHA-256 of the full stdout of each command on each matrix.
+# SHA-256 of the full stdout of each command on each matrix, in sorted
+# order up to WING; later pins go at the end, so that the ids of the
+# tests below stay as they are.
 GOLDEN_STDOUT = {
-    ("WING", ("classify",)):
-        "dc22fe1dfa0e40ec5dc5c68df55bbf8b53eef4dca37b9b8e10b0e0596243befe",
-    ("WING", ("classify", "--format", "json")):
-        "c5a087afd7fbb492225ca2da0e8b895184732ddf484f943c7e4da9367396e11b",
-    ("WING", ("pair", "--i", "1", "--j", "2")):
-        "ddc16a8f93f66dabb540cd9c0943ab8e9ef9521a1c3334dcedb3812fcc83e46b",
-    ("WING", ("pair", "--i", "1", "--j", "2", "--format", "json")):
-        "94c778d032b7f3f0103f7136533fb344dd2a3aa2c2e00575801630ff99f9d93a",
-    ("WING", ("pair", "--i", "3", "--j", "2")):
-        "deba850a9033efe8bb8dc6a54994515c37e7c2a1079f796a3712292e70ed83eb",
-    ("WING", ("pair", "--i", "3", "--j", "2", "--format", "json")):
-        "2bbd90791d1da79edf6912993592d2bb610136473dfc563339bea512e2f763b0",
-    ("MARKOV", ("classify",)):
-        "be511e0a21a1e198484a0cda7b328893ce5203e632c27259ad3bb28dcf2b2377",
-    ("MARKOV", ("classify", "--format", "json")):
-        "ae15b518a30907a54aa1f5ace31b1dba7433ef9e10d88c15ff07bbb36c34e6f7",
-    ("MARKOV", ("pair", "--i", "1", "--j", "2")):
-        "23c38e52e2f7ddb83e51981cf6e819389728cb0a6a8d4cc8a90108aab82025e2",
-    ("MARKOV", ("pair", "--i", "1", "--j", "2", "--format", "json")):
-        "9ce654ff6d88b0cbe0abe3c84c40d2d72570772203feb1109665eaddc8ea97d4",
-    ("MARKOV", ("pair", "--i", "3", "--j", "2")):
-        "e05fcaf667572cbe556cf565263a7b4d882ff91a02f596d109f0f91aec28e62c",
-    ("MARKOV", ("pair", "--i", "3", "--j", "2", "--format", "json")):
-        "acd07cec6e1823ab55f93b77953dfe375a09931c831edf6e5e7be3ca5b849534",
     ("C5", ("classify",)):
         "5eea9b314588abcd6c8a0d73898823570a8d442d051e540864c3f3f1e63169c3",
     ("C5", ("classify", "--format", "json")):
@@ -809,6 +792,18 @@ GOLDEN_STDOUT = {
         "0071b2cd943775c8d1c7f9965e54344db2b92b95dbf8ac032d0f8cf1aa91fe67",
     ("C5", ("pair", "--i", "3", "--j", "2", "--format", "json")):
         "b979b99cac30c87b74377837072e1b8fb09cc2b8b491d23687565584dbbd0371",
+    ("MARKOV", ("classify",)):
+        "be511e0a21a1e198484a0cda7b328893ce5203e632c27259ad3bb28dcf2b2377",
+    ("MARKOV", ("classify", "--format", "json")):
+        "ae15b518a30907a54aa1f5ace31b1dba7433ef9e10d88c15ff07bbb36c34e6f7",
+    ("MARKOV", ("pair", "--i", "1", "--j", "2")):
+        "23c38e52e2f7ddb83e51981cf6e819389728cb0a6a8d4cc8a90108aab82025e2",
+    ("MARKOV", ("pair", "--i", "1", "--j", "2", "--format", "json")):
+        "9ce654ff6d88b0cbe0abe3c84c40d2d72570772203feb1109665eaddc8ea97d4",
+    ("MARKOV", ("pair", "--i", "3", "--j", "2")):
+        "e05fcaf667572cbe556cf565263a7b4d882ff91a02f596d109f0f91aec28e62c",
+    ("MARKOV", ("pair", "--i", "3", "--j", "2", "--format", "json")):
+        "acd07cec6e1823ab55f93b77953dfe375a09931c831edf6e5e7be3ca5b849534",
     ("T42", ("classify",)):
         "35dca4eacb99dae7c4ed0966e1cc46e936cf1c63ae207a2cd98e8d82d4224cdd",
     ("T42", ("classify", "--format", "json")):
@@ -821,10 +816,34 @@ GOLDEN_STDOUT = {
         "a999805959ee47f97dc79929d87853bd6058a1dce492653d6965c5ae4826e8dd",
     ("T42", ("pair", "--i", "3", "--j", "2", "--format", "json")):
         "ed95fdfb1a31677d452db7e21636da7045a09ffc54705adb47127a4629079157",
+    ("WING", ("classify",)):
+        "dc22fe1dfa0e40ec5dc5c68df55bbf8b53eef4dca37b9b8e10b0e0596243befe",
+    ("WING", ("classify", "--format", "json")):
+        "c5a087afd7fbb492225ca2da0e8b895184732ddf484f943c7e4da9367396e11b",
+    ("WING", ("pair", "--i", "1", "--j", "2")):
+        "ddc16a8f93f66dabb540cd9c0943ab8e9ef9521a1c3334dcedb3812fcc83e46b",
+    ("WING", ("pair", "--i", "1", "--j", "2", "--format", "json")):
+        "94c778d032b7f3f0103f7136533fb344dd2a3aa2c2e00575801630ff99f9d93a",
+    ("WING", ("pair", "--i", "3", "--j", "2")):
+        "deba850a9033efe8bb8dc6a54994515c37e7c2a1079f796a3712292e70ed83eb",
+    ("WING", ("pair", "--i", "3", "--j", "2", "--format", "json")):
+        "2bbd90791d1da79edf6912993592d2bb610136473dfc563339bea512e2f763b0",
+    ("NEG_WING", ("classify",)):
+        "e3122029291e18257ddbb8556da8091402788a144cf10e5540c25b3bcb4a9570",
+    ("NEG_WING", ("classify", "--format", "json")):
+        "04094a2e8136c38b00499de6ff38b4963e1999ae6b3f6a2c1d342e0649942c42",
+    ("NEG_C5", ("classify",)):
+        "337d38cc2b45a65a4ce0326163a8bd8df6d05118032b515ac1f246e53aea03d0",
+    ("NEG_C5", ("classify", "--format", "json")):
+        "a4b63b342ed2fecdc788c350c8e7d07e3e13d0c2ad87fdf223c89ecaa08759df",
+    ("AB4_EQUALITY", ("classify",)):
+        "31cce2f16d9beee548adf21833ac3eeaf32b3da1e6673822c9155a66116fb2ed",
+    ("AB4_EQUALITY", ("classify", "--format", "json")):
+        "28d0828c165037e0552309a879105af0108bb47400acd6ee0a6fa52e24f320e3",
 }
 
 
-@pytest.mark.parametrize("name,command", sorted(GOLDEN_STDOUT))
+@pytest.mark.parametrize("name,command", list(GOLDEN_STDOUT))
 def test_golden_stdout(name, command, tmp_path, capsys):
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(
@@ -833,6 +852,36 @@ def test_golden_stdout(name, command, tmp_path, capsys):
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == \
         GOLDEN_STDOUT[name, command]
+
+
+def test_golden_classify_pins_what_they_name(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    docs = {}
+    for name in ("NEG_WING", "NEG_C5", "AB4_EQUALITY"):
+        path.write_text(json.dumps(
+            {"b": [list(r) for r in GOLDEN_MATRICES[name]]}))
+        assert main(["classify", str(path), "--format", "json"]) == 0
+        docs[name] = json.loads(capsys.readouterr().out)
+    assert docs["NEG_WING"]["swap_applied"]
+    assert ExchangeMatrix(GOLDEN_MATRICES["NEG_WING"]).symmetrizer == (3, 2, 6)
+    assert docs["NEG_C5"]["swap_applied"]
+    assert docs["NEG_C5"]["case"] == "C-5"
+    v3 = docs["AB4_EQUALITY"]["vertices"][2]
+    assert (v3["type"], v3["band_index"], v3["boundary_equality"]) == \
+        ("T42", 3, True)
+
+
+def test_a_band_past_the_search_bound_exits_1(tmp_path, capsys):
+    # ab = 4 bands close in linearly: this one lies past ten times the
+    # entries' bit length, where the search gives up
+    path = tmp_path / "frame.json"
+    path.write_text(json.dumps({"b": [list(r) for r in
+                                      frame(-127, 256, a=1, b=4).entries]}))
+    for fmt in ((), ("--format", "json")):
+        assert main(["classify", str(path), *fmt]) == 1
+        assert capsys.readouterr() == ("", (
+            "error: no band within bound for (c0,d0)=(-127,256), "
+            "(a,b)=(1,4)\n"))
 
 
 # SHA-256 of the fan document `explore --depth 4 --out` writes

@@ -1,8 +1,9 @@
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gfans import (
@@ -79,6 +80,80 @@ def test_symmetrizer_disconnected_components():
     d = skew_symmetrizer(b)
     assert d[0] * b[0][1] == -d[1] * b[1][0]
     assert d[2] == 1
+
+
+def fraction_symmetrizer(b):
+    """The symmetrizer as it ran on Fractions: the same checks, then the
+    ratios d_j/d_i = -b_ij/b_ji propagated as Fractions."""
+    n = len(b)
+    for i in range(n):
+        if b[i][i] != 0:
+            raise NotSkewSymmetrizable(f"nonzero diagonal entry at {i}")
+        for j in range(i + 1, n):
+            if (b[i][j] == 0) != (b[j][i] == 0):
+                raise NotSkewSymmetrizable(f"mismatched zero at ({i},{j})")
+            if b[i][j] * b[j][i] > 0:
+                raise NotSkewSymmetrizable(f"b_ij*b_ji > 0 at ({i},{j})")
+    ratio = [None] * n
+    d = [0] * n
+    for root in range(n):
+        if ratio[root] is not None:
+            continue
+        ratio[root] = Fraction(1)
+        component = [root]
+        stack = [root]
+        while stack:
+            i = stack.pop()
+            for j in range(n):
+                if b[i][j] == 0 or j == i:
+                    continue
+                r = ratio[i] * Fraction(-b[i][j], b[j][i])
+                if ratio[j] is None:
+                    ratio[j] = r
+                    component.append(j)
+                    stack.append(j)
+                elif ratio[j] != r:
+                    raise NotSkewSymmetrizable("conflicting cycle products")
+        denom_lcm = lcm(*(ratio[i].denominator for i in component))
+        vals = [int(ratio[i] * denom_lcm) for i in component]
+        g = gcd(*vals)
+        for i, v in zip(component, vals):
+            d[i] = v // g
+    return tuple(d)
+
+
+def _symmetrizer_outcome(symmetrizer, b):
+    try:
+        return symmetrizer(b)
+    except NotSkewSymmetrizable as failure:
+        return str(failure)
+
+
+def test_symmetrizer_matches_the_fraction_propagation():
+    # 30% of the matrices get one entry redrawn, which breaks the
+    # diagonal, a zero pattern, a sign pattern or a cycle product
+    rng = random.Random(22)
+    failures = set()
+    for _ in range(3000):
+        n = rng.choice([2, 3, 4])
+        b = [list(row) for row in random_skew_symmetrizable(rng, n).entries]
+        if rng.random() < 0.3:
+            b[rng.randrange(n)][rng.randrange(n)] = rng.randint(-6, 6)
+        want = _symmetrizer_outcome(fraction_symmetrizer, b)
+        assert _symmetrizer_outcome(skew_symmetrizer, b) == want
+        if isinstance(want, str):
+            failures.add(want.split(" at ")[0])
+    assert failures == {"nonzero diagonal entry", "mismatched zero",
+                        "b_ij*b_ji > 0", "conflicting cycle products"}
+
+
+@settings(max_examples=150, deadline=None)
+@given(skew_symmetrizable_matrices)
+def test_swap_carries_the_minimal_symmetrizer(B):
+    assume(set(B.symmetrizer) != {1})
+    S = swap_indices_12(B)
+    assert S.symmetrizer == skew_symmetrizer(S.entries)
+    assert S.symmetrizer == ExchangeMatrix(S.entries).symmetrizer
 
 
 def test_mutation_is_involutive():
@@ -201,6 +276,7 @@ def test_swap_indices_12():
     assert S[1, 2] == B[2, 1]
     assert S[3, 1] == B[3, 2]
     assert swap_indices_12(S).entries == B.entries
+    assert (B.symmetrizer, S.symmetrizer) == ((3, 2, 6), (2, 3, 6))
 
 
 def _int_rows_by_any(rows, what):

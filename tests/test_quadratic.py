@@ -79,6 +79,8 @@ def test_quadratic_ray_keeps_its_integer_parts():
     for p, q, den in (((1, 2), (3,), 1), ((1,), (3,), 0), ((1,), (3,), -2)):
         with pytest.raises(ValueError):
             QuadraticRay(p, q, 5, den)
+    with pytest.raises(ValueError, match="discriminant must be nonnegative"):
+        QuadraticRay((1,), (3,), -5, 1)
 
 
 @given(quadratic_rays())
@@ -131,6 +133,17 @@ def test_a_ray_refuses_a_delta_or_den_that_is_not_an_int(delta, den):
     for p, q in (((1, 2), (3, 4)), ((), ())):  # with and without components
         with pytest.raises(ValueError, match="delta and den must be ints"):
             QuadraticRay(p, q, delta, den)
+
+
+# QuadraticRay((True, 2), (0, 1), 5, 1) used to keep p == (True, 2), a
+# Fraction entry was taken, and a float one escaped as TypeError
+@pytest.mark.parametrize("p, q", [
+    ((True, 2), (0, 1)), ((1, 2), (0, False)), ((Fraction(1), 2), (0, 1)),
+    ((1, 2), (0, Fraction(1, 2))), ((1.0, 2), (0, 1)), ((1, 2), (0, 0.5)),
+    (("1", 2), (0, 1))])
+def test_a_ray_refuses_parts_that_are_not_int_vectors(p, q):
+    with pytest.raises(ValueError, match="p and q must be int vectors"):
+        QuadraticRay(p, q, 5, 1)
 
 
 def float_oracle(q):

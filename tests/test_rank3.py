@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gfans import (
@@ -20,6 +20,7 @@ from gfans import (
     pair_asymptotics,
     vertex_type,
 )
+from gfans.chebyshev import pair_ratio, u_pairs
 from gfans.rank3 import _tag
 from gfans.seeds import apply_word
 from conftest import MARKOV, PINWHEEL, TUNNEL, WING, frame
@@ -125,6 +126,80 @@ def test_band_index_matches_the_quadratic_search(point):
             find_band_index(c0, d0, a, b, tag)
     else:
         assert find_band_index(c0, d0, a, b, tag) == want
+
+
+def fraction_band_search(c0, d0, a, b, tag):
+    """The band search as it ran on Fractions: (N, boundary_equality), or
+    the message of its failure past the search bound."""
+    r = Fraction(d0, -c0)
+    bound = 10 * max(d0.bit_length(), (-c0).bit_length(), 4)
+    u = u_pairs(a * b)
+    next(u)
+    prev, cur = next(u), next(u)
+    for n in range(bound):
+        nxt = next(u)
+        if tag == "T42":
+            lo = pair_ratio(nxt, cur, a, b)
+            if lo <= r:
+                return n, lo == r
+        elif r < pair_ratio(cur, nxt, a, b):
+            return n, pair_ratio(prev, cur, a, b) == r
+        prev, cur = cur, nxt
+    return f"no band within bound for (c0,d0)=({c0},{d0}), (a,b)=({a},{b})"
+
+
+@st.composite
+def band_search_points(draw):
+    """(c0, d0, a, b) with c0 < 0 < d0.  Half have ab = 4, where bands
+    close in linearly and a band past the search bound is reachable with
+    small entries; most points lie on a band bound or inside a band."""
+    if draw(st.booleans()):
+        a, b = draw(st.sampled_from([(1, 4), (2, 2), (4, 1)]))
+        top = 300
+    else:
+        a, b = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+        assume(a * b > 4)
+        top = 12
+    kind = draw(st.sampled_from(["bound", "inside", "any"]))
+    if kind == "any":
+        return -draw(st.integers(1, 500)), draw(st.integers(1, 500)), a, b
+    n = draw(st.integers(1, top))
+    if draw(st.booleans()):  # T42 bounds nu U_{n+1}/U_n, decreasing in n
+        r, nxt = nu_ratio(n + 1, n, a, b), nu_ratio(n + 2, n + 1, a, b)
+    else:  # T43 bounds nu U_{n-1}/U_n, increasing in n
+        r, nxt = nu_ratio(n - 1, n, a, b), nu_ratio(n, n + 1, a, b)
+    if kind == "inside":
+        r = (r + nxt) / 2
+    k = draw(st.integers(1, 3))
+    return -r.denominator * k, r.numerator * k, a, b
+
+
+@settings(max_examples=400, deadline=None)
+@given(band_search_points())
+@example((-2, 5, 1, 4))  # 4-2 with N = 3 on its lower bound
+@example((-127, 256, 1, 4))  # 4-2 with its band past the bound
+def test_band_index_matches_the_fraction_search(point):
+    c0, d0, a, b = point
+    tag = _tag(a, b, c0, d0)
+    assume(tag in ("T42", "T43"))
+    want = fraction_band_search(c0, d0, a, b, tag)
+    if isinstance(want, str):
+        with pytest.raises(InternalBandSearchFailure) as failure:
+            find_band_index(c0, d0, a, b, tag)
+        assert str(failure.value) == want
+    else:
+        assert find_band_index(c0, d0, a, b, tag) == want
+
+
+# a float used to escape as TypeError from Fraction, and bools were taken
+@pytest.mark.parametrize("args", [
+    (-1.0, 3, 1, 4, "T42"), (-1, 3.0, 1, 4, "T42"), (-1, 3, 1.0, 4, "T42"),
+    (-1, 3, 1, 4.0, "T42"), (-1, 3, 1, Fraction(4), "T42"),
+    (Fraction(-1), 3, 1, 4, "T42"), (-1, True, 1, 4, "T43"),
+    (-1, 3, True, 4, "T42"), (-1, 3, 1, "4", "T42")])
+def test_band_index_refuses_arguments_that_are_not_ints(args):
+    with pytest.raises(ValueError, match="c0, d0, a and b must be ints"):
+        find_band_index(*args)
 
 
 def test_finite_pair_rejected():
