@@ -14,6 +14,7 @@ import os
 import random
 import stat
 import sys
+from math import log10
 
 from .exchange import ExchangeMatrix
 from .explorer import (
@@ -216,18 +217,33 @@ def _triple(s) -> tuple:
     return s.b.entries, s.c, s.g
 
 
+def _word_count(n: int, depth: int) -> int:
+    """The number of words of length at most `depth` in the letters 1..n
+    with no letter repeated back to back: 1 + sum_{k < depth} n (n-1)^k,
+    in closed form."""
+    if n == 1:
+        return 1 + min(depth, 1)
+    if n == 2:
+        return 1 + 2 * depth
+    return 1 + n * ((n - 1) ** depth - 1) // (n - 2)
+
+
 def _cmd_verify(args) -> int:
     if args.depth < 0:
         raise ValueError("depth must be >= 0")
     B = _load_matrix(args.matrix)
-    # the number of words without a letter repeated back to back
-    words = 1 + sum(B.n * (B.n - 1) ** k for k in range(args.depth))
+    limit = sys.get_int_max_str_digits()  # 0 means no limit
+    too_deep = ValueError(
+        f"--depth {args.depth} is too deep to print its count of words "
+        f"(more than {limit} digits)")
+    # the count exceeds (n - 1)^(depth - 1): refused before it is built
+    if limit and B.n > 2 and (args.depth - 1) * log10(B.n - 1) > limit + 1:
+        raise too_deep
     try:
-        count = f"verified {words} seeds to depth {args.depth}\n"
-    except ValueError:  # past sys.get_int_max_str_digits()
-        raise ValueError(
-            f"--depth {args.depth} is too deep to print its count of words "
-            f"(more than {sys.get_int_max_str_digits()} digits)") from None
+        count = (f"verified {_word_count(B.n, args.depth)} seeds to depth "
+                 f"{args.depth}\n")
+    except ValueError:  # past the limit by a digit or two
+        raise too_deep from None
     rng = random.Random(args.seed)
     sys.stdout.write(f"seed: {args.seed}\n")
     failures = []

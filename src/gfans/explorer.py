@@ -282,13 +282,7 @@ def load_fan(doc: dict) -> Fan:
             raise ValueError("cone key does not match its rays")
         if key in cones:
             raise ValueError(f"duplicate cone key {[list(r) for r in key]}")
-        word = entry["word"]
-        if type(word) is not list:
-            raise ValueError("cone word must be integers in JSON lists")
-        for k in word:
-            if type(k) is not int:
-                raise ValueError("cone word must be integers in JSON lists")
-        word = tuple(word)
+        word = int_rows([entry["word"]], "cone word")[0]
         if len(word) > depth or not all(1 <= k <= n for k in word):
             raise ValueError(f"cone word {list(word)} is not a word in "
                              f"1..{n} of length at most {depth}")

@@ -24,7 +24,6 @@ import gc
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from math import prod
 from operator import mul
 
 from .exchange import (ExchangeMatrix, Matrix, int_rows, json_value,
@@ -46,18 +45,9 @@ def transpose(m: Matrix) -> Matrix:
 
 
 def det(m: Matrix) -> int:
-    """Integer determinant: a 3 x 3 matrix by cofactor expansion along its
-    first row, in straight-line arithmetic, and any other square matrix by
-    fraction-free Gaussian elimination."""
+    """Integer determinant of a square matrix by fraction-free Gaussian
+    elimination (Bareiss)."""
     n = len(m)
-    if n == 3:
-        try:
-            (a, b, c), (d, e, f), (g, h, i) = m
-        except ValueError:  # rows of another length: the elimination below
-            pass
-        else:
-            return (a * (e * i - f * h) - b * (d * i - f * g)
-                    + c * (d * h - e * g))
     a = [list(row) for row in m]
     sign = 1
     prev = 1
@@ -420,56 +410,21 @@ def d_paired(normals, rays, d) -> bool:
 
 # -- verification ------------------------------------------------------------
 
-def _duality(c, g, d) -> bool:
-    """G = D^{-1} (C^T)^{-1} D for the c-vectors c and g-vectors g, checked
-    as (D G D^{-1}) C^T = I: the right inverse side of the D-pairing.
-    Scaled by L = prod(d) it reads sum_j g_ij c_kj (L d_i / d_j) = L
-    delta_ik, in integers.  A 3 x 3 pair is checked in straight-line
-    arithmetic, any other by the generic loops, with the same answer."""
-    if len(d) == 3:
-        try:
-            (c11, c21, c31), (c12, c22, c32), (c13, c23, c33) = c
-            (g11, g21, g31), (g12, g22, g32), (g13, g23, g33) = g
-        except ValueError:  # not 3 x 3: the generic loops below
-            pass
-        else:
-            # row i divided by d_i > 0: with p_j = L / d_j the rule reads
-            # sum_j g_ij p_j c_kj = p_i delta_ik
-            d1, d2, d3 = d
-            p1, p2, p3 = d2 * d3, d1 * d3, d1 * d2
-            q11, q12, q13 = p1 * c11, p2 * c12, p3 * c13  # the rows of C P
-            q21, q22, q23 = p1 * c21, p2 * c22, p3 * c23
-            q31, q32, q33 = p1 * c31, p2 * c32, p3 * c33
-            return (g11 * q11 + g12 * q12 + g13 * q13 == p1
-                    and g11 * q21 + g12 * q22 + g13 * q23 == 0
-                    and g11 * q31 + g12 * q32 + g13 * q33 == 0
-                    and g21 * q11 + g22 * q12 + g23 * q13 == 0
-                    and g21 * q21 + g22 * q22 + g23 * q23 == p2
-                    and g21 * q31 + g22 * q32 + g23 * q33 == 0
-                    and g31 * q11 + g32 * q12 + g33 * q13 == 0
-                    and g31 * q21 + g32 * q22 + g33 * q23 == 0
-                    and g31 * q31 + g32 * q32 + g33 * q33 == p3)
-    big = prod(d)
-    scaled = [[x * (big * di // dj) for x, dj in zip(g_row, d)]
-              for di, g_row in zip(d, transpose(g))]  # rows of L D G D^{-1}
-    c_rows = transpose(c)
-    return all(
-        sum(map(mul, row, c_row)) == (big if i == k else 0)
-        for i, row in enumerate(scaled) for k, c_row in enumerate(c_rows)
-    )
-
-
 def verify_seed(s: Seed) -> dict[str, bool]:
     """Per-check report: det C = +-1, det G = +-1, sign coherence of the
-    c-vectors, duality (false whenever det C is not +-1) and D-pairing.
-    A seed of rank 3 is checked in straight-line arithmetic (`det`,
-    `_duality`, `d_paired`), any other by the generic rule; both report
-    the same checks with the same answers."""
+    c-vectors, duality G = D^-1 (C^T)^-1 D and D-pairing C^T D G = D.
+
+    One pairing decides four answers.  C^T D G = D gives det C * det G = 1
+    in integers, so both are +-1, and `det` runs only for a seed that fails
+    the pairing.  For n x n matrices C^T (D G D^-1) = I holds exactly when
+    (D G D^-1) C^T = I, so duality and D-pairing are the same answer.  Only
+    `d_paired` branches by rank."""
     c, g, d = s.c, s.g, s.symmetrizer
+    paired = d_paired(c, g, d)
     report = {}
     # det C^T = det C, so the determinants read the vectors as rows
-    report["det_c"] = det(c) in (1, -1)
-    report["det_g"] = det(g) in (1, -1)
+    report["det_c"] = paired or det(c) in (1, -1)
+    report["det_g"] = paired or det(g) in (1, -1)
 
     coherent = True
     for col in c:
@@ -478,6 +433,6 @@ def verify_seed(s: Seed) -> dict[str, bool]:
             break
     report["sign_coherence"] = coherent
 
-    report["duality"] = report["det_c"] and _duality(c, g, d)
-    report["d_pairing"] = d_paired(c, g, d)
+    report["duality"] = paired
+    report["d_pairing"] = paired
     return report

@@ -6,6 +6,7 @@ import io
 import json
 import random
 import sys
+import time
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -29,7 +30,7 @@ from gfans import (
     limit_rays,
     markov_constant,
 )
-from gfans.cli import build_parser, main
+from gfans.cli import _word_count, build_parser, main
 from gfans.exchange import mutate_matrix
 from gfans.seeds import Seed, apply_word, initial_seed, mutate_seed
 from conftest import A3, MARKOV, TUNNEL, WING, frame
@@ -314,17 +315,29 @@ def test_verify_builds_b_only_for_the_seeds_it_expands(B, depth, built,
 
 def test_verify_refuses_a_depth_whose_count_it_cannot_print(
         tmp_path, monkeypatch, capsys):
-    # 1 + 3 * (2^15000 - 1) has more digits than Python prints by default
+    # 1 + 3 * (2^15000 - 1) has more digits than Python prints by default;
+    # 1 + 3 * (2^1000000 - 1) is refused before it is built
     def refuse(s):
         raise AssertionError("a seed was checked")
 
     monkeypatch.setattr(gfans.cli, "verify_seed", refuse)
     path = write_matrix(tmp_path / "a3.json", A3)
-    assert main(["verify", str(path), "--depth", "15000"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: --depth 15000 ")
-    assert captured.err.count("\n") == 1
+    for depth in (15000, 1000000):
+        start = time.perf_counter()
+        assert main(["verify", str(path), "--depth", str(depth)]) == 2
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --depth {depth} is too deep to print its count of "
+            f"words (more than {sys.get_int_max_str_digits()} digits)\n")
+
+
+def test_word_count_is_the_sum_of_its_terms():
+    for n in range(1, 5):
+        for depth in range(13):
+            assert _word_count(n, depth) == 1 + sum(
+                n * (n - 1) ** k for k in range(depth))
 
 
 @pytest.fixture

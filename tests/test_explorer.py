@@ -429,6 +429,10 @@ def test_load_rejects_bad_documents():
         (lambda d: d["cones"][1].update(word=[4]), "not a word"),
         (lambda d: d["cones"][1].update(word=[0]), "not a word"),
         (lambda d: d["cones"][1].update(word=[1, 2]), "not a word"),
+        (lambda d: d["cones"][1].update(word="1"), "cone word must be"),
+        (lambda d: d["cones"][1].update(word=[True]), "cone word must be"),
+        (lambda d: d["cones"][1].update(word=[1.0]), "cone word must be"),
+        (lambda d: d["cones"][1].update(word=[[1]]), "cone word must be"),
         (lambda d: d.update(depth=-4), "negative"),
         (lambda d: d["adjacency"][0][1][0].__setitem__(0, 9), "no cone has"),
         (lambda d: d["cones"].append(d["cones"][0]), "duplicate"),

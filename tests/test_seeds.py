@@ -60,14 +60,16 @@ def test_det_against_cofactor_expansion():
         assert prod == tuple(
             tuple(d if i == j else 0 for j in range(n)) for i in range(n)
         )
-    # 3 x 3 with entries past 600 bits: cofactor expansion against the
-    # adjugate identity and against the elimination of m (+) (1)
+    # 3 x 3 with entries past 600 bits: elimination against the adjugate
+    # identity and against cofactor expansion along the first row
     for _ in range(50):
         m = tuple(tuple(rng.randint(-2 ** 640, 2 ** 640) for _ in range(3))
                   for _ in range(3))
         d = det(m)
         assert matmul(m, adjugate(m)) == ((d, 0, 0), (0, d, 0), (0, 0, d))
-        assert det(plus_one(m)) == d
+        (a, b, c), (e, f, g), (h, i, j) = m
+        assert d == (a * (f * j - g * i) - b * (e * j - g * h)
+                     + c * (e * i - f * h))
     unimodular = ((1, 2 ** 700, 0), (0, 1, 3 ** 450), (0, 0, -1))
     assert det(unimodular) == -1
 
@@ -176,6 +178,10 @@ def test_integer_duality_matches_the_adjugate_rule(B, word, kind, data):
         c, g = data.draw(square_matrices(n)), data.draw(square_matrices(n))
     report = verify_seed(Seed(s.b, transpose(c), transpose(g)))
     assert report["duality"] == adjugate_duality(c, g, s.b.symmetrizer)
+    # the pairing decides the determinants and both duality checks
+    assert report["det_c"] == (det(c) in (1, -1))
+    assert report["det_g"] == (det(g) in (1, -1))
+    assert report["d_pairing"] == report["duality"]
 
 
 def transvection_product(d, steps):
