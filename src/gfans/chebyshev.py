@@ -4,9 +4,11 @@ With kappa^2 = ab, the values U_n live alternately in Z and Z*kappa, so
 U_n is the pair (even_part, odd_part) meaning even_part + odd_part*kappa:
 odd_part is 0 for even n and even_part is 0 for odd n.  `u_pairs` is the
 one recurrence over these pairs; `chebyshev_u` and `nu_ratio` read it by
-index.  Everything downstream (band ratios, rank-2 closed forms) stays in
-exact integers because every expression pairs an odd-index U with a factor
-of nu or 1/nu (nu*kappa = b, kappa/nu = a).
+index, and the rank-2 closed forms walk it.  They stay in exact integers
+because every expression pairs an odd-index U with a factor of nu or 1/nu
+(nu*kappa = b, kappa/nu = a).  The band ratios nu U_{n+1}/U_n and
+nu U_{n-1}/U_n are the slopes of the pair's g-vectors, so the band search
+walks `rank2.g_vectors` instead; `nu_ratio` is its oracle.
 """
 
 from __future__ import annotations
@@ -29,23 +31,14 @@ def u_pairs(ab: int):
         prev2, prev1 = prev1, cur
 
 
-def pair_terms(up, uq, a: int, b: int) -> tuple[int, int]:
-    """(num, den) with nu * U_p / U_q = num / den, from the (even_part,
-    odd_part) pairs of U_p and U_q, p and q of opposite parity.
-
-    Not reduced.  den > 0 for every q >= 0, the only denominators the band
-    search uses, so a ratio compares with another by cross-multiplying.
-    """
-    if uq[1]:  # U_q = w*kappa, so nu*U_p/U_q = U_p / (a*w)
-        return up[0], a * uq[1]
-    # U_q integer, so U_p = w*kappa and nu*U_p/U_q = w*b / U_q
-    return up[1] * b, uq[0]
-
-
 def pair_ratio(up, uq, a: int, b: int) -> Fraction:
-    """nu * U_p / U_q as a Fraction, the value `nu_ratio` returns.  The
-    band search cross-multiplies the terms of `pair_terms` instead."""
-    return Fraction(*pair_terms(up, uq, a, b))
+    """nu * U_p / U_q as a Fraction, the value `nu_ratio` returns, from
+    the (even_part, odd_part) pairs of U_p and U_q, p and q of opposite
+    parity."""
+    if uq[1]:  # U_q = w*kappa, so nu*U_p/U_q = U_p / (a*w)
+        return Fraction(up[0], a * uq[1])
+    # U_q integer, so U_p = w*kappa and nu*U_p/U_q = w*b / U_q
+    return Fraction(up[1] * b, uq[0])
 
 
 def chebyshev_u(n: int, ab: int) -> tuple[int, int]:

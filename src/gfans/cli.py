@@ -25,7 +25,7 @@ from .explorer import (
     save_fan_file,
     write_fan,
 )
-from .rank2 import g_sequence, limit_vectors
+from .rank2 import g_vectors, limit_vectors
 from .rank3 import (
     InternalBandSearchFailure,
     UnexpectedCyclicTriplet,
@@ -183,9 +183,10 @@ def _cmd_rank2(args) -> int:
     if args.steps < 0:
         raise ValueError("steps must be >= 0")
     lines = [f"(a,b)=({args.a},{args.b})", "m    g_m           g'_m"]
-    for m in range(1, args.steps + 1):
-        g = g_sequence("forward", m, args.a, args.b)
-        gp = g_sequence("backward", m, args.a, args.b)
+    walks = zip(range(1, args.steps + 1),
+                g_vectors("forward", args.a, args.b),
+                g_vectors("backward", args.a, args.b))
+    for m, g, gp in walks:
         lines.append(f"{m:<4} {str(g):<13} {gp}")
     v, vp = limit_vectors(args.a, args.b)
     lines.append(f"limit slope v2  = {v[1]!r} = {_float(v[1]):.8f}")

@@ -71,30 +71,33 @@ def rank2_matrices(t: int, a: int, b: int) -> tuple[Mat2, Mat2]:
     return c, g
 
 
-def g_sequence(direction: str, m: int, a: int, b: int) -> tuple[int, int]:
-    """m-th g-vector along the forward or backward alternating mutations.
+def g_vectors(direction: str, a: int, b: int):
+    """g_1, g_2, ... along the forward or backward alternating mutations.
 
     Forward: g_1 = (-1,0), g_2 = (0,-1), g_{m+2} = -g_m + a g_{m+1} (m odd)
     or -g_m + b g_{m+1} (m even).  Backward: g'_1 = (b,-1),
     g'_2 = (ab-1,-a) with the roles of a and b exchanged in the recursion.
     """
     _check_ab(a, b)
-    if m < 1:
-        raise ValueError("m must be >= 1")
     if direction == "forward":
-        prev, cur = (-1, 0), (0, -1)
-        coeff = {1: a, 0: b}
+        prev, cur, f, h = (-1, 0), (0, -1), a, b
     elif direction == "backward":
-        prev, cur = (b, -1), (a * b - 1, -a)
-        coeff = {1: b, 0: a}
+        prev, cur, f, h = (b, -1), (a * b - 1, -a), b, a
     else:
         raise ValueError("direction must be 'forward' or 'backward'")
-    if m == 1:
-        return prev
-    for i in range(1, m - 1):
-        f = coeff[i % 2]
-        prev, cur = cur, (-prev[0] + f * cur[0], -prev[1] + f * cur[1])
-    return cur
+    yield prev
+    while True:
+        yield cur
+        prev, cur = cur, (f * cur[0] - prev[0], f * cur[1] - prev[1])
+        f, h = h, f
+
+
+def g_sequence(direction: str, m: int, a: int, b: int) -> tuple[int, int]:
+    """m-th g-vector along the forward or backward alternating mutations,
+    entry m - 1 of `g_vectors`."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    return next(islice(g_vectors(direction, a, b), m - 1, None))
 
 
 def limit_parts(a: int, b: int) -> tuple[tuple[int, int], int, int]:

@@ -4,17 +4,17 @@ Each vertex v_i of a totally-infinite rank-3 fan is assigned one of six
 asymptotic types (1, 2, 3, 4-1, 4-2, 4-3) by orienting the pair
 complementary to i into the frame [[0,-b,-b c0],[a,0,-a d0],[c0,d0,0]] and
 inspecting (c0, d0).  Types 4-2 and 4-3 carry a band index N located by
-exact Chebyshev ratios, compared in integers.  One third-component rule
-gives both the lifted g-vector sequences and, as its m -> infinity case,
-the limit rays of any alternating pair; the module also labels the
-triplet/case of a whole fan.
+the slopes of the pair's g-vectors, compared in integers.  One
+third-component rule gives both the lifted g-vector sequences and, as its
+m -> infinity case, the limit rays of any alternating pair; the module
+also labels the triplet/case of a whole fan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice, pairwise
 
-from .chebyshev import pair_terms, u_pairs
 from .exchange import (
     ExchangeMatrix,
     NotTotallyInfinite,
@@ -24,7 +24,7 @@ from .exchange import (
     swap_indices_12,
 )
 from .quadratic import QuadraticRay
-from .rank2 import g_sequence, limit_parts
+from .rank2 import g_vectors, limit_parts
 
 
 class PairNotInfinite(ValueError):
@@ -40,6 +40,8 @@ class UnexpectedCyclicTriplet(RuntimeError):
 
 
 _NATURAL_PAIR = {3: (1, 2), 1: (2, 3), 2: (3, 1)}
+_TAG_LABEL = {"T1": "1", "T2": "2", "T3": "3",
+              "T41": "4-1", "T42": "4-2", "T43": "4-3"}
 
 
 @dataclass(frozen=True)
@@ -110,45 +112,34 @@ def _third(tag: str, forward: bool, past_band: bool, alpha, beta,
     return c0 * alpha + (d0 + b * c0) * beta if full else 0
 
 
-def find_band_index(c0: int, d0: int, a: int, b: int,
-                    tag: str) -> tuple[int, bool]:
+def find_band_index(c0: int, d0: int, a: int, b: int) -> tuple[int, bool]:
     """(N, boundary_equality) for a Type 4-2 or 4-3 vertex.
 
     The ratio r = -d0/c0 falls into exactly one Chebyshev band:
     nu U_{N+1}/U_N <= r < nu U_N/U_{N-1} for 4-2 (upper bound ignored
-    at N = 0), or nu U_{N-1}/U_N <= r < nu U_N/U_{N+1} for 4-3.  With
-    e = -c0 > 0 and each bound num/den from `pair_terms` (den > 0), every
-    comparison is one of the integers num*e and d0*den.  c0, d0, a and b
-    must be ints.
+    at N = 0), or nu U_{N-1}/U_N <= r < nu U_N/U_{N+1} for 4-3.  Each
+    bound is the slope x/-y, y < 0, of a g-vector of the pair:
+    nu U_{n+1}/U_n of the backward g'_{n+1} and nu U_{n-1}/U_n of the
+    forward g_{n+2}.  With e = -c0 > 0, r against x/-y compares the
+    integers x*e and -y*d0.  c0, d0, a and b must be ints.
     """
     for x in (c0, d0, a, b):
         if type(x) is not int:
             raise ValueError("c0, d0, a and b must be ints")
-    if not (c0 < 0 < d0):
-        raise ValueError("band index requires c0 < 0 < d0")
+    tag = _tag(a, b, c0, d0)
     if tag not in ("T42", "T43"):
-        raise ValueError(f"band index undefined for tag {tag}")
-    if tag != _tag(a, b, c0, d0):
-        raise ValueError(
-            f"(c0,d0)=({c0},{d0}) is not of type {tag} for (a,b)=({a},{b})"
-        )
+        raise ValueError(f"band index undefined for type {_TAG_LABEL[tag]}")
     e = -c0
-    bound = 10 * max(d0.bit_length(), e.bit_length(), 4)
-    u = u_pairs(a * b)  # rejects ab < 4
-    next(u)  # U_{-2}
-    prev, cur = next(u), next(u)  # U_{n-1}, U_n at n = 0
-    for n in range(bound):
-        nxt = next(u)
-        if tag == "T42":
-            num, den = pair_terms(nxt, cur, a, b)
-            if num * e <= d0 * den:
-                return n, num * e == d0 * den
-        else:
-            num, den = pair_terms(cur, nxt, a, b)
-            if d0 * den < num * e:
-                num, den = pair_terms(prev, cur, a, b)
-                return n, num * e == d0 * den
-        prev, cur = cur, nxt
+    bound = range(10 * max(d0.bit_length(), e.bit_length(), 4))
+    if tag == "T42":  # first n with nu U_{n+1}/U_n <= r
+        for n, (x, y) in zip(bound, g_vectors("backward", a, b)):
+            if x * e <= -y * d0:
+                return n, x * e == -y * d0
+    else:  # first n with r < nu U_n/U_{n+1}, read on g_{n+3}
+        walk = pairwise(islice(g_vectors("forward", a, b), 1, None))
+        for n, ((px, py), (x, y)) in zip(bound, walk):
+            if -y * d0 < x * e:
+                return n, px * e == -py * d0
     raise InternalBandSearchFailure(
         f"no band within bound for (c0,d0)=({c0},{d0}), (a,b)=({a},{b})"
     )
@@ -164,7 +155,7 @@ def vertex_type(B: ExchangeMatrix, i: int) -> VertexTypeReport:
     tag = _tag(a, b, c0, d0)
     band = equality = None
     if tag in ("T42", "T43"):
-        band, equality = find_band_index(c0, d0, a, b, tag)
+        band, equality = find_band_index(c0, d0, a, b)
     return VertexTypeReport(
         vertex=i, tag=tag, c0_d0=(c0, d0), pair_ab=(a, b),
         swap_applied=(j, k) != natural, band_index=band,
@@ -179,17 +170,13 @@ def lifted_sequences(B: ExchangeMatrix, i: int, m_max: int):
     entry m-1 is the m-th g-vector of the alternating mutations.
     """
     rep = vertex_type(B, i)
-    a, b = rep.pair_ab
+    a, b, j, k = _orient(B, *_NATURAL_PAIR[i])
     c0, d0 = rep.c0_d0
-    j, k = _NATURAL_PAIR[i]
-    if rep.swap_applied:
-        j, k = k, j
     out = []
-    for forward in (True, False):
-        direction = "forward" if forward else "backward"
+    for forward, direction in ((True, "forward"), (False, "backward")):
         seq = []
-        for m in range(1, m_max + 1):
-            alpha, beta = g_sequence(direction, m, a, b)
+        walk = g_vectors(direction, a, b)
+        for m, (alpha, beta) in zip(range(1, m_max + 1), walk):
             past_band = rep.band_index is not None and m > rep.band_index + 1
             vec = [0, 0, 0]
             vec[j - 1] = alpha
@@ -232,10 +219,6 @@ def pair_asymptotics(B: ExchangeMatrix, i: int, j: int):
             q[ell - 1] = _third(tag, forward, True, 0, root, c0, d0, b)
         rays.append(QuadraticRay(p, q, delta, den))
     return tuple(rays)
-
-
-_TAG_LABEL = {"T1": "1", "T2": "2", "T3": "3",
-              "T41": "4-1", "T42": "4-2", "T43": "4-3"}
 
 
 def fan_type(B: ExchangeMatrix) -> FanTypeReport:

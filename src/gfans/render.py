@@ -135,23 +135,17 @@ def _guide_circle(axis: int, arc_resolution: float) -> str:
     v = [0.0, 0.0, 0.0]
     u[others[0]] = 1.0
     v[others[1]] = 1.0
-    segments = []
-    current = []
+    # every sample has <x, p> = (cos + sin)/sqrt(3) >= -sqrt(2/3), far
+    # above _CLIP_COSINE, so no sample is clipped
     steps = max(int(360.0 / arc_resolution), 12)
+    points = []
     for s in range(steps + 1):
         ang = 2.0 * math.pi * s / steps
         sample = tuple(
             math.cos(ang) * x + math.sin(ang) * y for x, y in zip(u, v)
         )
-        try:
-            current.append(_to_pixels(project_ray(sample)))
-        except NearAntipode:
-            if current:
-                segments.append(current)
-            current = []
-    if current:
-        segments.append(current)
-    return " ".join(_path(seg) for seg in segments)
+        points.append(_to_pixels(project_ray(sample)))
+    return _path(points)
 
 
 def render_svg(fan: Fan, opts: RenderOptions | None = None) -> str:

@@ -26,6 +26,7 @@ from gfans import (
     QuadraticNumber,
     SignCoherenceViolation,
     UnexpectedCyclicTriplet,
+    g_sequence,
     is_cluster_cyclic,
     limit_rays,
     markov_constant,
@@ -91,10 +92,14 @@ def test_explore_render_pipeline(markov_file, tmp_path):
 
 
 def test_rank2_table(capsys):
-    assert main(["rank2", "--a", "3", "--b", "2", "--steps", "5"]) == 0
+    # the table zips two walks; each row is the m-th entry read alone
+    assert main(["rank2", "--a", "3", "--b", "2", "--steps", "200"]) == 0
     out = capsys.readouterr().out
     assert "(5, -12)" in out
     assert "(30, -19)" in out
+    assert out.splitlines()[2:202] == [
+        f"{m:<4} {str(g_sequence('forward', m, 3, 2)):<13} "
+        f"{g_sequence('backward', m, 3, 2)}" for m in range(1, 201)]
 
 
 def test_pair_json(wing_file, capsys):
@@ -338,6 +343,23 @@ def test_word_count_is_the_sum_of_its_terms():
         for depth in range(13):
             assert _word_count(n, depth) == 1 + sum(
                 n * (n - 1) ** k for k in range(depth))
+
+
+def test_verify_refuses_a_count_one_digit_past_the_limit(
+        tmp_path, monkeypatch, capsys, int_digits_640):
+    # at depth 2125 the log10 precheck passes (2124 * log10 2 ~ 639.4 <=
+    # 641), and only printing 1 + 3 * (2^2125 - 1), 641 digits, fails
+    def refuse(s):
+        raise AssertionError("a seed was checked")
+
+    monkeypatch.setattr(gfans.cli, "verify_seed", refuse)
+    path = write_matrix(tmp_path / "a3.json", A3)
+    assert main(["verify", str(path), "--depth", "2125"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: --depth 2125 is too deep to print its count of words "
+        "(more than 640 digits)\n")
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -8,8 +9,10 @@ from gfans import (
     g_sequence,
     initial_seed,
     limit_vectors,
+    nu_ratio,
     rank2_matrices,
 )
+from gfans.rank2 import g_vectors
 from gfans.seeds import apply_word, transpose
 
 
@@ -54,6 +57,23 @@ def test_recursions_from_any_window(a, b):
         g2 = g_sequence("forward", m + 2, a, b)
         f = a if m % 2 == 1 else b
         assert g2 == (-g0[0] + f * g1[0], -g0[1] + f * g1[1])
+
+
+def test_band_bounds_are_g_vector_slopes():
+    # the identity the band search rests on: nu U_{n+1}/U_n is the slope
+    # x/-y of the backward g'_{n+1}, and nu U_{n-1}/U_n that of the
+    # forward g_{n+2}, with y < 0 on both
+    for a in range(1, 8):
+        for b in range(1, 8):
+            if a * b < 4:
+                continue
+            backward = list(islice(g_vectors("backward", a, b), 40))
+            forward = list(islice(g_vectors("forward", a, b), 1, 41))
+            for n in range(40):
+                x, y = backward[n]
+                assert y < 0 and Fraction(x, -y) == nu_ratio(n + 1, n, a, b)
+                x, y = forward[n]
+                assert y < 0 and Fraction(x, -y) == nu_ratio(n - 1, n, a, b)
 
 
 def test_sequences_match_seed_g_vectors():

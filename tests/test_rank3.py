@@ -22,7 +22,7 @@ from gfans import (
 )
 from gfans.chebyshev import pair_ratio, u_pairs
 from gfans.rank3 import _tag
-from gfans.seeds import apply_word
+from gfans.seeds import apply_word, mutate_seed
 from conftest import MARKOV, PINWHEEL, TUNNEL, WING, frame
 
 
@@ -65,22 +65,22 @@ def test_band_indices(c0, d0, tag, n, equality):
 
 
 def test_band_index_guards():
-    with pytest.raises(ValueError):
-        find_band_index(1, 1, 3, 2, "T42")
-    with pytest.raises(ValueError):
-        find_band_index(-1, 1, 3, 2, "T1")
+    with pytest.raises(ValueError, match="type 1"):
+        find_band_index(1, 1, 3, 2)
+    with pytest.raises(ValueError, match="type 4-1"):
+        find_band_index(-1, 1, 3, 2)
+    with pytest.raises(ValueError, match="ab >= 4"):
+        find_band_index(-1, 3, 1, 1)  # a 4-2 row against a finite pair
 
 
-@pytest.mark.parametrize("c0,d0,a,b,tag", [
-    (-2, 2, 3, 2, "T42"),  # a 4-1 point
-    (-2, 2, 3, 2, "T43"),
-    pytest.param(-(2 ** 150), 2 ** 150, 3, 2, "T42", id="150-bit-4-1"),
-    (-100, 159, 3, 2, "T43"),  # a 4-2 point
-    (-50, 21, 3, 2, "T42"),  # a 4-3 point
+@pytest.mark.parametrize("c0,d0", [
+    (-2, 2),
+    pytest.param(-(2 ** 150), 2 ** 150, id="150-bit"),
 ])
-def test_band_index_rejects_a_tag_the_point_does_not_have(c0, d0, a, b, tag):
-    with pytest.raises(ValueError, match="is not of type"):
-        find_band_index(c0, d0, a, b, tag)
+def test_band_index_names_the_type_it_refuses(c0, d0):
+    # the search derives its type from the row; a 4-1 row has no band
+    with pytest.raises(ValueError, match="undefined for type 4-1"):
+        find_band_index(c0, d0, 3, 2)
 
 
 def band_oracle(c0, d0, a, b, tag):
@@ -123,9 +123,9 @@ def test_band_index_matches_the_quadratic_search(point):
     want = band_oracle(c0, d0, a, b, tag)
     if want is None:
         with pytest.raises(InternalBandSearchFailure):
-            find_band_index(c0, d0, a, b, tag)
+            find_band_index(c0, d0, a, b)
     else:
-        assert find_band_index(c0, d0, a, b, tag) == want
+        assert find_band_index(c0, d0, a, b) == want
 
 
 def fraction_band_search(c0, d0, a, b, tag):
@@ -185,18 +185,18 @@ def test_band_index_matches_the_fraction_search(point):
     want = fraction_band_search(c0, d0, a, b, tag)
     if isinstance(want, str):
         with pytest.raises(InternalBandSearchFailure) as failure:
-            find_band_index(c0, d0, a, b, tag)
+            find_band_index(c0, d0, a, b)
         assert str(failure.value) == want
     else:
-        assert find_band_index(c0, d0, a, b, tag) == want
+        assert find_band_index(c0, d0, a, b) == want
 
 
 # a float used to escape as TypeError from Fraction, and bools were taken
 @pytest.mark.parametrize("args", [
-    (-1.0, 3, 1, 4, "T42"), (-1, 3.0, 1, 4, "T42"), (-1, 3, 1.0, 4, "T42"),
-    (-1, 3, 1, 4.0, "T42"), (-1, 3, 1, Fraction(4), "T42"),
-    (Fraction(-1), 3, 1, 4, "T42"), (-1, True, 1, 4, "T43"),
-    (-1, 3, True, 4, "T42"), (-1, 3, 1, "4", "T42")])
+    (-1.0, 3, 1, 4), (-1, 3.0, 1, 4), (-1, 3, 1.0, 4),
+    (-1, 3, 1, 4.0), (-1, 3, 1, Fraction(4)),
+    (Fraction(-1), 3, 1, 4), (-1, True, 1, 4),
+    (-1, 3, True, 4), (-1, 3, 1, "4")])
 def test_band_index_refuses_arguments_that_are_not_ints(args):
     with pytest.raises(ValueError, match="c0, d0, a and b must be ints"):
         find_band_index(*args)
@@ -261,6 +261,39 @@ def test_lifted_sequences_equal_seed_mutation(c0, d0):
         s = apply_word(initial_seed(B), alternating_word(2, 1, m))
         col = 2 if m % 2 == 1 else 1
         assert s.g_vector(col) == bwd[m - 1], ("bwd", m)
+
+
+C5 = ((0, -2, 7), (3, 0, -3), (-7, 2, 0))
+
+
+def negated(rows):
+    return tuple(tuple(-x for x in row) for row in rows)
+
+
+@pytest.mark.parametrize("rows", [
+    MARKOV, negated(MARKOV), WING, negated(WING), PINWHEEL,
+    negated(PINWHEEL), TUNNEL, negated(TUNNEL), C5, negated(C5),
+], ids=["markov", "-markov", "wing", "-wing", "pinwheel", "-pinwheel",
+        "tunnel", "-tunnel", "c5", "-c5"])
+def test_lifted_sequences_equal_seed_mutation_at_every_vertex(rows):
+    """At every vertex, swapped or not, the lifts are the g-vectors that
+    seed mutation reaches along the oriented alternating words: forward
+    j,k,j,... and backward k,j,k,..., with B[j,k] < 0 < B[k,j]; -C5
+    swaps its 4-2 and 4-3 vertices."""
+    B = ExchangeMatrix(rows)
+    m_max = 12
+    for i, (j, k) in ((3, (1, 2)), (1, (2, 3)), (2, (3, 1))):
+        swap = B[j, k] > 0
+        assert vertex_type(B, i).swap_applied == swap
+        if swap:
+            j, k = k, j
+        for word, want in zip((alternating_word(j, k, m_max),
+                               alternating_word(k, j, m_max)),
+                              lifted_sequences(B, i, m_max)):
+            s = initial_seed(B)
+            for m, letter in enumerate(word):
+                s = mutate_seed(s, letter)
+                assert s.g_vector(letter) == want[m], (i, word[0], m + 1)
 
 
 # -- limit rays --------------------------------------------------------------
