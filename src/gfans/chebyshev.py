@@ -4,11 +4,15 @@ With kappa^2 = ab, the values U_n live alternately in Z and Z*kappa, so
 U_n is the pair (even_part, odd_part) meaning even_part + odd_part*kappa:
 odd_part is 0 for even n and even_part is 0 for odd n.  `u_pairs` is the
 one recurrence over these pairs; `chebyshev_u` and `nu_ratio` read it by
-index, and the rank-2 closed forms walk it.  They stay in exact integers
-because every expression pairs an odd-index U with a factor of nu or 1/nu
-(nu*kappa = b, kappa/nu = a).  The band ratios nu U_{n+1}/U_n and
+index.  The paper's closed forms stay in exact integers because every
+expression pairs an odd-index U with a factor of nu or 1/nu (nu*kappa = b,
+kappa/nu = a).
+
+No engine module reads this one.  The band ratios nu U_{n+1}/U_n and
 nu U_{n-1}/U_n are the slopes of the pair's g-vectors, so the band search
-walks `rank2.g_vectors` instead; `nu_ratio` is its oracle.
+walks `rank2.g_vectors`, and `rank2.rank2_matrices` takes G_t's columns
+from the same walk; the values here are public API and the tests' oracle
+for both.
 """
 
 from __future__ import annotations

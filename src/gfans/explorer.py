@@ -11,12 +11,12 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .exchange import ExchangeMatrix, int_rows, json_value
 from .quadratic import QuadraticRay, root_sign
 from .seeds import (
     GCone,
-    _BuiltOnRead,
     _new_cone,
     collector_paused,
     cone_key,
@@ -69,7 +69,8 @@ def _edge_set(fan: Fan) -> set[frozenset]:
     return {frozenset(edge) for edge in zip(pairs, pairs)}
 
 
-Fan.adjacency = _BuiltOnRead("adjacency", _edge_set)
+Fan.adjacency = cached_property(_edge_set)  # after @dataclass, as Seed.b
+Fan.adjacency.__set_name__(Fan, "adjacency")
 
 
 def explore(B: ExchangeMatrix, depth: int,
@@ -100,9 +101,9 @@ def explore(B: ExchangeMatrix, depth: int,
     with collector_paused():
         steps = walk(s0, lambda s: cone_key(s.g), depth, fan.words)
         for child, key, parent_key, new in steps:
-            if key != parent_key:
-                edges.append(parent_key)
-                edges.append(key)
+            # only g_k changes and det G flips sign, so key != parent_key
+            edges.append(parent_key)
+            edges.append(key)
             if new:
                 if len(cones) >= max_cones:
                     raise ResourceCapExceeded(

@@ -1,16 +1,18 @@
-"""Closed forms for rank-2 cluster patterns of infinite type.
+"""Rank-2 cluster patterns of infinite type.
 
-Explicit C- and G-matrices indexed by the integer-labeled tree (vertex 0
-initial, edge labels alternating 1, 2 rightward starting with 1), the
-forward/backward g-vector sequences, and their limit directions in
-Q(sqrt(ab(ab-4))).
+The forward and backward g-vector walks along the alternating mutations,
+the C- and G-matrices indexed by the integer-labeled tree (vertex 0
+initial, edge labels alternating 1, 2 rightward starting with 1), and the
+limit directions of the walks in Q(sqrt(ab(ab-4))).  `g_vectors` is the
+one walk: G_t takes its two columns from it and C_t follows by tropical
+duality, so the paper's Chebyshev closed forms (`gfans.chebyshev`) are
+not read here.
 """
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import chain, islice
 
-from .chebyshev import u_pairs
 from .quadratic import QuadraticRay
 
 Mat2 = tuple[tuple[int, int], tuple[int, int]]
@@ -24,51 +26,30 @@ def _check_ab(a: int, b: int):
 def rank2_matrices(t: int, a: int, b: int) -> tuple[Mat2, Mat2]:
     """(C_t, G_t) for the initial matrix [[0,-b],[a,0]], ab >= 4.
 
-    det C_t = (-1)^t; the matrices agree with direct mutation along the
-    alternating word toward t.
+    The columns of G_t are g-vectors of one walk: the forward walk for
+    t > 0, the backward walk for t < 0.  g_{|t|} is the column of the
+    word's last letter, 1 for odd t > 0 and even t < 0, and g_{|t|-1} the
+    other column, with g_0 = e_2 and g'_0 = e_1.  C_t = D^-1 G_t^-T D by
+    tropical duality C_t^T D G_t = D (Nakanishi-Zelevinsky), with
+    D = diag(a, b)/gcd(a, b) and det G_t = (-1)^t.  The matrices agree
+    with direct mutation along the alternating word toward t.
     """
-    _check_ab(a, b)
-    if t == 1:
-        return ((-1, 0), (0, 1)), ((-1, 0), (0, 1))
-    # U_k is the pair values[k + 2] = (even, odd).  The forms below read
-    # U_k only for even k, where U_k = even, and nu*U_k and U_k/nu only for
-    # odd k, where U_k = odd*kappa, so nu*U_k = odd*b and U_k/nu = odd*a.
-    values = list(islice(u_pairs(a * b), abs(t) + 3))
-
-    def u(k):
-        return values[k + 2][0]
-
-    def nu_u(k):
-        return values[k + 2][1] * b
-
-    def inv_nu_u(k):
-        return values[k + 2][1] * a
-
-    if t >= 2 and t % 2 == 0:
-        n = t // 2
-        c = ((-u(2 * n - 2), nu_u(2 * n - 3)),
-             (-inv_nu_u(2 * n - 3), u(2 * n - 4)))
-        g = ((u(2 * n - 4), nu_u(2 * n - 3)),
-             (-inv_nu_u(2 * n - 3), -u(2 * n - 2)))
-    elif t >= 3:
-        n = (t - 1) // 2
-        c = ((u(2 * n - 2), -nu_u(2 * n - 1)),
-             (inv_nu_u(2 * n - 3), -u(2 * n - 2)))
-        g = ((u(2 * n - 2), nu_u(2 * n - 3)),
-             (-inv_nu_u(2 * n - 1), -u(2 * n - 2)))
-    elif t <= 0 and t % 2 == 0:
-        n = -t // 2
-        c = ((-u(2 * n - 2), nu_u(2 * n - 1)),
-             (-inv_nu_u(2 * n - 1), u(2 * n)))
-        g = ((u(2 * n), nu_u(2 * n - 1)),
-             (-inv_nu_u(2 * n - 1), -u(2 * n - 2)))
+    _check_ab(a, b)  # t = 0 reads no g-vector
+    # each walk starts from G_0 = I, listed other column first
+    if t > 0:
+        walk = chain(((1, 0), (0, 1)), g_vectors("forward", a, b))
     else:
-        n = (-t - 1) // 2
-        c = ((u(2 * n), -nu_u(2 * n - 1)),
-             (inv_nu_u(2 * n + 1), -u(2 * n)))
-        g = ((u(2 * n), nu_u(2 * n + 1)),
-             (-inv_nu_u(2 * n - 1), -u(2 * n)))
-    return c, g
+        walk = chain(((0, 1), (1, 0)), g_vectors("backward", a, b))
+    other, last = islice(walk, abs(t), abs(t) + 2)
+    if (t > 0) == (t % 2 == 1):  # the last letter is 1, or t = 0
+        (p, r), (q, s) = last, other
+    else:
+        (p, r), (q, s) = other, last
+    # G_t^-T = det * [[s, -r], [-q, p]]; D^-1 M D scales m_12 by b/a and
+    # m_21 by a/b, and the quotients are exact because C_t is integral
+    det = -1 if t % 2 else 1
+    c = ((det * s, -det * r * b // a), (-det * q * a // b, det * p))
+    return c, ((p, q), (r, s))
 
 
 def g_vectors(direction: str, a: int, b: int):

@@ -154,27 +154,6 @@ class Seed:
         return cls(b, transpose(c), transpose(g), word)
 
 
-class _BuiltOnRead:
-    """A field built on its first read: `build(obj)` makes the value, which
-    is kept on the instance as the attribute `name`, where every later read
-    finds it before this descriptor.  An instance that holds the field
-    never reaches it.  Set on the class after @dataclass, which would take
-    it for the field's default; a descriptor, not `__getattr__`, which
-    would take every attribute read of every instance off CPython's
-    specialized fast path."""
-
-    def __init__(self, name: str, build):
-        self.name = name
-        self.build = build
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = self.build(obj)
-        object.__setattr__(obj, self.name, value)
-        return value
-
-
 def _child_b(s: Seed) -> ExchangeMatrix:
     """mu_k(parent B) of a child of mutate_seed, which holds no b yet;
     drops the parent's B."""
@@ -184,7 +163,11 @@ def _child_b(s: Seed) -> ExchangeMatrix:
     return b
 
 
-Seed.b = _BuiltOnRead("b", _child_b)
+# set after @dataclass, which would take a class attribute for the field's
+# default; the value kept in the instance's __dict__ shadows it on every
+# later read, and an instance that holds b never reaches it
+Seed.b = cached_property(_child_b)
+Seed.b.__set_name__(Seed, "b")
 
 
 def initial_seed(B: ExchangeMatrix) -> Seed:

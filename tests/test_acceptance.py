@@ -40,7 +40,7 @@ from conftest import (
     random_cyclic_totally_infinite,
 )
 from test_exchange import random_skew_symmetrizable
-from test_rank2 import word_to
+from test_rank2 import chebyshev_closed_form, word_to
 from test_rank3 import GOLDEN_LIFTED
 
 
@@ -78,6 +78,8 @@ def test_2_closed_form_agreement(capsys):
                 s = apply_word(initial_seed(B), word_to(t))
                 assert rank2_matrices(t, a, b) == (
                     transpose(s.c), transpose(s.g)), (t, a, b)
+                assert rank2_matrices(t, a, b) == chebyshev_closed_form(
+                    t, a, b), (t, a, b)
 
 
 def test_3_type_worked_examples(capsys):

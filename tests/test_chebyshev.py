@@ -58,6 +58,10 @@ def test_recursion_holds_in_pair_form():
 def test_index_guard():
     with pytest.raises(ValueError):
         chebyshev_u(-3, 6)
+    with pytest.raises(ValueError, match="requires ab >= 4"):
+        chebyshev_u(0, 3)
+    with pytest.raises(ValueError, match="index must be >= -2"):
+        nu_ratio(-3, 0, 3, 2)
 
 
 def test_nu_ratio_against_floats():

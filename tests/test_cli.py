@@ -455,6 +455,14 @@ def test_parse_error_exit_code(tmp_path, capsys):
     finite = tmp_path / "finite.json"
     finite.write_text(json.dumps({"b": [[0, -1, -2], [3, 0, -6], [2, 2, 0]]}))
     assert main(["classify", str(finite)]) == 2
+    # the fan type is defined at rank 3 only
+    for rows in ([[0, -2], [3, 0]],
+                 [[0, 1, 0, 0], [-1, 0, 1, 0], [0, -1, 0, 1], [0, 0, -1, 0]]):
+        other = tmp_path / f"rank{len(rows)}.json"
+        other.write_text(json.dumps({"b": rows}))
+        capsys.readouterr()
+        assert main(["classify", str(other)]) == 2
+        assert "rank 3" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

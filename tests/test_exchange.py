@@ -74,6 +74,14 @@ def test_non_integer_entries_are_rejected(bad):
     assert ExchangeMatrix(rows).entries == ((0, 2, 0), (-2, 0, 2), (0, -2, 0))
 
 
+@pytest.mark.parametrize("rows", [(), ((0, 1, 0), (-1, 0, 1)),
+                                  ((0, 1), (-1, 0), (0, 0)),
+                                  ((0, 1), (-1, 0, 0))])
+def test_non_square_entries_are_rejected(rows):
+    with pytest.raises(ValueError, match="nonempty square matrix"):
+        ExchangeMatrix(rows)
+
+
 def test_symmetrizer_disconnected_components():
     b = ((0, -2, 0), (1, 0, 0), (0, 0, 0))
     # each sign-connected component is normalized independently
@@ -234,6 +242,8 @@ def test_cyclic_presentation_round_trip():
         B = ExchangeMatrix(entries)
         pres = cyclic_presentation(B)
         assert pres.to_matrix().entries == B.entries
+    with pytest.raises(ValueError, match="requires rank 3"):
+        cyclic_presentation(ExchangeMatrix(((0, -2), (2, 0))))
 
 
 def test_cyclic_detection():

@@ -113,6 +113,8 @@ def test_float_and_hash():
 def test_a_discriminant_that_is_not_an_int_is_refused(delta):
     with pytest.raises(ValueError, match="discriminant must be an int"):
         QuadraticNumber(1, 1, delta)
+    with pytest.raises(ValueError, match="discriminant must be nonnegative"):
+        QuadraticNumber(1, 1, -5)
 
 
 # Fraction() used to take these: '1/3' printed as 1/3, 0.1 as its binary

@@ -6,6 +6,7 @@ import pytest
 from gfans import (
     ExchangeMatrix,
     QuadraticNumber,
+    chebyshev_u,
     g_sequence,
     initial_seed,
     limit_vectors,
@@ -22,6 +23,66 @@ def word_to(t):
     if t >= 0:
         return [1 + (i % 2) for i in range(t)]
     return [2 - (i % 2) for i in range(-t)]
+
+
+def chebyshev_closed_form(t, a, b):
+    """(C_t, G_t) as rows by the paper's closed forms in U_k = U_k(kappa/2),
+    kappa^2 = ab: an oracle for `rank2_matrices`, which reads the g-vector
+    walk instead.  The forms read U_k only for even k, where U_k is an
+    integer, and nu*U_k or U_k/nu only for odd k, where U_k = odd*kappa,
+    so nu*U_k = odd*b and U_k/nu = odd*a."""
+    if t == 1:
+        return ((-1, 0), (0, 1)), ((-1, 0), (0, 1))
+
+    def u(k):
+        return chebyshev_u(k, a * b)[0]
+
+    def nu_u(k):
+        return chebyshev_u(k, a * b)[1] * b
+
+    def inv_nu_u(k):
+        return chebyshev_u(k, a * b)[1] * a
+
+    if t >= 2 and t % 2 == 0:
+        n = t // 2
+        c = ((-u(2 * n - 2), nu_u(2 * n - 3)),
+             (-inv_nu_u(2 * n - 3), u(2 * n - 4)))
+        g = ((u(2 * n - 4), nu_u(2 * n - 3)),
+             (-inv_nu_u(2 * n - 3), -u(2 * n - 2)))
+    elif t >= 3:
+        n = (t - 1) // 2
+        c = ((u(2 * n - 2), -nu_u(2 * n - 1)),
+             (inv_nu_u(2 * n - 3), -u(2 * n - 2)))
+        g = ((u(2 * n - 2), nu_u(2 * n - 3)),
+             (-inv_nu_u(2 * n - 1), -u(2 * n - 2)))
+    elif t <= 0 and t % 2 == 0:
+        n = -t // 2
+        c = ((-u(2 * n - 2), nu_u(2 * n - 1)),
+             (-inv_nu_u(2 * n - 1), u(2 * n)))
+        g = ((u(2 * n), nu_u(2 * n - 1)),
+             (-inv_nu_u(2 * n - 1), -u(2 * n - 2)))
+    else:
+        n = (-t - 1) // 2
+        c = ((u(2 * n), -nu_u(2 * n - 1)),
+             (inv_nu_u(2 * n + 1), -u(2 * n)))
+        g = ((u(2 * n), nu_u(2 * n + 1)),
+             (-inv_nu_u(2 * n - 1), -u(2 * n)))
+    return c, g
+
+
+def test_matrices_equal_chebyshev_closed_forms():
+    # the walk and the paper's formula agree on every a, b in 1..9 and t in
+    # -40..40; a pair of finite type is refused before any g-vector is read
+    for a in range(1, 10):
+        for b in range(1, 10):
+            for t in range(-40, 41):
+                if a * b < 4:
+                    with pytest.raises(ValueError,
+                                       match="requires a, b >= 1 with ab >= 4"):
+                        rank2_matrices(t, a, b)
+                else:
+                    assert rank2_matrices(t, a, b) == \
+                        chebyshev_closed_form(t, a, b), (t, a, b)
 
 
 @pytest.mark.parametrize("a,b", [(3, 2), (2, 2), (4, 1), (5, 1), (1, 4),
@@ -142,3 +203,5 @@ def test_rejects_finite_type_pairs():
         limit_vectors(1, 1)
     with pytest.raises(ValueError):
         g_sequence("sideways", 1, 3, 2)
+    with pytest.raises(ValueError, match="m must be >= 1"):
+        g_sequence("forward", 0, 3, 2)

@@ -325,6 +325,13 @@ def test_pair_asymptotics_matches_limit_rays_on_frames():
     assert v == w and vp == wp
     with pytest.raises(ValueError):
         pair_asymptotics(B, 1, 1)
+    # vertex types and limit rays are defined at rank 3 only
+    for other in (ExchangeMatrix(((0, -2), (3, 0))),
+                  ExchangeMatrix(((0, -1, 0, 0), (1, 0, -1, 0),
+                                  (0, 1, 0, -1), (0, 0, 1, 0)))):
+        for classify in (vertex_type, limit_rays):
+            with pytest.raises(ValueError, match="requires rank 3"):
+                classify(other, 1)
     finite_pair = ExchangeMatrix(((0, -1, -2), (3, 0, -6), (2, 2, 0)))
     with pytest.raises(PairNotInfinite):
         pair_asymptotics(finite_pair, 1, 2)
