@@ -261,7 +261,8 @@ def load_fan(doc: dict) -> Fan:
     """Decode a fan document, rejecting one whose cones are not D-dual,
     whose keys repeat or do not match their rays, whose words are not
     mutation words of length at most its depth, or whose adjacency edges
-    do not join two distinct cones that it has."""
+    do not join two distinct cones that it has.  The edges hold the cone
+    table's own key objects."""
     if json_value(doc, dict, "fan document").get("format") != _FORMAT:
         raise ValueError(f"unsupported fan document format {doc.get('format')}")
     source = ExchangeMatrix.from_json(doc["source"])
@@ -271,6 +272,7 @@ def load_fan(doc: dict) -> Fan:
     n, d = source.n, source.symmetrizer
     cones: dict[Key, GCone] = {}
     words: dict[Key, tuple[int, ...]] = {}
+    own: dict[Key, Key] = {}  # each cone key -> itself
     for entry in json_value(doc["cones"], list, "cones"):
         json_value(entry, dict, "cone")
         rays = int_rows(entry["g"], "cone g")
@@ -289,11 +291,18 @@ def load_fan(doc: dict) -> Fan:
                              f"1..{n} of length at most {depth}")
         cones[key] = _new_cone(rays, normals, d)
         words[key] = word
+        own[key] = key
     adjacency = set()
     for edge in json_value(doc["adjacency"], list, "adjacency"):
         if len(json_value(edge, list, "adjacency edge")) != 2:
             raise ValueError("adjacency edge must name exactly two keys")
-        edge = frozenset(int_rows(k, "adjacency key") for k in edge)
+        # int_rows refuses 1.0 or true for 1, which hash and compare equal
+        # to it, so a lookup alone would take them; a key the cone table
+        # has is then replaced by the table's own key object
+        a, b = edge
+        a = int_rows(a, "adjacency key")
+        b = int_rows(b, "adjacency key")
+        edge = frozenset((own.get(a, a), own.get(b, b)))
         if len(edge) != 2:
             raise ValueError("adjacency edge joins a cone to itself")
         if not edge <= cones.keys():

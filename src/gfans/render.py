@@ -3,7 +3,16 @@
 Rays are pushed to the unit sphere and projected to the tangent plane at
 p = (1,1,1)/sqrt(3) from the antipode -p.  This is the only module that
 uses floating point; everything upstream is exact, and the tolerances here
-are purely visual.
+are purely visual.  `_plane` is the one place the projection is written.
+
+A render turns each distinct ray into floats and projects it once: a
+table local to the call holds, for each ray, its unit vector and the
+pixel text of its image, or the NearAntipode that projecting it raised,
+and both endpoints of every arc are read from it.  One loop samples the
+interior of an arc: each sample goes through `_plane` and is mapped to
+pixels and formatted with the float operations of `_to_pixels` and
+`_fmt`, in their order, so the bytes are those of projecting, mapping
+and formatting every point on its own.
 
 A facet shared by two cones is one great-circle arc.  Its endpoints are
 sorted before it is sampled, so its polyline, and the `M ... L ...`
@@ -29,6 +38,7 @@ _VIEWPORT = (640, 640)  # SVG width and height in pixels
 _CLIP_COSINE = -0.95  # rays this close to the antipode -p are not drawn
 _CX, _CY = _VIEWPORT[0] / 2.0, _VIEWPORT[1] / 2.0  # pixel image of p
 _SCALE = min(_VIEWPORT) / 6.0  # pixels per tangent-plane unit
+_MIN_ARC_RESOLUTION = 0.01  # degrees: at most 36,000 samples per circle
 
 
 class NearAntipode(ValueError):
@@ -37,6 +47,11 @@ class NearAntipode(ValueError):
 
 @dataclass(frozen=True)
 class RenderOptions:
+    """How `render_svg` draws.  `arc_resolution` is the angle in degrees
+    between samples along an arc: a finite number of at least 0.01, so a
+    guide circle takes at most 36,000 samples.  A finer one is refused
+    here, before anything is sampled."""
+
     arc_resolution: float = 2.0  # degrees per sample along an arc
     shade_frontier: bool = True
     label_normals: bool = False
@@ -45,6 +60,9 @@ class RenderOptions:
         x = self.arc_resolution
         if not (math.isfinite(x) and x > 0):
             raise ValueError("arc_resolution must be a positive finite number")
+        if x < _MIN_ARC_RESOLUTION:
+            raise ValueError(
+                f"arc_resolution must be at least {_MIN_ARC_RESOLUTION} degrees")
 
 
 # Dot products and norms below are written out as a + b + c, left to right,
@@ -53,21 +71,21 @@ class RenderOptions:
 # the sign of an exact zero can differ from sum(), which starts from the
 # integer 0; _fmt and _to_pixels erase it.
 
-def _unit(ray):
-    x, y, z = map(float, ray)
+def _unit(x: float, y: float, z: float):
     norm = math.sqrt(x * x + y * y + z * z)
     if norm == 0.0:
         raise ValueError("cannot project the zero vector")
     return (x / norm, y / norm, z / norm)
 
 
-def project_ray(ray) -> tuple[float, float]:
-    """Stereographic image of a nonzero 3-vector in tangent-plane coords."""
-    x, y, z = _unit(ray)
+def _plane(x: float, y: float, z: float) -> tuple[float, float]:
+    """Stereographic image of a nonzero float 3-vector in tangent-plane
+    coords: the one place the projection is written."""
+    x, y, z = _unit(x, y, z)
     px, py, pz = _P
     c = x * px + y * py + z * pz
     if c <= _CLIP_COSINE:
-        raise NearAntipode(f"ray {ray} is within the clipped cap")
+        raise NearAntipode(f"ray {(x, y, z)} is within the clipped cap")
     k = 1.0 + c
     qx = -px + 2.0 * (x + px) / k
     qy = -py + 2.0 * (y + py) / k
@@ -78,24 +96,9 @@ def project_ray(ray) -> tuple[float, float]:
     )
 
 
-def arc_polyline(ray_a, ray_b, opts: RenderOptions):
-    """Sampled great-circle arc between two rays, projected pointwise."""
-    ua = ax, ay, az = _unit(ray_a)
-    bx, by, bz = _unit(ray_b)
-    dot = max(-1.0, min(1.0, ax * bx + ay * by + az * bz))
-    phi = math.acos(dot)
-    if phi < 1e-7:  # identical rays up to rounding (acos amplifies ulps)
-        return [project_ray(ua)]
-    steps = int(phi / math.radians(opts.arc_resolution)) + 1
-    sin_phi = math.sin(phi)
-    points = []
-    for s in range(steps + 1):
-        f = s / steps
-        w1 = math.sin((1.0 - f) * phi) / sin_phi
-        w2 = math.sin(f * phi) / sin_phi
-        points.append(project_ray(
-            (w1 * ax + w2 * bx, w1 * ay + w2 * by, w1 * az + w2 * bz)))
-    return points
+def project_ray(ray) -> tuple[float, float]:
+    """Stereographic image of a nonzero 3-vector in tangent-plane coords."""
+    return _plane(*map(float, ray))
 
 
 def _fmt(x: float) -> str:
@@ -113,16 +116,73 @@ def _path(pixels) -> str:
     return "M " + " L ".join(f"{_fmt(x)} {_fmt(y)}" for x, y in pixels)
 
 
-def _arc(drawn, ray_a, ray_b, opts: RenderOptions):
-    """(polyline, path segment) of the arc between two rays of a cone,
+def _end(ends, ray):
+    """(unit vector, pixel text) of a ray, from the table `ends` or put
+    into it.  The sample at an arc's end is that unit vector, so the text
+    is that of projecting the unit vector, as for the arc's interior.  If
+    projecting raised ValueError (NearAntipode, or a ray past the float
+    range that normalizes to zero), the error takes the text's place, to
+    be raised when an arc reaches that end."""
+    end = ends.get(ray)
+    if end is None:
+        u = _unit(*map(float, ray))
+        try:
+            x, y = _to_pixels(_plane(*u))
+            text = f"{_fmt(x)} {_fmt(y)}"
+        except ValueError as exc:
+            text = exc.with_traceback(None)
+        end = ends[ray] = (u, text)
+    return end
+
+
+def _reached(text) -> str:
+    """An end's pixel text, or a copy of the error kept in its place: the
+    kept one then never holds a traceback, nor the table a frame."""
+    if type(text) is str:
+        return text
+    raise type(text)(*text.args)
+
+
+def arc_polyline(ray_a, ray_b, opts: RenderOptions, ends) -> list[str]:
+    """The sampled great-circle arc between two rays, as the pixel text
+    `x y` of each point.
+
+    Both endpoints come from `ends`, the caller's table of ray ends (see
+    `_end`), which is filled for a ray it lacks.  One loop carries each
+    interior sample through `_plane`, `_to_pixels` and `_fmt`, written
+    out.  Points raise in the order they are sampled, from ray_a."""
+    (ax, ay, az), text_a = _end(ends, ray_a)
+    (bx, by, bz), text_b = _end(ends, ray_b)
+    dot = max(-1.0, min(1.0, ax * bx + ay * by + az * bz))
+    phi = math.acos(dot)
+    if phi < 1e-7:  # identical rays up to rounding (acos amplifies ulps)
+        return [_reached(text_a)]
+    steps = int(phi / math.radians(opts.arc_resolution)) + 1
+    sin_phi = math.sin(phi)
+    texts = [_reached(text_a)]
+    for s in range(1, steps):
+        f = s / steps
+        w1 = math.sin((1.0 - f) * phi) / sin_phi
+        w2 = math.sin(f * phi) / sin_phi
+        x, y = _plane(w1 * ax + w2 * bx, w1 * ay + w2 * by, w1 * az + w2 * bz)
+        x, y = _CX + _SCALE * x, _CY - _SCALE * y
+        text = f"{x:.4f} {y:.4f}"
+        texts.append(text if "-0.0000" not in text
+                     else f"{_fmt(x)} {_fmt(y)}")
+    texts.append(_reached(text_b))
+    return texts
+
+
+def _arc(drawn, ends, ray_a, ray_b, opts: RenderOptions):
+    """(pixel texts, path segment) of the arc between two rays of a cone,
     sampled from the lexicographically smaller ray so that a facet shared
     by two cones is sampled identically from both sides, and only once
     per `drawn`.  A facet that raises NearAntipode is not stored."""
     pair = (ray_a, ray_b) if ray_a <= ray_b else (ray_b, ray_a)
     hit = drawn.get(pair)
     if hit is None:
-        arc = arc_polyline(pair[0], pair[1], opts)
-        hit = drawn[pair] = (arc, _path(map(_to_pixels, arc)))
+        arc = arc_polyline(pair[0], pair[1], opts, ends)
+        hit = drawn[pair] = (arc, "M " + " L ".join(arc))
     return hit
 
 
@@ -169,14 +229,15 @@ def render_svg(fan: Fan, opts: RenderOptions | None = None) -> str:
             f'stroke="#bbbbbb" stroke-width="0.8"/>'
         )
     frontier = fan.frontier if opts.shade_frontier else set()
-    drawn = {}  # sorted ray pair -> (polyline, segment), this call only
+    ends = {}  # ray -> (unit vector, pixel text or error), this call only
+    drawn = {}  # sorted ray pair -> (pixel texts, segment), this call only
     for key in sorted(fan.cones):
         cone = fan.cones[key]
         r0, r1, r2 = cone.rays
         try:
-            arcs = [_arc(drawn, r0, r1, opts),
-                    _arc(drawn, r1, r2, opts),
-                    _arc(drawn, r2, r0, opts)]
+            arcs = [_arc(drawn, ends, r0, r1, opts),
+                    _arc(drawn, ends, r1, r2, opts),
+                    _arc(drawn, ends, r2, r0, opts)]
         except NearAntipode:
             continue
         d = " ".join(segment for _, segment in arcs)
@@ -189,11 +250,10 @@ def render_svg(fan: Fan, opts: RenderOptions | None = None) -> str:
             # c_i is normal to the facet spanned by g_{i+1} and g_{i+2}
             for i, normal in enumerate(cone.normals):
                 arc = arcs[(i + 1) % 3][0]
-                mid = arc[len(arc) // 2]
-                x, y = _to_pixels(mid)
+                x, y = arc[len(arc) // 2].split(" ")
                 text = ",".join(str(c) for c in normal)
                 lines.append(
-                    f'<text class="normal" x="{_fmt(x)}" y="{_fmt(y)}" '
+                    f'<text class="normal" x="{x}" y="{y}" '
                     f'font-size="7">({text})</text>'
                 )
     for axis in range(3):

@@ -200,7 +200,6 @@ def test_9_rendering(capsys):
     @checked(capsys, "9 SVG rendering")
     def _():
         from gfans import RenderOptions, arc_polyline
-        from gfans.render import _path, _to_pixels
 
         fan = explore(ExchangeMatrix(MARKOV), 5)
         svg = render_svg(fan)
@@ -220,8 +219,8 @@ def test_9_rendering(capsys):
             shared = sorted(set(fan.cones[k1].rays) & set(fan.cones[k2].rays))
             if len(shared) != 2:
                 continue
-            arc = arc_polyline(shared[0], shared[1], opts)
-            fragment = _path(map(_to_pixels, arc))
+            arc = arc_polyline(shared[0], shared[1], opts, {})
+            fragment = "M " + " L ".join(arc)
             for key in (k1, k2):
                 assert fragment in paths[key]
             checked_edges += 1

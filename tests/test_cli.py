@@ -13,6 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import gfans.cli
+import gfans.render
 import gfans.seeds
 from fractions import Fraction
 
@@ -516,6 +517,31 @@ def test_render_rejects_a_non_finite_arc_resolution(x, markov_file, tmp_path,
     assert main(["render", str(fan_path), f"--arc-resolution={x}"]) == 2
     assert capsys.readouterr().err == \
         "error: arc_resolution must be a positive finite number\n"
+
+
+def test_render_refuses_a_resolution_past_the_floor(markov_file, tmp_path,
+                                                   monkeypatch, capsys):
+    # 1e-9 degrees would be 360,000,000,000 samples per guide circle; the
+    # samplers fail at once if reached, so the loop is never started
+    fan_path = tmp_path / "fan.json"
+    assert main(["explore", markov_file, "--depth", "1",
+                 "--out", str(fan_path)]) == 0
+    capsys.readouterr()
+
+    def refuse(*args):
+        raise AssertionError("sampled at a refused resolution")
+
+    monkeypatch.setattr(gfans.render, "arc_polyline", refuse)
+    monkeypatch.setattr(gfans.render, "_guide_circle", refuse)
+    out = tmp_path / "fan.svg"
+    start = time.perf_counter()
+    assert main(["render", str(fan_path), "--arc-resolution", "1e-9",
+                 "--out", str(out)]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "error: arc_resolution must be at least 0.01 degrees\n")
+    assert not out.exists()
 
 
 def test_corrupted_fan_document_rejected(markov_file, tmp_path):

@@ -448,6 +448,33 @@ def test_load_rejects_bad_documents():
             load_fan(edited)
 
 
+@pytest.mark.parametrize("entry", [1.0, True], ids=["float", "bool"])
+def test_load_refuses_an_adjacency_key_equal_to_a_cone_key(entry):
+    # 1.0 and true hash and compare equal to 1, so a lookup in the cone
+    # table alone would take them for a cone's key
+    fan = explore(ExchangeMatrix(MARKOV), 1)
+    doc = json.loads(json.dumps(save_fan(fan)))
+    key = doc["adjacency"][0][1]
+    i, j = next((i, j) for i, row in enumerate(key)
+                for j, x in enumerate(row) if x == 1)
+    key[i][j] = entry
+    assert tuple(map(tuple, key)) in fan.cones
+    with pytest.raises(ValueError,
+                       match="^adjacency key must be integers in JSON lists$"):
+        load_fan(doc)
+
+
+def test_loaded_edges_hold_their_cones_keys():
+    fan = explore(ExchangeMatrix(TUNNEL), 5)
+    loaded = load_fan(json.loads(_written(fan)))
+    assert loaded == fan
+    own = {key: key for key in loaded.cones}
+    assert len(loaded.adjacency) == len(fan.adjacency) > 0
+    for edge in loaded.adjacency:
+        for key in edge:
+            assert key is own[key]
+
+
 def _written(fan):
     fh = io.StringIO()
     write_fan(fan, fh)

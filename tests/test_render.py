@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import time
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -17,7 +18,7 @@ from gfans import (
     project_ray,
     render_svg,
 )
-from gfans.render import _B1, _B2, _CLIP_COSINE, _P, _fmt, _path, _to_pixels
+from gfans.render import _B1, _B2, _CLIP_COSINE, _P, _fmt, _to_pixels
 from conftest import A3, B2_A1, MARKOV, TUNNEL
 from test_exchange import random_skew_symmetrizable
 
@@ -40,7 +41,13 @@ def cone_elements(fan, svg):
 
 def segment(ray_a, ray_b, opts):
     """The `M ... L ...` segment of the arc between two rays."""
-    return _path(map(_to_pixels, arc_polyline(ray_a, ray_b, opts)))
+    return "M " + " L ".join(arc_polyline(ray_a, ray_b, opts, {}))
+
+
+def pixel_text(ray):
+    """The `x y` pixel text of a ray's image, one point of a segment."""
+    x, y = _to_pixels(project_ray(ray))
+    return f"{_fmt(x)} {_fmt(y)}"
 
 
 def test_projection_fixes_the_center():
@@ -68,15 +75,43 @@ def test_antipode_clipping():
 
 def test_arc_polyline_endpoints_and_density():
     opts = RenderOptions(arc_resolution=1.0)
-    pts = arc_polyline((1, 0, 0), (0, 1, 0), opts)
-    assert pts[0] == pytest.approx(project_ray((1, 0, 0)))
-    assert pts[-1] == pytest.approx(project_ray((0, 1, 0)))
+    ends = {}
+    pts = arc_polyline((1, 0, 0), (0, 1, 0), opts, ends)
+    assert pts[0] == pixel_text((1, 0, 0))
+    assert pts[-1] == pixel_text((0, 1, 0))
     assert len(pts) >= 90  # a 90-degree arc at 1 degree per step
-    coarse = arc_polyline((1, 0, 0), (0, 1, 0), RenderOptions(arc_resolution=30.0))
+    # the endpoints are kept in the caller's table, one entry per ray
+    assert set(ends) == {(1, 0, 0), (0, 1, 0)}
+    coarse = arc_polyline((1, 0, 0), (0, 1, 0),
+                          RenderOptions(arc_resolution=30.0), ends)
     assert len(coarse) < len(pts)
-    assert arc_polyline((1, 1, 0), (2, 2, 0), opts) == [
-        project_ray((1, 1, 0))
+    assert (coarse[0], coarse[-1]) == (pts[0], pts[-1])
+    assert arc_polyline((1, 1, 0), (2, 2, 0), opts, {}) == [
+        pixel_text((1, 1, 0))
     ]
+
+
+def test_a_pixel_that_rounds_to_minus_zero_is_written_as_zero(monkeypatch):
+    # the sampling loop formats both coordinates of a point at once; a
+    # "-0.0000" must still come out as _fmt writes it
+    opts = RenderOptions(arc_resolution=30.0)
+    plane, images = gfans.render._plane, []
+
+    def recording(x, y, z):
+        images.append(plane(x, y, z))
+        return images[-1]
+
+    monkeypatch.setattr(gfans.render, "_plane", recording)
+    arc_polyline((1, 0, 0), (0, 1, 0), opts, {})
+    u, v = images[3]  # the second interior sample; ends come first
+    monkeypatch.setattr(gfans.render, "_CX", -gfans.render._SCALE * u - 1e-9)
+    monkeypatch.setattr(gfans.render, "_CY", gfans.render._SCALE * v - 1e-9)
+    images.clear()
+    texts = arc_polyline((1, 0, 0), (0, 1, 0), opts, {})
+    assert texts[2] == "0.0000 0.0000"
+    a, b, *interior = images
+    assert texts == [f"{_fmt(x)} {_fmt(y)}"
+                     for x, y in map(_to_pixels, [a, *interior, b])]
 
 
 def test_render_options_validation():
@@ -89,6 +124,35 @@ def test_arc_resolution_must_be_finite(x):
     # nan <= 0 is false, so a sign test alone lets NaN through
     with pytest.raises(ValueError, match="positive finite number"):
         RenderOptions(arc_resolution=x)
+
+
+@pytest.fixture
+def no_sampling(monkeypatch):
+    """Make sampling an arc or a guide circle fail at once, so a test of a
+    refused resolution cannot start the loop it guards against."""
+    def refuse(*args):
+        raise AssertionError("sampled at a refused resolution")
+
+    monkeypatch.setattr(gfans.render, "arc_polyline", refuse)
+    monkeypatch.setattr(gfans.render, "_guide_circle", refuse)
+
+
+@pytest.mark.parametrize("x", [1e-9, 0.0099, 5e-324])
+def test_a_resolution_finer_than_the_floor_is_refused(x, no_sampling):
+    # 1e-9 degrees would be 360,000,000,000 samples per guide circle
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as refused:
+        RenderOptions(arc_resolution=x)
+    assert time.perf_counter() - start < 1.0
+    assert str(refused.value) == "arc_resolution must be at least 0.01 degrees"
+
+
+def test_the_floor_resolution_is_drawn():
+    # 0.01 degrees: 35,999 samples per guide circle, bounded work
+    fan = explore(ExchangeMatrix(MARKOV), 0)
+    opts = RenderOptions(arc_resolution=0.01)
+    guide = ET.fromstring(render_svg(fan, opts)).find(SVG_NS + "path")
+    assert guide.get("d").count(" L ") == int(360.0 / 0.01)
 
 
 def test_svg_structure_matches_fan():
@@ -152,12 +216,11 @@ def test_normal_labels_sit_on_their_facets(b):
         assert len(labels) == 3
         for i, label in enumerate(labels):
             assert label.text == f"({','.join(map(str, cone.normals[i]))})"
-            at = (float(label.get("x")), float(label.get("y")))
+            at = f"{label.get('x')} {label.get('y')}"
             on = []
             for pair in itertools.combinations(sorted(cone.rays), 2):
-                arc = arc_polyline(*pair, opts)
-                mid = _to_pixels(arc[len(arc) // 2])
-                if math.dist(mid, at) < 1e-3:
+                arc = arc_polyline(*pair, opts, {})
+                if arc[len(arc) // 2] == at:
                     on.append(pair)
             assert len(on) == 1
             for ray in on[0]:
@@ -366,6 +429,10 @@ def reference_svg(fan, opts):
        st.integers(0, 4),
        st.builds(RenderOptions, st.floats(0.5, 30.0), st.booleans(),
                  st.booleans()))
+# Tunnel at depth 7: most facets are one-point arcs (phi < 1e-7) or
+# one-step arcs, the kinds that dominate deep fans
+@example(ExchangeMatrix(TUNNEL), 7, RenderOptions())
+@example(ExchangeMatrix(TUNNEL), 7, RenderOptions(label_normals=True))
 def test_render_matches_the_reference(B, depth, opts):
     fan = explore(B, depth)
     got = render_svg(fan, opts).split("\n")
@@ -384,11 +451,11 @@ def counting_arcs(monkeypatch, fail=frozenset()):
     NearAntipode."""
     calls = []
 
-    def counting(ray_a, ray_b, opts):
+    def counting(ray_a, ray_b, opts, ends):
         calls.append((ray_a, ray_b))
         if (ray_a, ray_b) in fail:
             raise NearAntipode("clipped")
-        return arc_polyline(ray_a, ray_b, opts)
+        return arc_polyline(ray_a, ray_b, opts, ends)
 
     monkeypatch.setattr(gfans.render, "arc_polyline", counting)
     return calls
@@ -401,6 +468,37 @@ def test_each_facet_is_sampled_once(monkeypatch):
     render_svg(fan)
     assert len(fan.cones) == 14
     assert len(calls) == len(set(calls)) == 21
+
+
+def test_each_ray_is_converted_and_projected_once(monkeypatch):
+    # the complete A3 fan: 14 cones on 9 rays, 21 facets
+    fan = explore(ExchangeMatrix(A3), 6)
+    rays = {ray for cone in fan.cones.values() for ray in cone.rays}
+    render_svg(fan)  # the guide circles are kept across renders
+    projected = []
+    plane = gfans.render._plane
+
+    def counting(x, y, z):
+        projected.append((x, y, z))
+        return plane(x, y, z)
+
+    monkeypatch.setattr(gfans.render, "_plane", counting)
+    svg = render_svg(fan)
+    assert (len(fan.cones), len(rays)) == (14, 9)
+    # a ray's unit vector is the one sample that projects it; the vertex
+    # circles project the three axes once more
+    axes = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]
+    for ray in rays:
+        u = gfans.render._unit(*map(float, ray))
+        assert projected.count(u) == 1 + (u in axes)
+    # each facet is in two cone paths; apart from the rays, only its
+    # interior points are projected, once
+    segments = [segment for e in ET.fromstring(svg)
+                if e.get("class") == "cone"
+                for segment in e.get("d").split(" M ")]
+    assert len(segments) == 2 * 21
+    interior = sum(seg.count(" L ") - 1 for seg in segments) // 2
+    assert len(projected) == len(rays) + interior + len(axes)
 
 
 def test_a_clipped_facet_is_not_remembered(monkeypatch):
