@@ -169,13 +169,14 @@ def _cmd_explore(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    fan = load_fan_file(args.fan)
+    # the options are checked before the document is read, so a refused
+    # option costs no load and is reported ahead of a bad document
     opts = RenderOptions(
         arc_resolution=args.arc_resolution,
         shade_frontier=not args.no_shade,
         label_normals=args.label_normals,
     )
-    _emit(render_svg(fan, opts), args.out)
+    _emit(render_svg(load_fan_file(args.fan), opts), args.out)
     return EXIT_OK
 
 

@@ -12,6 +12,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import mul
 
 from .exchange import ExchangeMatrix, int_rows, json_value
 from .quadratic import QuadraticRay, root_sign
@@ -133,20 +134,47 @@ def cone_contains(cone: GCone, ray, strictness: str = "interior") -> bool:
     (P + Q sqrt(delta)) / den with integer P, Q and den > 0, so each of its
     pairings is two integer dot products and one `root_sign`.  The ray must
     have one coordinate per row of the cone's matrix.
+
+    The facets are tried in order and the first pairing of the wrong sign
+    decides.  At rank 3 the ray (or P and Q) is unpacked once and each
+    pairing is written out as a*x + b*y + c*z; any other rank takes
+    `sum(map(mul, ...))`.  Both give the same answer on every input.
     """
-    if len(ray) != len(cone.symmetrizer):
-        raise ValueError(f"ray of rank {len(ray)} for a cone of rank "
-                         f"{len(cone.symmetrizer)}")
+    n = len(cone.symmetrizer)
+    if len(ray) != n:
+        raise ValueError(f"ray of rank {len(ray)} for a cone of rank {n}")
     least = _least(strictness)
-    if not isinstance(ray, QuadraticRay):
-        for row in cone.facets:
-            s = _dot(row, ray)
+    facets = cone.facets
+    if isinstance(ray, QuadraticRay):
+        delta = ray.delta
+        if n == 3:
+            p1, p2, p3 = ray.p
+            q1, q2, q3 = ray.q
+            for a, b, c in facets:
+                if root_sign(a * p1 + b * p2 + c * p3,
+                             a * q1 + b * q2 + c * q3, delta) < least:
+                    return False
+            return True
+        p, q = ray.p, ray.q
+        for row in facets:
+            if root_sign(sum(map(mul, row, p)), sum(map(mul, row, q)),
+                         delta) < least:
+                return False
+        return True
+    # compare the sign of s with least, not s itself: a Fraction pairing
+    # can lie strictly between 0 and 1
+    if n == 3:
+        x, y, z = ray
+        for a, b, c in facets:
+            s = a * x + b * y + c * z
             if (s > 0) - (s < 0) < least:
                 return False
         return True
-    p, q, delta = ray.p, ray.q, ray.delta
-    return all(root_sign(_dot(row, p), _dot(row, q), delta) >= least
-               for row in cone.facets)
+    for row in facets:
+        s = sum(map(mul, row, ray))
+        if (s > 0) - (s < 0) < least:
+            return False
+    return True
 
 
 def _least(strictness: str) -> int:
@@ -159,10 +187,6 @@ def _least(strictness: str) -> int:
     raise ValueError("strictness must be 'interior' or 'closure'")
 
 
-def _dot(u, v):
-    return sum(x * y for x, y in zip(u, v))
-
-
 def _cross(u, v):
     return (
         u[1] * v[2] - u[2] * v[1],
@@ -171,10 +195,14 @@ def _cross(u, v):
     )
 
 
-def _pairings(n, rays):
-    """<n, g> for each ray g, all of rank 3."""
+def _none_positive(n, rays) -> bool:
+    """<n, g> <= 0 for every ray g, all of rank 3; stops at the first
+    positive pairing."""
     x, y, z = n
-    return [x * g0 + y * g1 + z * g2 for g0, g1, g2 in rays]
+    for g0, g1, g2 in rays:
+        if x * g0 + y * g1 + z * g2 > 0:
+            return False
+    return True
 
 
 def interiors_disjoint(a: GCone, b: GCone) -> bool:
@@ -202,25 +230,25 @@ def interiors_disjoint(a: GCone, b: GCone) -> bool:
       (-v') x u' = u' x v'.
 
     The 15 candidates are tried in that order, and the first that
-    separates decides; the interiors meet only if none does.  Two cones
-    that share a facet are decided by the first kind, without a cross
-    product.
+    separates decides; the interiors meet only if none does.  Each
+    candidate is checked by `_none_positive`, in straight-line integer
+    arithmetic, up to the first ray on its wrong side.  Two cones that
+    share a facet are decided by the first kind, without a cross product.
     """
     if len(a.rays) != 3 or len(b.rays) != 3:
         raise ValueError("interiors_disjoint needs two rank-3 cones")
     ra, rb = a.rays, b.rays
     for n in a.facets:
-        if max(_pairings(n, rb)) <= 0:
+        if _none_positive(n, rb):
             return True
     for n in b.facets:
-        if max(_pairings(n, ra)) <= 0:
+        if _none_positive(n, ra):
             return True
     for u in ra:
         for v in rb:
-            n = _cross(u, v)
-            if not any(n):
-                continue
-            if min(_pairings(n, ra)) >= 0 >= max(_pairings(n, rb)):
+            n = x, y, z = _cross(u, v)
+            if (x or y or z) and _none_positive(n, rb) \
+                    and _none_positive((-x, -y, -z), ra):
                 return True
     return False
 

@@ -544,6 +544,25 @@ def test_render_refuses_a_resolution_past_the_floor(markov_file, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("x", ["1e-9", "nan"])
+def test_render_refuses_its_options_before_reading_the_document(
+        x, tmp_path, monkeypatch, capsys):
+    # the refused option once cost a full load and check of the document
+    # (51.7 ms on Tunnel at depth 8); now the document is never opened,
+    # so a bad option is reported even ahead of a missing document
+    def refuse(path):
+        raise AssertionError("read the fan document")
+
+    monkeypatch.setattr(gfans.cli, "load_fan_file", refuse)
+    assert main(["render", str(tmp_path / "missing.json"),
+                 f"--arc-resolution={x}"]) == 2
+    captured = capsys.readouterr()
+    floor = "at least 0.01 degrees" if x == "1e-9" else \
+        "a positive finite number"
+    assert (captured.out, captured.err) == (
+        "", f"error: arc_resolution must be {floor}\n")
+
+
 def test_corrupted_fan_document_rejected(markov_file, tmp_path):
     # a fan document with a non-unimodular cone is rejected at load
     fan_path = tmp_path / "fan.json"

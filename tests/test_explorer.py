@@ -294,10 +294,11 @@ def test_cone_membership_with_irrational_rays():
 def test_cone_contains_rejects_a_ray_of_the_wrong_rank():
     cone = next(iter(explore(ExchangeMatrix(MARKOV), 0).cones.values()))
     # zipped pairings once called the first interior and tested the
-    # second on two coordinates only
+    # second on two coordinates only; the rank is refused before the
+    # strictness is read
     for ray in ((1, 1, 1, -7), (1, 1), QuadraticRay((1, 1), (1, 0), 5, 1),
                 QuadraticRay((1, 1, 1, 1), (0, 0, 0, 1), 5, 2)):
-        for strictness in ("interior", "closure"):
+        for strictness in ("interior", "closure", "boundary"):
             with pytest.raises(ValueError, match="rank"):
                 cone_contains(cone, ray, strictness)
     wing = next(iter(explore(ExchangeMatrix(WING), 0).cones.values()))
@@ -733,14 +734,31 @@ def _limit_rays(B):
     return rays
 
 
+def _exact_variants(ray):
+    """A ray of ints and Fractions as a list, in thirds, and as a list in
+    thirds nudged by a third along its first axis: exact rays whose
+    pairings are not integers, of every sign, some strictly between -1
+    and 1.  A `QuadraticRay` has no variants."""
+    if isinstance(ray, QuadraticRay):
+        return []
+    thirds = [Fraction(x, 3) for x in ray]
+    nudged = [thirds[0] + Fraction(1, 3)] + thirds[1:]
+    return [list(ray), tuple(thirds), nudged]
+
+
 def _assert_rules_agree(fan, rays):
     cones = [fan.cones[k] for k in sorted(fan.cones)]
     # rays of the fan itself: a ray and the sum of two rays of a cone lie
-    # on its boundary, the sum over two cones crosses the walls between
+    # on its boundary, the sum of all its rays inside it, and the sum over
+    # two cones crosses the walls between
     rays = list(rays)
+    start = len(rays)
     for a, b in zip(cones[:8], cones[1:9] + cones[:1]):
         rays += [a.rays[0], tuple(map(sum, zip(*a.rays[:2]))),
+                 tuple(map(sum, zip(*a.rays))),
                  tuple(map(sum, zip(*a.rays, *b.rays)))]
+    # the first cone's four again, as lists and in Fractions
+    rays += [v for ray in rays[start:start + 4] for v in _exact_variants(ray)]
     for cone in cones:
         normals = _adjugate_normals(cone)
         for ray in rays:
@@ -767,17 +785,44 @@ def test_duality_rule_matches_adjugate_rule_on_fixtures(B):
     _assert_rules_agree(_reloaded(fan), rays)
 
 
+_exact_coordinates = st.one_of(st.integers(-4, 4),
+                               st.fractions(-4, 4, max_denominator=6))
+
+
 @settings(max_examples=40, deadline=None)
 @given(skew_symmetrizable_matrices, st.sampled_from(range(4)),
        st.booleans(),
-       st.lists(st.lists(st.integers(-4, 4), min_size=4, max_size=4),
+       st.lists(st.tuples(st.lists(_exact_coordinates, min_size=4,
+                                   max_size=4),
+                          st.sampled_from([tuple, list])),
                 max_size=6))
+# the generic path at both ranks it serves, with pairings in (0, 1)
+@example(ExchangeMatrix(((0, 3), (-2, 0))), 3, False,
+         [([Fraction(1, 2), Fraction(1, 3), 0, 0], list)])
+@example(ExchangeMatrix(A4), 2, True,
+         [([Fraction(1, 5), Fraction(1, 4), Fraction(1, 3), 1], tuple)])
 def test_duality_rule_matches_adjugate_rule(B, depth, reload, points):
+    # ranks 2 to 4; points mix ints and Fractions, as tuples or lists
     fan = explore(B, depth)
     if reload:
         fan = _reloaded(fan)
-    rays = [tuple(p[:B.n]) for p in points] + _limit_rays(B)[:4]
+    rays = [kind(p[:B.n]) for p, kind in points] + _limit_rays(B)[:4]
     _assert_rules_agree(fan, rays)
+
+
+@pytest.mark.parametrize("B", [((0, 3), (-2, 0)), A4],
+                         ids=["rank 2", "rank 4"])
+def test_components_of_a_quadratic_ray_are_no_ray(B):
+    # as at rank 3, a plain tuple or list of QuadraticNumbers is refused
+    # rather than paired component by component
+    cone = next(iter(explore(ExchangeMatrix(B), 0).cones.values()))
+    n = len(B)
+    ray = QuadraticRay((1,) * n, (1,) + (0,) * (n - 1), 5, 1)
+    assert cone_contains(cone, ray, "interior")
+    for strictness in ("interior", "closure"):
+        for plain in (tuple(ray), list(ray)):
+            with pytest.raises(TypeError):
+                cone_contains(cone, plain, strictness)
 
 
 # -- containment on quadratic rays against a bracketing oracle ---------------
