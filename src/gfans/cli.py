@@ -101,6 +101,9 @@ def _cmd_classify(args) -> int:
     # total infiniteness, the other half of the cluster-cyclic test
     constant = report.markov_constant
     cyclic_verdict = constant is not None and constant <= 4
+    # With swap_applied, two labellings meet here: the triplet, vertices
+    # and `v1:` lines use fan_type's normalized labels, 1 and 2 exchanged,
+    # and limit_rays and the `limit rays at v1:` lines the input's own.
     doc = {
         "triplet": list(report.triplet),
         "case": report.case_label,

@@ -241,18 +241,16 @@ def cyclic_presentation(B: ExchangeMatrix) -> CyclicPresentation:
 
 
 def swap_indices_12(B: ExchangeMatrix) -> ExchangeMatrix:
-    """Exchange the roles of indices 1 and 2 (conjugation by the swap).
-
-    The minimal symmetrizer of the swapped matrix is B's with d_1 and d_2
-    exchanged, so it is carried over, not recomputed."""
-    perm = [1, 0] + list(range(2, B.n))
+    """Exchange the roles of indices 1 and 2 (conjugation by the swap) of
+    a matrix of rank at least 2.  The swapped matrix computes its own
+    minimal symmetrizer, which is B's with d_1 and d_2 exchanged."""
+    n = B.n
+    if n < 2:
+        raise ValueError(f"swap_indices_12 needs rank at least 2, not {n}")
+    perm = [1, 0] + list(range(2, n))
     b = B.entries
-    d = B.symmetrizer
-    return ExchangeMatrix._with_symmetrizer(
-        tuple(tuple(b[perm[i]][perm[j]] for j in range(B.n))
-              for i in range(B.n)),
-        tuple(d[k] for k in perm),
-    )
+    return ExchangeMatrix(
+        tuple(tuple(b[perm[i]][perm[j]] for j in range(n)) for i in range(n)))
 
 
 def markov_constant(B: ExchangeMatrix) -> int:

@@ -18,7 +18,6 @@ from .exchange import ExchangeMatrix, int_rows, json_value
 from .quadratic import QuadraticRay, root_sign
 from .seeds import (
     GCone,
-    _new_cone,
     collector_paused,
     cone_key,
     d_paired,
@@ -317,7 +316,7 @@ def load_fan(doc: dict) -> Fan:
         if len(word) > depth or not all(1 <= k <= n for k in word):
             raise ValueError(f"cone word {list(word)} is not a word in "
                              f"1..{n} of length at most {depth}")
-        cones[key] = _new_cone(rays, normals, d)
+        cones[key] = GCone(rays, normals, d)
         words[key] = word
         own[key] = key
     adjacency = set()

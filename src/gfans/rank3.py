@@ -225,7 +225,10 @@ def fan_type(B: ExchangeMatrix) -> FanTypeReport:
     """Triplet of vertex types and the global-pattern case label.
 
     Normalized so that p_3 > 0, swapping indices 1 and 2 if necessary.
-    Acyclic matrices get case A; cyclic ones get C-1 .. C-5.
+    Acyclic matrices get case A; cyclic ones get C-1 .. C-5.  When the
+    swap is applied, `triplet` and `reports` use the normalized labels:
+    entry i is `vertex_type(swap_indices_12(B), i)`, so v1 and v2 are the
+    input's v2 and v1.  `limit_rays(B, i)` reads B in its own labels.
     """
     if B.n != 3:
         raise ValueError("fan type requires rank 3")

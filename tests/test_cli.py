@@ -31,6 +31,8 @@ from gfans import (
     is_cluster_cyclic,
     limit_rays,
     markov_constant,
+    swap_indices_12,
+    vertex_type,
 )
 from gfans.cli import _word_count, build_parser, main
 from gfans.exchange import mutate_matrix
@@ -957,6 +959,36 @@ def test_golden_classify_pins_what_they_name(tmp_path, capsys):
     v3 = docs["AB4_EQUALITY"]["vertices"][2]
     assert (v3["type"], v3["band_index"], v3["boundary_equality"]) == \
         ("T42", 3, True)
+
+
+def test_classify_after_a_swap_uses_two_labellings(tmp_path, capsys):
+    # the vertices are those of the normalized matrix, with indices 1 and
+    # 2 exchanged; the limit rays are those of the input, in its labels
+    B = ExchangeMatrix(GOLDEN_MATRICES["NEG_WING"])
+    S = swap_indices_12(B)
+    path = tmp_path / "neg_wing.json"
+    path.write_text(json.dumps({"b": [list(r) for r in B.entries]}))
+    assert main(["classify", str(path), "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["swap_applied"]
+    for i in (1, 2, 3):
+        r = vertex_type(S, i)
+        assert doc["vertices"][i - 1] == {
+            "vertex": i, "type": r.tag, "c0_d0": list(r.c0_d0),
+            "pair_ab": list(r.pair_ab), "band_index": r.band_index,
+            "boundary_equality": r.boundary_equality,
+            "swap_applied": r.swap_applied,
+        }
+        v, vp = limit_rays(B, i)
+        assert doc["limit_rays"][str(i)] == {
+            "v": [[str(c.x), str(c.y), c.delta] for c in v],
+            "v_prime": [[str(c.x), str(c.y), c.delta] for c in vp],
+        }
+    # the two labellings differ here, so the relation pins which is which
+    assert [vertex_type(B, i).c0_d0 for i in (1, 2, 3)] != \
+        [vertex_type(S, i).c0_d0 for i in (1, 2, 3)]
+    assert [limit_rays(B, i) for i in (1, 2, 3)] != \
+        [limit_rays(S, i) for i in (1, 2, 3)]
 
 
 def test_a_band_past_the_search_bound_exits_1(tmp_path, capsys):

@@ -158,10 +158,10 @@ def test_symmetrizer_matches_the_fraction_propagation():
 @settings(max_examples=150, deadline=None)
 @given(skew_symmetrizable_matrices)
 def test_swap_carries_the_minimal_symmetrizer(B):
-    assume(set(B.symmetrizer) != {1})
-    S = swap_indices_12(B)
-    assert S.symmetrizer == skew_symmetrizer(S.entries)
-    assert S.symmetrizer == ExchangeMatrix(S.entries).symmetrizer
+    # the swapped matrix's minimal D is B's with d_1 and d_2 exchanged
+    d = B.symmetrizer
+    assume(set(d) != {1})
+    assert swap_indices_12(B).symmetrizer == (d[1], d[0], *d[2:])
 
 
 def test_mutation_is_involutive():
@@ -287,6 +287,11 @@ def test_swap_indices_12():
     assert S[3, 1] == B[3, 2]
     assert swap_indices_12(S).entries == B.entries
     assert (B.symmetrizer, S.symmetrizer) == ((3, 2, 6), (2, 3, 6))
+
+
+def test_swap_indices_12_refuses_rank_1():
+    with pytest.raises(ValueError, match="rank at least 2, not 1"):
+        swap_indices_12(ExchangeMatrix(((0,),)))
 
 
 def _int_rows_by_any(rows, what):

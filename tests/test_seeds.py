@@ -508,12 +508,18 @@ def test_g_cone_rays_are_columns():
 @settings(max_examples=100, deadline=None)
 @given(matrices_of_rank_1_to_4, st.lists(st.integers(1, 4), max_size=6))
 def test_g_cone_is_the_cone_the_dataclass_builds(B, word):
+    # the seed's g-vectors as rays, its c-vectors as normals and B's D,
+    # with facets that meet the rays as tropical duality says:
+    # <D c_i, g_j> = d_i delta_ij
     s = apply_word(initial_seed(B), [k for k in word if k <= B.n])
-    cone, want = g_cone(s), GCone(s.g, s.c, s.symmetrizer)
+    d, n = B.symmetrizer, B.n
+    cone, want = g_cone(s), GCone(s.g, s.c, d)
     assert cone == want
     assert hash(cone) == hash(want)
     assert repr(cone) == repr(want)
-    assert cone.facets == want.facets
+    assert [[sum(x * y for x, y in zip(f, r)) for r in cone.rays]
+            for f in cone.facets] == \
+        [[d[i] if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def row_rule_mutate_seed(b, c, g, k):
