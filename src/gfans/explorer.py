@@ -39,12 +39,12 @@ class Fan:
     that reached each and the adjacency: the pairs of distinct cones that
     one mutation joins, as frozensets of two keys.
 
-    A fan from `explore` builds its adjacency on first read, from a flat
-    list of (parent key, key) pairs, and then drops the list, so a caller
-    that reads only cones and words, such as a route search, never pays
-    for the edge set.  Equality and `repr` read it, and copies and
-    pickles carry the list, so all four match those of a fan built with
-    its adjacency."""
+    A fan from `explore` or `load_fan` builds its adjacency on first read,
+    from a flat list of key pairs, and then drops the list, so a caller
+    that reads only cones and words, such as a route search or
+    `render_svg`, never pays for the edge set.  Equality and `repr` read
+    it, and copies and pickles carry the list, so all four match those of
+    a fan built with its adjacency."""
 
     source: ExchangeMatrix
     depth: int
@@ -52,7 +52,7 @@ class Fan:
     words: dict[Key, tuple[int, ...]]
     adjacency: set[frozenset] = field(default_factory=set)
 
-    _edges = None  # parent key, key, ... until adjacency is first read
+    _edges = None  # key, key, ... until adjacency is first read
 
     @property
     def frontier(self) -> set[Key]:
@@ -62,8 +62,8 @@ class Fan:
 
 
 def _edge_set(fan: Fan) -> set[frozenset]:
-    """The adjacency of an explored fan from its flat list of (parent key,
-    key) pairs; drops the list."""
+    """The adjacency of an explored or loaded fan from its flat list of key
+    pairs; drops the list."""
     pairs = iter(fan._edges)
     fan._edges = None
     return {frozenset(edge) for edge in zip(pairs, pairs)}
@@ -288,8 +288,12 @@ def load_fan(doc: dict) -> Fan:
     """Decode a fan document, rejecting one whose cones are not D-dual,
     whose keys repeat or do not match their rays, whose words are not
     mutation words of length at most its depth, or whose adjacency edges
-    do not join two distinct cones that it has.  The edges hold the cone
-    table's own key objects."""
+    do not join two distinct cones that it has.
+
+    Each cone is checked in one pass over its entry.  The edges hold the
+    cone table's own key objects, kept as a flat list until the adjacency
+    is first read, as for a fan from `explore`; an edge listed twice, in
+    either order, is one edge of the adjacency."""
     if json_value(doc, dict, "fan document").get("format") != _FORMAT:
         raise ValueError(f"unsupported fan document format {doc.get('format')}")
     source = ExchangeMatrix.from_json(doc["source"])
@@ -301,7 +305,8 @@ def load_fan(doc: dict) -> Fan:
     words: dict[Key, tuple[int, ...]] = {}
     own: dict[Key, Key] = {}  # each cone key -> itself
     for entry in json_value(doc["cones"], list, "cones"):
-        json_value(entry, dict, "cone")
+        if type(entry) is not dict:
+            raise ValueError("cone must be an object")
         rays = int_rows(entry["g"], "cone g")
         normals = int_rows(entry["c"], "cone c")
         if not d_paired(normals, rays, d):
@@ -312,14 +317,19 @@ def load_fan(doc: dict) -> Fan:
             raise ValueError("cone key does not match its rays")
         if key in cones:
             raise ValueError(f"duplicate cone key {[list(r) for r in key]}")
-        word = int_rows([entry["word"]], "cone word")[0]
-        if len(word) > depth or not all(1 <= k <= n for k in word):
-            raise ValueError(f"cone word {list(word)} is not a word in "
+        word = entry["word"]
+        if type(word) is not list:
+            raise ValueError("cone word must be integers in JSON lists")
+        for k in word:
+            if type(k) is not int:
+                raise ValueError("cone word must be integers in JSON lists")
+        if len(word) > depth or word and (min(word) < 1 or max(word) > n):
+            raise ValueError(f"cone word {word} is not a word in "
                              f"1..{n} of length at most {depth}")
         cones[key] = GCone(rays, normals, d)
-        words[key] = word
+        words[key] = tuple(word)
         own[key] = key
-    adjacency = set()
+    edges = []  # a, b, ... until adjacency is first read, as in explore
     for edge in json_value(doc["adjacency"], list, "adjacency"):
         if len(json_value(edge, list, "adjacency edge")) != 2:
             raise ValueError("adjacency edge must name exactly two keys")
@@ -329,13 +339,17 @@ def load_fan(doc: dict) -> Fan:
         a, b = edge
         a = int_rows(a, "adjacency key")
         b = int_rows(b, "adjacency key")
-        edge = frozenset((own.get(a, a), own.get(b, b)))
-        if len(edge) != 2:
+        if a == b:
             raise ValueError("adjacency edge joins a cone to itself")
-        if not edge <= cones.keys():
+        a, b = own.get(a), own.get(b)
+        if a is None or b is None:
             raise ValueError("adjacency edge names a key that no cone has")
-        adjacency.add(edge)
-    return Fan(source, depth, cones, words, adjacency)
+        edges.append(a)
+        edges.append(b)
+    fan = Fan(source, depth, cones, words)
+    del fan.adjacency  # built from fan._edges on first read
+    fan._edges = edges
+    return fan
 
 
 def _vector_text(v) -> str:
@@ -423,5 +437,9 @@ def save_fan_file(fan: Fan, path: str):
 
 
 def load_fan_file(path: str) -> Fan:
-    with open(path) as fh:
+    """`load_fan` of the document in `path`.  The JSON is read and decoded
+    with the cyclic garbage collector paused (`seeds.collector_paused`),
+    as in `explore`: a decoded JSON tree and the fan built from it hold
+    no reference cycles."""
+    with open(path) as fh, collector_paused():
         return load_fan(json.load(fh))

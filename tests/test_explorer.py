@@ -180,7 +180,7 @@ def test_depth_and_cone_cap_must_be_ints(depth, max_cones, name,
         explore(ExchangeMatrix(MARKOV), depth, max_cones=max_cones)
 
 
-# -- the cyclic garbage collector is paused over the walk ---------------------
+# -- the cyclic garbage collector is paused over a walk or a load ------------
 
 @pytest.fixture
 def collector_enabled():
@@ -238,6 +238,59 @@ def test_explore_leaves_a_disabled_collector_disabled(collector_enabled):
     assert not gc.isenabled()
     with pytest.raises(ResourceCapExceeded):
         explore(ExchangeMatrix(MARKOV), 8, max_cones=20)
+    assert not gc.isenabled()
+
+
+def _fan_file(tmp_path, edit=None, tail=""):
+    doc = save_fan(explore(ExchangeMatrix(MARKOV), 2))
+    if edit:
+        edit(doc)
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps(doc) + tail)
+    return str(path)
+
+
+def test_load_fan_file_pauses_the_collector_and_enables_it_again(
+        collector_enabled, monkeypatch, tmp_path):
+    # json.load and load_fan both run paused
+    states = []
+
+    def recording(read):
+        def call(*args):
+            states.append(gc.isenabled())
+            return read(*args)
+        return call
+
+    monkeypatch.setattr(json, "load", recording(json.load))
+    monkeypatch.setattr(gfans.explorer, "load_fan",
+                        recording(gfans.explorer.load_fan))
+    fan = load_fan_file(_fan_file(tmp_path))
+    assert len(fan.cones) == 10
+    assert states == [False, False]
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("edit, tail", [
+    (lambda d: d["cones"].append(d["cones"][0]), ""),
+    (lambda d: d["adjacency"][0].pop(), ""),
+    (None, "]"),  # refused by json.load, a ValueError too
+], ids=["duplicate-cone", "short-edge", "not-json"])
+def test_collector_enabled_after_a_refused_document_while_the_error_is_held(
+        collector_enabled, tmp_path, edit, tail):
+    with pytest.raises(ValueError) as info:
+        load_fan_file(_fan_file(tmp_path, edit, tail))
+    assert info.value.__traceback__ is not None
+    assert gc.isenabled()
+
+
+def test_load_fan_file_leaves_a_disabled_collector_disabled(
+        collector_enabled, tmp_path):
+    gc.disable()
+    load_fan_file(_fan_file(tmp_path))
+    assert not gc.isenabled()
+    with pytest.raises(ValueError, match="duplicate"):
+        load_fan_file(_fan_file(
+            tmp_path, lambda d: d["cones"].append(d["cones"][0])))
     assert not gc.isenabled()
 
 
@@ -449,6 +502,44 @@ def test_load_rejects_bad_documents():
             load_fan(edited)
 
 
+_UNKNOWN_KEY = [[9, 9, 9], [0, 1, 0], [0, 0, 1]]
+
+
+@pytest.mark.parametrize("edit, message", [
+    # both keys are unknown, and equal: the self-loop is what is named
+    (lambda d: d["adjacency"].__setitem__(0, [_UNKNOWN_KEY, _UNKNOWN_KEY]),
+     "^adjacency edge joins a cone to itself$"),
+    # a repeated key is refused before its word is read
+    (lambda d: d["cones"].append({**d["cones"][0], "word": "1"}),
+     r"^duplicate cone key \[\["),
+    (lambda d: d["cones"].append({**d["cones"][0], "word": [9]}),
+     r"^duplicate cone key \[\["),
+    # and a key that does not match its rays before the repeat
+    (lambda d: d["cones"].append({**d["cones"][0], "key": _UNKNOWN_KEY}),
+     "^cone key does not match its rays$"),
+    (lambda d: d["cones"].insert(1, [[1, 0, 0]]), "^cone must be an object$"),
+    (lambda d: d["cones"].insert(1, None), "^cone must be an object$"),
+], ids=["unknown-self-loop", "duplicate-before-word-type",
+        "duplicate-before-letters", "key-before-duplicate", "list-cone",
+        "null-cone"])
+def test_load_keeps_its_refusal_order(edit, message):
+    doc = json.loads(json.dumps(save_fan(explore(ExchangeMatrix(MARKOV), 1))))
+    edit(doc)
+    with pytest.raises(ValueError, match=message):
+        load_fan(doc)
+
+
+def test_a_repeated_edge_loads_as_one():
+    fan = explore(ExchangeMatrix(MARKOV), 2)
+    doc = json.loads(_written(fan))
+    (a, b), *rest = doc["adjacency"]
+    for extra in ([a, b], [b, a]):
+        twice = {**doc, "adjacency": [[a, b], extra, *rest]}
+        loaded = load_fan(twice)
+        assert len(loaded.adjacency) == len(fan.adjacency) == len(rest) + 1
+        assert loaded == fan
+
+
 @pytest.mark.parametrize("entry", [1.0, True], ids=["float", "bool"])
 def test_load_refuses_an_adjacency_key_equal_to_a_cone_key(entry):
     # 1.0 and true hash and compare equal to 1, so a lookup in the cone
@@ -572,15 +663,32 @@ def _pickled(fan, protocol):
     return pickle.loads(pickle.dumps(fan, protocol))
 
 
-@pytest.mark.parametrize("B, depth", [(A3, 11), (WING, 4), (MARKOV, 0)])
+def _loaded(B, depth):
+    return load_fan(json.loads(_written(explore(B, depth))))
+
+
+@pytest.mark.parametrize("B, depth, build", [
+    pytest.param(B, depth, build, id=f"B{i}-{depth}{suffix}")
+    for build, suffix in [(explore, ""), (_loaded, "-loaded")]
+    for i, (B, depth) in enumerate([(A3, 11), (WING, 4), (MARKOV, 0)])])
 def test_an_unread_fan_compares_prints_copies_and_pickles_as_an_eager_one(
-        B, depth):
+        B, depth, build):
     eager = explore_every_word(ExchangeMatrix(B), depth)
 
     def unread():
-        fan = explore(ExchangeMatrix(B), depth)
+        fan = build(ExchangeMatrix(B), depth)
         assert "adjacency" not in vars(fan)
         return fan
+
+    if build is _loaded:
+        # a document lists its cones and edges by key, not in the order of
+        # the walk: the eager fan adds its edges in the document's order
+        fan = unread()
+        doc = json.loads(_written(fan))
+        edges = {frozenset(tuple(map(tuple, key)) for key in edge)
+                 for edge in doc["adjacency"]}
+        assert edges == eager.adjacency
+        eager = Fan(fan.source, depth, fan.cones, fan.words, edges)
 
     assert unread() == eager and eager == unread()
     assert repr(unread()) == repr(eager)

@@ -15,8 +15,10 @@ from gfans import (
     RenderOptions,
     arc_polyline,
     explore,
+    load_fan,
     project_ray,
     render_svg,
+    save_fan,
 )
 from gfans.render import _B1, _B2, _CLIP_COSINE, _P, _fmt, _to_pixels
 from conftest import A3, B2_A1, MARKOV, TUNNEL
@@ -170,6 +172,15 @@ def test_svg_structure_matches_fan():
     assert len(vertices) == 3
     shaded = [e for e in cones if e.get("fill") != "none"]
     assert len(shaded) == len(fan.frontier)
+
+
+def test_rendering_a_loaded_fan_builds_no_adjacency():
+    # a render reads cones and words, so the document's edges stay a list
+    fan = explore(ExchangeMatrix(MARKOV), 3)
+    loaded = load_fan(save_fan(fan))
+    assert render_svg(loaded) == render_svg(fan)
+    assert "adjacency" not in vars(loaded)
+    assert loaded.adjacency == fan.adjacency
 
 
 def test_svg_byte_determinism():
