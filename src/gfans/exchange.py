@@ -48,6 +48,19 @@ def json_value(value, kind: type, what: str):
     return value
 
 
+def missing_field(what: str, name: str) -> ValueError:
+    """The error for a JSON object, a `what`, that has no field `name`."""
+    return ValueError(f'{what} has no "{name}" field')
+
+
+def json_field(doc: dict, name: str, what: str):
+    """doc[name] of a JSON object, a `what`, or `missing_field`'s error."""
+    try:
+        return doc[name]
+    except KeyError:
+        raise missing_field(what, name) from None
+
+
 def _as_matrix(rows) -> Matrix:
     m = tuple(tuple(row) for row in rows)
     if any(type(x) is not int for row in m for x in row):
@@ -149,7 +162,8 @@ class ExchangeMatrix:
 
     @classmethod
     def from_json(cls, doc: dict) -> "ExchangeMatrix":
-        b = int_rows(json_value(doc, dict, "matrix")["b"], "matrix b")
+        json_value(doc, dict, "matrix")
+        b = int_rows(json_field(doc, "b", "matrix"), "matrix b")
         if json_value(doc.get("n", len(b)), int, "matrix n") != len(b):
             raise ValueError("declared rank does not match matrix size")
         return cls(b)

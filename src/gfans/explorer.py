@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from operator import mul
 
-from .exchange import ExchangeMatrix, int_rows, json_value
+from .exchange import (ExchangeMatrix, int_rows, json_field, json_value,
+                       missing_field)
 from .quadratic import QuadraticRay, root_sign
 from .seeds import (
     GCone,
@@ -80,11 +81,13 @@ def explore(B: ExchangeMatrix, depth: int,
 
     `depth` and `max_cones` must be ints (not bools).  The walk's table of
     first words is the fan's `words`, and the fan builds its adjacency on
-    first read (see `Fan`).  The walk runs with the cyclic garbage
-    collector paused (`seeds.collector_paused`), since nothing it
-    allocates is cyclic.  The pause is process-wide: cyclic garbage that
-    other threads make meanwhile waits until `explore` returns or
-    raises."""
+    first read (see `Fan`).  The walk frees each seed and the B it built
+    once the seed's children are made (see `seeds.walk`), and the cones
+    share the seeds' vectors, so memory peaks at about the size of the
+    fan returned.  The walk runs with the cyclic garbage collector paused
+    (`seeds.collector_paused`), since nothing it allocates is cyclic.  The
+    pause is process-wide: cyclic garbage that other threads make
+    meanwhile waits until `explore` returns or raises."""
     if type(depth) is not int:
         raise ValueError("depth must be an int")
     if type(max_cones) is not int:
@@ -290,47 +293,59 @@ def load_fan(doc: dict) -> Fan:
     mutation words of length at most its depth, or whose adjacency edges
     do not join two distinct cones that it has.
 
+    A document, its source matrix or a cone without one of its fields is
+    refused with a ValueError that names the kind of object and the field.
     Each cone is checked in one pass over its entry.  The edges hold the
     cone table's own key objects, kept as a flat list until the adjacency
     is first read, as for a fan from `explore`; an edge listed twice, in
     either order, is one edge of the adjacency."""
     if json_value(doc, dict, "fan document").get("format") != _FORMAT:
         raise ValueError(f"unsupported fan document format {doc.get('format')}")
-    source = ExchangeMatrix.from_json(doc["source"])
-    depth = json_value(doc["depth"], int, "fan depth")
+    kind = "fan document"
+    source = ExchangeMatrix.from_json(json_field(doc, "source", kind))
+    depth = json_value(json_field(doc, "depth", kind), int, "fan depth")
     if depth < 0:
         raise ValueError(f"fan depth {depth} is negative")
     n, d = source.n, source.symmetrizer
     cones: dict[Key, GCone] = {}
     words: dict[Key, tuple[int, ...]] = {}
     own: dict[Key, Key] = {}  # each cone key -> itself
-    for entry in json_value(doc["cones"], list, "cones"):
-        if type(entry) is not dict:
-            raise ValueError("cone must be an object")
-        rays = int_rows(entry["g"], "cone g")
-        normals = int_rows(entry["c"], "cone c")
-        if not d_paired(normals, rays, d):
-            raise ValueError(
-                f"c-vectors not dual to the g-vectors in document: {rays}")
-        key = cone_key(rays)
-        if int_rows(entry["key"], "cone key") != key:
-            raise ValueError("cone key does not match its rays")
-        if key in cones:
-            raise ValueError(f"duplicate cone key {[list(r) for r in key]}")
-        word = entry["word"]
-        if type(word) is not list:
-            raise ValueError("cone word must be integers in JSON lists")
-        for k in word:
-            if type(k) is not int:
+    entries = json_value(json_field(doc, "cones", kind), list, "cones")
+    # a cone's fields are read by subscript, which costs less than a
+    # call per field, and nothing else in the loop raises KeyError
+    try:
+        for entry in entries:
+            if type(entry) is not dict:
+                raise ValueError("cone must be an object")
+            rays = int_rows(entry["g"], "cone g")
+            normals = int_rows(entry["c"], "cone c")
+            if not d_paired(normals, rays, d):
+                raise ValueError("c-vectors not dual to the g-vectors in "
+                                 f"document: {rays}")
+            key = cone_key(rays)
+            if int_rows(entry["key"], "cone key") != key:
+                raise ValueError("cone key does not match its rays")
+            if key in cones:
+                raise ValueError(
+                    f"duplicate cone key {[list(r) for r in key]}")
+            word = entry["word"]
+            if type(word) is not list:
                 raise ValueError("cone word must be integers in JSON lists")
-        if len(word) > depth or word and (min(word) < 1 or max(word) > n):
-            raise ValueError(f"cone word {word} is not a word in "
-                             f"1..{n} of length at most {depth}")
-        cones[key] = GCone(rays, normals, d)
-        words[key] = tuple(word)
-        own[key] = key
+            for k in word:
+                if type(k) is not int:
+                    raise ValueError(
+                        "cone word must be integers in JSON lists")
+            if len(word) > depth or word and (min(word) < 1 or max(word) > n):
+                raise ValueError(f"cone word {word} is not a word in "
+                                 f"1..{n} of length at most {depth}")
+            cones[key] = GCone(rays, normals, d)
+            words[key] = tuple(word)
+            own[key] = key
+    except KeyError as exc:
+        raise missing_field("cone", exc.args[0]) from None
     edges = []  # a, b, ... until adjacency is first read, as in explore
-    for edge in json_value(doc["adjacency"], list, "adjacency"):
+    adjacency = json_field(doc, "adjacency", kind)
+    for edge in json_value(adjacency, list, "adjacency"):
         if len(json_value(edge, list, "adjacency edge")) != 2:
             raise ValueError("adjacency edge must name exactly two keys")
         # int_rows refuses 1.0 or true for 1, which hash and compare equal

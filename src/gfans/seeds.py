@@ -13,6 +13,11 @@ and k, and `exchange.mutate_matrix` builds mu_k(B) by the row rule
 never builds its B.  D, which every B in the mutation class shares, is
 read from the parent's B meanwhile.
 
+A breadth-first `walk` holds, at any moment, only the unexpanded seeds
+of the level it is expanding and of the next: it lets go of each seed
+once the seed's children are made.  So a B lives only while an
+unexpanded child still needs it to build its own.
+
 Sign coherence is load-bearing: a mixed-sign c-vector aborts with
 SignCoherenceViolation, which signals a bug rather than a reachable
 state.  Seed documents keep the row layout of C and G.
@@ -26,8 +31,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
 
-from .exchange import (ExchangeMatrix, Matrix, int_rows, json_value,
-                       mutate_matrix)
+from .exchange import (ExchangeMatrix, Matrix, int_rows, json_field,
+                       json_value, mutate_matrix)
 
 
 class SignCoherenceViolation(RuntimeError):
@@ -137,17 +142,17 @@ class Seed:
 
     @classmethod
     def from_json(cls, doc: dict) -> "Seed":
-        """Decode `to_json`, rejecting a C or G that is not n x n for the
-        rank n of B and a word letter outside 1..n."""
+        """Decode `to_json`, rejecting a missing field, a C or G that is
+        not n x n for the rank n of B and a word letter outside 1..n."""
         json_value(doc, dict, "seed")
-        b = ExchangeMatrix(int_rows(doc["b"], "seed b"))
+        b = ExchangeMatrix(int_rows(json_field(doc, "b", "seed"), "seed b"))
         n = b.n
-        c = int_rows(doc["c"], "seed c")
-        g = int_rows(doc["g"], "seed g")
+        c = int_rows(json_field(doc, "c", "seed"), "seed c")
+        g = int_rows(json_field(doc, "g", "seed"), "seed g")
         for name, m in (("c", c), ("g", g)):
             if len(m) != n or any(len(row) != n for row in m):
                 raise ValueError(f"seed {name} must be {n}x{n}, as b is")
-        word = int_rows([doc["word"]], "seed word")[0]
+        word = int_rows([json_field(doc, "word", "seed")], "seed word")[0]
         if not all(1 <= k <= n for k in word):
             raise ValueError(f"seed word {list(word)} is not a word in "
                              f"1..{n}")
@@ -251,6 +256,15 @@ def walk(s0: Seed, key, depth: int, seen: dict):
     Only an expansion reads a seed's B, so the seeds at the depth bound,
     which are never expanded, never build theirs.
 
+    The walk holds only the unexpanded seeds of the level it is expanding
+    and of the next, besides the seed it is expanding: each level entry is
+    released as soon as it is taken, so a seed, with the B it built, is
+    freed once its children are made, unless the caller keeps it.  A B
+    then lives only while a child in the next level, which holds its
+    parent's B until it builds its own, is still unexpanded.  The seeds at
+    the depth bound are not kept at all.  So memory peaks at about what
+    the caller keeps, such as `explore`'s fan.
+
     Each key is hashed once: one `setdefault` both tests and inserts it,
     and `seen` grows exactly when the key is new.  Callers run the walk
     inside `collector_paused`, whose pause is process-wide, so cyclic
@@ -262,7 +276,8 @@ def walk(s0: Seed, key, depth: int, seen: dict):
     level = [(s0, key0)]
     for length in range(1, depth + 1):
         nxt = []
-        for s, parent_key in level:
+        for i, (s, parent_key) in enumerate(level):
+            level[i] = None  # s and its B go once its children are made
             last = s.word[-1] if s.word else 0
             for k in range(1, s.n + 1):
                 if k != last:

@@ -609,6 +609,17 @@ def _set(path, value):
     return edit
 
 
+def _drop(path):
+    """Document edit: the entry at `path` (keys and indices) is removed."""
+    def edit(doc):
+        target = doc
+        for step in path[:-1]:
+            target = target[step]
+        del target[path[-1]]
+        return doc
+    return edit
+
+
 def _edge(keys):
     """Document edit: the first adjacency edge becomes keys(edge)."""
     def edit(doc):
@@ -617,35 +628,51 @@ def _edge(keys):
     return edit
 
 
-@pytest.mark.parametrize("command, edit", [
-    ("classify", _set(("b", 0, 1), -2.9)),
-    ("classify", _set(("b", 0, 0), "0")),
-    ("classify", _set(("b", 0, 0), False)),
-    ("classify", lambda doc: []),
-    ("classify", _set(("b",), 5)),
-    ("classify", _set(("n",), 3.0)),
-    ("render", _set(("cones", 0, "g"), 5)),
-    ("render", lambda doc: []),
-    ("render", _set(("cones", 0, "word"), [1.7])),
-    ("render", _set(("adjacency", 0, 0, 0, 0), 1.2)),
-    ("render", _set(("depth",), 1.5)),
-    ("render", _set(("cones", 1, "word"), [4])),
-    ("render", _set(("cones", 1, "word"), [1, 2, 3])),
-    ("render", _set(("depth",), -4)),
-    ("render", _set(("adjacency", 0, 1, 0, 0), 9)),
-    ("render", lambda doc: {**doc, "cones": doc["cones"] + doc["cones"][:1]}),
-    ("render", _edge(lambda edge: [edge[0], edge[0]])),
-    ("render", _edge(lambda edge: edge[:1])),
-    ("render", _edge(lambda edge: edge * 2)),
+@pytest.mark.parametrize("command, edit, message", [
+    ("classify", _set(("b", 0, 1), -2.9), None),
+    ("classify", _set(("b", 0, 0), "0"), None),
+    ("classify", _set(("b", 0, 0), False), None),
+    ("classify", lambda doc: [], None),
+    ("classify", _set(("b",), 5), None),
+    ("classify", _set(("n",), 3.0), None),
+    ("render", _set(("cones", 0, "g"), 5), None),
+    ("render", lambda doc: [], None),
+    ("render", _set(("cones", 0, "word"), [1.7]), None),
+    ("render", _set(("adjacency", 0, 0, 0, 0), 1.2), None),
+    ("render", _set(("depth",), 1.5), None),
+    ("render", _set(("cones", 1, "word"), [4]), None),
+    ("render", _set(("cones", 1, "word"), [1, 2, 3]), None),
+    ("render", _set(("depth",), -4), None),
+    ("render", _set(("adjacency", 0, 1, 0, 0), 9), None),
+    ("render", lambda doc: {**doc, "cones": doc["cones"] + doc["cones"][:1]},
+     None),
+    ("render", _edge(lambda edge: [edge[0], edge[0]]), None),
+    ("render", _edge(lambda edge: edge[:1]), None),
+    ("render", _edge(lambda edge: edge * 2), None),
+    # a missing field is named with the kind of document that lacks it
+    ("classify", _drop(("b",)), 'matrix has no "b" field'),
+    ("render", _drop(("source",)), 'fan document has no "source" field'),
+    ("render", _drop(("source", "b")), 'matrix has no "b" field'),
+    ("render", _drop(("depth",)), 'fan document has no "depth" field'),
+    ("render", _drop(("cones",)), 'fan document has no "cones" field'),
+    ("render", _drop(("cones", 0, "g")), 'cone has no "g" field'),
+    ("render", _drop(("cones", 0, "c")), 'cone has no "c" field'),
+    ("render", _drop(("cones", 1, "key")), 'cone has no "key" field'),
+    ("render", _drop(("cones", 1, "word")), 'cone has no "word" field'),
+    ("render", _drop(("adjacency",)),
+     'fan document has no "adjacency" field'),
 ], ids=["float entry", "string entry", "bool entry", "matrix list",
         "matrix number", "float rank", "cone g number", "fan list",
         "float word", "float adjacency entry", "float depth",
         "word letter above n", "word longer than depth", "negative depth",
         "edge to a missing key", "duplicate cone key",
         "self-adjacent edge (once written back as a one-key edge)",
-        "one-key edge", "four-key edge"])
-def test_malformed_documents_exit_2(command, edit, markov_file, tmp_path,
-                                    capsys):
+        "one-key edge", "four-key edge", "matrix without b",
+        "fan without source", "source without b", "fan without depth",
+        "fan without cones", "cone without g", "cone without c",
+        "cone without key", "cone without word", "fan without adjacency"])
+def test_malformed_documents_exit_2(command, edit, message, markov_file,
+                                    tmp_path, capsys):
     if command == "classify":
         doc = {"b": [list(r) for r in MARKOV]}
     else:
@@ -659,6 +686,8 @@ def test_malformed_documents_exit_2(command, edit, markov_file, tmp_path,
     assert main([command, str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    if message is not None:
+        assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("command", [

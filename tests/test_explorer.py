@@ -7,6 +7,7 @@ import json
 import math
 import operator
 import pickle
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -230,6 +231,28 @@ def test_collector_enabled_after_an_error_mid_walk(collector_enabled,
         explore(ExchangeMatrix(MARKOV), 4)
     assert len(calls) == 5
     assert gc.isenabled()
+
+
+
+@pytest.mark.parametrize("B", [TUNNEL, MARKOV, WING],
+                         ids=["tunnel", "markov", "wing"])
+def test_explore_peaks_at_the_fan_it_returns(B):
+    # the walk frees each seed and its B once the seed's children are
+    # made, so at no point does it hold much besides the growing fan
+    matrix = ExchangeMatrix(B)
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fan = explore(matrix, 8)
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert len(fan.cones) > 100
+    assert peak - before <= 1.03 * (after - before)
 
 
 def test_explore_leaves_a_disabled_collector_disabled(collector_enabled):

@@ -1,4 +1,5 @@
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -391,6 +392,15 @@ def test_seed_json_is_decoded_strictly():
             Seed.from_json(bad)
 
 
+
+@pytest.mark.parametrize("field", ["b", "c", "g", "word"])
+def test_seed_json_names_a_missing_field(field):
+    good = apply_word(initial_seed(ExchangeMatrix(WING)), (1, 2)).to_json()
+    del good[field]
+    with pytest.raises(ValueError, match=f'^seed has no "{field}" field$'):
+        Seed.from_json(good)
+
+
 def test_mutation_direction_bounds():
     s = initial_seed(ExchangeMatrix(MARKOV))
     with pytest.raises(IndexError):
@@ -486,6 +496,34 @@ def test_walk_expands_each_key_once_in_letter_order(B, depth, by_cone):
                  if k != last]
     assert [(child.word, parent_key)
             for child, _, parent_key, _ in steps] == want
+
+
+
+@pytest.mark.parametrize("depth", [4, 5, 6])
+@pytest.mark.parametrize("by_cone", [True, False],
+                         ids=["cone key", "labelled seed key"])
+def test_walk_frees_each_seed_once_its_children_are_made(depth, by_cone):
+    # the walk holds the unexpanded seeds of the level it expands and of
+    # the next, so the seeds of the last expanded level, with the B each
+    # built, go one by one as their children are made
+    def key(s):
+        return cone_key(s.g) if by_cone else (s.c, s.g)
+
+    parents = []  # the seeds the last level expands, in order, as weakrefs
+    index = {}  # each such seed's word -> its place in parents
+    live = 0  # parents met alive after the walk moved past them
+    steps = walk(initial_seed(ExchangeMatrix(TUNNEL)), key, depth, {})
+    for child, _, _, new in steps:
+        if len(child.word) == depth - 1 and new:
+            index[child.word] = len(parents)
+            parents.append(weakref.ref(child))
+        elif len(child.word) == depth:
+            j = index[child.word[:-1]]
+            assert parents[j]() is not None
+            live += sum(ref() is not None for ref in parents[:j])
+    # every Tunnel child is a new cone and a new seed
+    assert len(parents) == 3 * 2 ** (depth - 2)
+    assert live == 0
 
 
 def test_seed_json_round_trip():
