@@ -174,8 +174,9 @@ def mutate_row(x: tuple[int, ...], pivot: tuple[int, ...],
     """Row x of an extended exchange matrix with row kk `pivot`, mutated
     in direction kk (0-based): x_k -> -x_k and, for j != k,
     x_j -> x_j + [x_k]_+ [b_kj]_+ - [-x_k]_+ [-b_kj]_+.  It serves every
-    row of B but the pivot; a seed's c- and g-vectors follow the vector
-    rules of `seeds.mutate_seed`."""
+    row of B but the pivot at every rank but 3, where `mutate_matrix`
+    writes the same rule out entry by entry; a seed's c- and g-vectors
+    follow the vector rules of `seeds.mutate_seed`."""
     xk = x[kk]
     if not xk:
         return x
@@ -187,26 +188,71 @@ def mutate_row(x: tuple[int, ...], pivot: tuple[int, ...],
     return tuple(row)
 
 
+def direction_error(k, n: int) -> Exception:
+    """The error for a mutation direction k outside 1..n: a TypeError
+    unless k is an int (a bool is not), else an IndexError."""
+    if type(k) is not int:
+        return TypeError(f"mutation direction {k!r} is not an int")
+    return IndexError(f"mutation direction {k} out of range 1..{n}")
+
+
+def _exchanged(bij: int, bik: int, bkj: int) -> int:
+    """b_ij of mu_k(B) for i, j != k, as `mutate_row` computes it."""
+    if bik > 0:
+        return bij + bik * bkj if bkj > 0 else bij
+    return bij - bik * bkj if bik < 0 and bkj < 0 else bij
+
+
 def mutate_matrix(B: ExchangeMatrix, k: int) -> ExchangeMatrix:
-    """Matrix mutation in direction k (1-based); see `mutate_row`."""
+    """Matrix mutation in direction k (1-based); see `mutate_row`.
+
+    At rank 3 the six off-diagonal entries are written out in
+    straight-line arithmetic: row and column k change sign and the two
+    other entries follow `_exchanged`; any other rank takes the generic
+    loops.  Both build the same matrix and raise the same errors."""
     n = B.n
-    if not 1 <= k <= n:
-        raise IndexError(f"mutation direction {k} out of range 1..{n}")
+    if type(k) is not int or not 1 <= k <= n:
+        raise direction_error(k, n)
+    # D skew-symmetrizes mu_k(B) whenever it skew-symmetrizes B, so the
+    # parent's symmetrizer is carried over and only checked.
+    d = B.symmetrizer
+    if n == 3:
+        (_, b12, b13), (b21, _, b23), (b31, b32, _) = B.entries
+        if k == 1:
+            m12, m13, m21, m31 = -b12, -b13, -b21, -b31
+            m23, m32 = _exchanged(b23, b21, b13), _exchanged(b32, b31, b12)
+        elif k == 2:
+            m12, m21, m23, m32 = -b12, -b21, -b23, -b32
+            m13, m31 = _exchanged(b13, b12, b23), _exchanged(b31, b32, b21)
+        else:
+            m13, m23, m31, m32 = -b13, -b23, -b31, -b32
+            m12, m21 = _exchanged(b12, b13, b32), _exchanged(b21, b23, b31)
+        d1, d2, d3 = d
+        # the generic loop's pairs, in its order
+        if d1 * m12 != -d2 * m21:
+            pair = (0, 1)
+        elif d1 * m13 != -d3 * m31:
+            pair = (0, 2)
+        elif d2 * m23 != -d3 * m32:
+            pair = (1, 2)
+        else:
+            return ExchangeMatrix._with_symmetrizer(
+                ((0, m12, m13), (m21, 0, m23), (m31, m32, 0)), d)
+        raise _broken_symmetrizer(k, *pair)
     kk = k - 1
     pivot = B.entries[kk]
     new = [mutate_row(row, pivot, kk) for row in B.entries]
     new[kk] = tuple(-x for x in pivot)
-    # D skew-symmetrizes mu_k(B) whenever it skew-symmetrizes B, so the
-    # parent's symmetrizer is carried over and only checked.
-    d = B.symmetrizer
     for i in range(n):
         for j in range(i + 1, n):
             if d[i] * new[i][j] != -d[j] * new[j][i]:
-                raise NotSkewSymmetrizable(
-                    f"mutation in direction {k} broke d_i b_ij = -d_j b_ji "
-                    f"at ({i},{j})"
-                )
+                raise _broken_symmetrizer(k, i, j)
     return ExchangeMatrix._with_symmetrizer(tuple(new), d)
+
+
+def _broken_symmetrizer(k: int, i: int, j: int) -> NotSkewSymmetrizable:
+    return NotSkewSymmetrizable(
+        f"mutation in direction {k} broke d_i b_ij = -d_j b_ji at ({i},{j})")
 
 
 def apply_matrix_word(B: ExchangeMatrix, word) -> ExchangeMatrix:

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -19,7 +20,7 @@ from gfans import (
     skew_symmetrizer,
     swap_indices_12,
 )
-from gfans.exchange import int_rows
+from gfans.exchange import int_rows, mutate_row
 from conftest import MARKOV, PINWHEEL, TUNNEL, TUNNEL_CLOSEUP, WIDE_TUNNEL, WING
 
 
@@ -208,6 +209,49 @@ def test_mutation_checks_the_carried_symmetrizer():
     wrong = ExchangeMatrix._with_symmetrizer(B.entries, (1, 1, 1))
     with pytest.raises(NotSkewSymmetrizable):
         mutate_matrix(wrong, 1)
+
+
+def broken_pairs(B, k):
+    """The pairs (i, j), i < j, at which B's carried D fails on mu_k(B),
+    in the generic loop's order."""
+    b, d, kk = B.entries, B.symmetrizer, k - 1
+    new = [mutate_row(row, b[kk], kk) for row in b]
+    new[kk] = tuple(-x for x in b[kk])
+    return [(i, j) for i in range(B.n) for j in range(i + 1, B.n)
+            if d[i] * new[i][j] != -d[j] * new[j][i]]
+
+
+ONLY_12 = ((0, 0, 1), (0, 0, -1), (-1, 2, 0))  # D = (1, 2, 1)
+
+
+@pytest.mark.parametrize("entries, d, k, pairs, message", [
+    # (1, 1, 1) fails only at (1,2)
+    (ONLY_12, (1, 1, 1), 1, [(1, 2)],
+     "mutation in direction 1 broke d_i b_ij = -d_j b_ji at (1,2)"),
+    (ONLY_12, (1, 1, 1), 2, [(1, 2)],
+     "mutation in direction 2 broke d_i b_ij = -d_j b_ji at (1,2)"),
+    # D = (3, 2, 6) fits WING; (1, 1, 2) fails at (0,1) and (1,2)
+    (WING, (1, 1, 2), 1, [(0, 1), (1, 2)],
+     "mutation in direction 1 broke d_i b_ij = -d_j b_ji at (0,1)"),
+    (WING, (1, 1, 2), 2, [(0, 1), (1, 2)],
+     "mutation in direction 2 broke d_i b_ij = -d_j b_ji at (0,1)"),
+    (WING, (1, 1, 2), 3, [(0, 1), (1, 2)],
+     "mutation in direction 3 broke d_i b_ij = -d_j b_ji at (0,1)"),
+    # the other two pairs of pairs, so every place in the order counts
+    (WING, (1, 2, 6), 2, [(0, 1), (0, 2)],
+     "mutation in direction 2 broke d_i b_ij = -d_j b_ji at (0,1)"),
+    (WING, (3, 2, 1), 2, [(0, 2), (1, 2)],
+     "mutation in direction 2 broke d_i b_ij = -d_j b_ji at (0,2)"),
+])
+def test_rank_3_mutation_names_the_first_broken_pair(entries, d, k, pairs,
+                                                     message):
+    # the rank-3 branch checks the three pairs written out and names the
+    # first failing one with the message the generic loop gave
+    wrong = ExchangeMatrix._with_symmetrizer(ExchangeMatrix(entries).entries,
+                                             d)
+    assert broken_pairs(wrong, k) == pairs
+    with pytest.raises(NotSkewSymmetrizable, match=f"^{re.escape(message)}$"):
+        mutate_matrix(wrong, k)
 
 
 def test_mutation_direction_bounds():

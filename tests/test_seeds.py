@@ -1,4 +1,5 @@
 import random
+import re
 import weakref
 from fractions import Fraction
 
@@ -27,6 +28,7 @@ from gfans.seeds import (
     cone_key,
     d_paired,
     det,
+    identity,
     transpose,
     unimodular_inverse,
     walk,
@@ -627,6 +629,117 @@ def test_mutation_shares_the_vectors_it_keeps(B, word, k):
             assert child.g[j] is s.g[j]
             if max(eps * s.b.entries[k - 1][j], 0) == 0:
                 assert child.c[j] is s.c[j]
+
+
+# The rank-3 branch of mutate_seed and of mutate_matrix against both
+# oracles: every step's vectors, the child's B built on first read, and the
+# vectors the child shares with its parent.  The tests above at ranks 1, 2
+# and 4 cover the generic loops.
+
+def rank_3_step(s, ref, c, g, k):
+    """One mutation at k of a rank-3 seed s, of its column-rule twin ref
+    and of its C and G rows; returns the three results and eps."""
+    eps = tropical_sign(s, k)
+    child = mutate_seed(s, k)
+    ref = reference_mutate_seed(ref, k)
+    c, g = row_rule_mutate_seed(s.b.entries, c, g, k)
+    assert (transpose(child.c), transpose(child.g)) == (ref.c, ref.g)
+    assert (transpose(child.c), transpose(child.g)) == (c, g)
+    assert child.word == ref.word
+    for j in range(3):
+        if j != k - 1:
+            assert child.g[j] is s.g[j]
+            if max(eps * s.b.entries[k - 1][j], 0) == 0:
+                assert child.c[j] is s.c[j]
+    assert "b" not in vars(child)
+    assert child.b.entries == ref.b.entries  # built here, on first read
+    assert child.b.symmetrizer == ref.b.symmetrizer == s.b.symmetrizer
+    return child, ref, c, g, eps
+
+
+def rank_3_walk(entries, word):
+    """The steps of `word` from the initial seed of `entries`; returns
+    the seed it reaches and the signs of eps along the way."""
+    s = ref = initial_seed(ExchangeMatrix(entries))
+    c, g = s.c, s.g  # the identity is its own transpose
+    signs = []
+    for k in word:
+        s, ref, c, g, eps = rank_3_step(s, ref, c, g, k)
+        signs.append(eps)
+    return s, signs
+
+
+def entry_bits(s):
+    return max(abs(x).bit_length() for v in (*s.c, *s.g, *s.b.entries)
+               for x in v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.sampled_from([TUNNEL, WING]),
+                 st.builds(lambda rng: random_skew_symmetrizable(rng, 3).entries,
+                           st.randoms(use_true_random=False))),
+       st.integers(1, 3), st.lists(st.sampled_from([1, 2, 0]), max_size=16))
+def test_rank_3_mutation_matches_both_oracles(entries, first, turns):
+    # each turn steps to one of the two other letters, whose entries grow,
+    # or back with the last letter, a step of the other sign of eps
+    word = [first]
+    for turn in turns:
+        word.append((word[-1] + turn - 1) % 3 + 1 if turn else word[-1])
+    rank_3_walk(entries, word)
+
+
+@pytest.mark.parametrize("entries, cycle, bits", [
+    (TUNNEL, (1, 3, 2), 3_335),
+    (WING, (3, 1, 2), 2_481),
+])
+def test_rank_3_mutation_matches_both_oracles_past_2_to_the_1000(
+        entries, cycle, bits):
+    # out along the cycle to entries past 2^1000, then back along the
+    # reversed word, where each step has the other sign of eps
+    out = (cycle * 6)[:12 if entries is TUNNEL else 16]
+    word = out + out[::-1]
+    deepest, _ = rank_3_walk(entries, out)
+    assert entry_bits(deepest) == bits
+    end, signs = rank_3_walk(entries, word)
+    assert signs[len(out):] == [-eps for eps in reversed(signs[:len(out)])]
+    assert set(signs[:len(out)]) == {1, -1}
+    assert (end.c, end.g, end.b.entries) == (
+        identity(3), identity(3), entries)
+
+
+def test_rank_3_mutation_raises_what_the_generic_loops_raise():
+    s = initial_seed(ExchangeMatrix(MARKOV))
+    for k in (0, 4):
+        message = f"^mutation direction {k} out of range 1\\.\\.3$"
+        with pytest.raises(IndexError, match=message):
+            mutate_seed(s, k)
+        with pytest.raises(IndexError, match=message):
+            mutate_matrix(s.b, k)
+    mixed = transpose(((1, 0, 0), (-1, 1, 0), (0, 0, 1)))
+    with pytest.raises(SignCoherenceViolation,
+                       match=r"^mixed signs in c-vector 1 at word \(2,\)"
+                             r": \(1, -1, 0\)$"):
+        mutate_seed(Seed(s.b, mixed, s.g, (2,)), 1)
+    zero = transpose(((1, 0, 0), (0, 0, 0), (0, 0, 1)))
+    with pytest.raises(SignCoherenceViolation,
+                       match=r"^zero c-vector 2 at word \(3, 1\)$"):
+        mutate_seed(Seed(s.b, zero, s.g, (3, 1)), 2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("k", [True, False, 1.0, 0.0, 9.5, "1", None])
+def test_a_mutation_direction_must_be_an_int(n, k):
+    # mutate_seed(s, True) made a seed with the word (True,), whose JSON
+    # Seed.from_json refuses, and 1.0 failed inside tuple indexing; the
+    # type is checked before the range, at every rank
+    s = initial_seed(random_skew_symmetrizable(random.Random(n), n))
+    message = f"^mutation direction {re.escape(repr(k))} is not an int$"
+    with pytest.raises(TypeError, match=message):
+        mutate_seed(s, k)
+    with pytest.raises(TypeError, match=message):
+        mutate_matrix(s.b, k)
+    with pytest.raises(TypeError, match=message):
+        apply_word(s, [1, k])
 
 
 def test_seed_json_keeps_the_row_layout():
