@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import dataclasses
 import gc
 import hashlib
 import io
@@ -34,7 +35,7 @@ from gfans import (
     swap_indices_12,
     vertex_type,
 )
-from gfans.cli import _word_count, build_parser, main
+from gfans.cli import _json_text, _word_count, build_parser, main
 from gfans.exchange import mutate_matrix
 from gfans.seeds import Seed, apply_word, initial_seed, mutate_seed
 from conftest import A3, MARKOV, TUNNEL, WING, frame
@@ -873,6 +874,25 @@ def test_a_bad_out_is_refused_before_the_work(command, out, markov_file,
     assert (tmp_path / "file").read_text() == "kept"
 
 
+@pytest.mark.parametrize("command", [
+    ["classify", "{matrix}", "--format", "json"],
+    ["explore", "{matrix}", "--depth", "1"],
+    ["render", "{fan}"],
+    ["rank2", "--a", "3", "--b", "2"],
+    ["pair", "{matrix}", "--i", "1", "--j", "2", "--format", "json"],
+], ids=["classify", "explore", "render", "rank2", "pair"])
+def test_an_empty_out_is_refused(command, markov_file, tmp_path, no_work,
+                                 capsys):
+    # an empty path used to read as no --out, and the output went to stdout
+    (tmp_path / "fan.json").write_text("{}")
+    argv = [a.format(matrix=markov_file, fan=tmp_path / "fan.json")
+            for a in command]
+    assert main(argv + ["--out", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {_open_error('')}\n"
+
+
 def test_a_valid_out_is_not_truncated_by_a_failing_command(tmp_path, capsys):
     out = tmp_path / "fan.svg"
     out.write_text("kept")
@@ -893,6 +913,7 @@ GOLDEN_MATRICES = {
     "NEG_C5": ((0, 2, -7), (-3, 0, 3), (7, -2, 0)),  # swap and band search
     # ab = 4: v3 of type 4-2, band 3, on its lower bound
     "AB4_EQUALITY": frame(-2, 5, a=1, b=4).entries,
+    "TUNNEL": TUNNEL,
 }
 
 # SHA-256 of the full stdout of each command on each matrix, in sorted
@@ -959,6 +980,12 @@ GOLDEN_STDOUT = {
         "31cce2f16d9beee548adf21833ac3eeaf32b3da1e6673822c9155a66116fb2ed",
     ("AB4_EQUALITY", ("classify", "--format", "json")):
         "28d0828c165037e0552309a879105af0108bb47400acd6ee0a6fa52e24f320e3",
+    # the JSON reports of the input whose classify calls the benchmark
+    # times, recorded from json.dumps(indent=2)
+    ("TUNNEL", ("classify", "--format", "json")):
+        "992ebe0bc6b54b985a73fdb4a340a4f44fad2d747f856fcbb66e78a0d0d09a2b",
+    ("TUNNEL", ("pair", "--i", "1", "--j", "2", "--format", "json")):
+        "8e19570f6320002c986bbf479f998e94843548c002577f5c1db3c872baca2343",
 }
 
 
@@ -1104,3 +1131,56 @@ def test_decimals_of_cancelling_limit_rays(tmp_path, capsys):
             line = ", ".join(f"{float_oracle(c):.6f}" for c in ray)
             assert f"decimal {label} = ({line})" in text
     _check_pair_decimals(path, 3, capsys)
+
+
+# -- the JSON report writer ---------------------------------------------------
+
+# quotes, backslashes, control characters, non-ASCII and a lone surrogate
+json_strings = st.text(st.characters() | st.sampled_from(
+    '"\\/\x00\x1f\x7f\u2028\xe9\ud800\U0001f600'))
+json_scalars = (
+    st.none() | st.booleans() | json_strings
+    | st.integers()
+    | st.integers(min_value=2 ** 64) | st.integers(max_value=-2 ** 64)
+    | st.floats()
+    | st.sampled_from([0.0, -0.0, float("inf"), float("-inf"), float("nan")])
+)
+json_trees = st.recursive(
+    json_scalars,
+    lambda children: (st.lists(children, max_size=5)
+                      | st.dictionaries(json_strings, children, max_size=5)),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(json_trees)
+@example([])
+@example({})
+@example([[], {}, [[]], {"": {}}, {"a": []}])
+@example({"\u00e9\"\\\n": [2 ** 70, -2 ** 64, -0.0, True, False, None]})
+def test_json_text_matches_json_dumps(value):
+    assert _json_text(value) == json.dumps(value, indent=2)
+
+
+def test_an_int_past_the_digit_limit_fails_before_the_out_file(
+        markov_file, tmp_path, monkeypatch, capsys, int_digits_640):
+    doc = {"markov_constant": 10 ** 700}
+    with pytest.raises(ValueError) as ours:
+        _json_text(doc)
+    with pytest.raises(ValueError) as stdlib:
+        json.dumps(doc, indent=2)
+    assert str(ours.value) == str(stdlib.value)
+    # no real matrix gets here: its exact limit rays, printed by str(),
+    # pass the limit first; so the constant is replaced after the fact
+    real = gfans.cli.fan_type
+    monkeypatch.setattr(gfans.cli, "fan_type", lambda B: dataclasses.replace(
+        real(B), markov_constant=10 ** 700))
+    kept = tmp_path / "kept.json"
+    kept.write_bytes(b"kept\n")
+    assert main(["classify", markov_file, "--format", "json",
+                 "--out", str(kept)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {stdlib.value}\n"
+    assert kept.read_bytes() == b"kept\n"
