@@ -300,19 +300,6 @@ def cyclic_presentation(B: ExchangeMatrix) -> CyclicPresentation:
     return CyclicPresentation(p, p_prime)
 
 
-def swap_indices_12(B: ExchangeMatrix) -> ExchangeMatrix:
-    """Exchange the roles of indices 1 and 2 (conjugation by the swap) of
-    a matrix of rank at least 2.  The swapped matrix computes its own
-    minimal symmetrizer, which is B's with d_1 and d_2 exchanged."""
-    n = B.n
-    if n < 2:
-        raise ValueError(f"swap_indices_12 needs rank at least 2, not {n}")
-    perm = [1, 0] + list(range(2, n))
-    b = B.entries
-    return ExchangeMatrix(
-        tuple(tuple(b[perm[i]][perm[j]] for j in range(n)) for i in range(n)))
-
-
 def markov_constant(B: ExchangeMatrix) -> int:
     """C(B) = p1 p'1 + p2 p'2 + p3 p'3 - |p1 p2 p3| for cyclic rank-3 B."""
     pres = cyclic_presentation(B)

@@ -19,6 +19,8 @@ Mat2 = tuple[tuple[int, int], tuple[int, int]]
 
 
 def _check_ab(a: int, b: int):
+    if type(a) is not int or type(b) is not int:
+        raise ValueError(f"a and b must be ints, not {a!r} and {b!r}")
     if a < 1 or b < 1 or a * b < 4:
         raise ValueError("requires a, b >= 1 with ab >= 4")
 
@@ -35,6 +37,8 @@ def rank2_matrices(t: int, a: int, b: int) -> tuple[Mat2, Mat2]:
     with direct mutation along the alternating word toward t.
     """
     _check_ab(a, b)  # t = 0 reads no g-vector
+    if type(t) is not int:
+        raise ValueError(f"t must be an int, not {t!r}")
     # each walk starts from G_0 = I, listed other column first
     if t > 0:
         walk = chain(((1, 0), (0, 1)), g_vectors("forward", a, b))
@@ -76,6 +80,8 @@ def g_vectors(direction: str, a: int, b: int):
 def g_sequence(direction: str, m: int, a: int, b: int) -> tuple[int, int]:
     """m-th g-vector along the forward or backward alternating mutations,
     entry m - 1 of `g_vectors`."""
+    if type(m) is not int:
+        raise ValueError(f"m must be an int, not {m!r}")
     if m < 1:
         raise ValueError("m must be >= 1")
     return next(islice(g_vectors(direction, a, b), m - 1, None))

@@ -12,7 +12,7 @@ also labels the triplet/case of a whole fan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import islice, pairwise
 
 from .exchange import (
@@ -21,7 +21,6 @@ from .exchange import (
     cyclic_presentation,
     is_totally_infinite,
     markov_constant,
-    swap_indices_12,
 )
 from .quadratic import QuadraticRay
 from .rank2 import g_vectors, limit_parts
@@ -62,6 +61,13 @@ class FanTypeReport:
     markov_constant: int | None
     swap_applied: bool
     reports: tuple[VertexTypeReport, VertexTypeReport, VertexTypeReport]
+
+
+def _natural_pair(i) -> tuple[int, int]:
+    """The pair complementary to vertex i, in its natural order."""
+    if type(i) is not int or not 1 <= i <= 3:
+        raise ValueError(f"vertex index {i!r} is not 1, 2 or 3")
+    return _NATURAL_PAIR[i]
 
 
 def _orient(B: ExchangeMatrix, j: int, k: int):
@@ -149,7 +155,7 @@ def vertex_type(B: ExchangeMatrix, i: int) -> VertexTypeReport:
     """Asymptotic type of the elementary vertex v_i."""
     if B.n != 3:
         raise ValueError("vertex classification requires rank 3")
-    natural = _NATURAL_PAIR[i]
+    natural = _natural_pair(i)
     a, b, j, k = _orient(B, *natural)
     c0, d0 = B[i, j], B[i, k]
     tag = _tag(a, b, c0, d0)
@@ -170,8 +176,9 @@ def lifted_sequences(B: ExchangeMatrix, i: int, m_max: int):
     entry m-1 is the m-th g-vector of the alternating mutations.
     """
     rep = vertex_type(B, i)
-    a, b, j, k = _orient(B, *_NATURAL_PAIR[i])
+    a, b = rep.pair_ab
     c0, d0 = rep.c0_d0
+    j, k = _NATURAL_PAIR[i][::-1] if rep.swap_applied else _NATURAL_PAIR[i]
     out = []
     for forward, direction in ((True, "forward"), (False, "backward")):
         seq = []
@@ -192,7 +199,7 @@ def limit_rays(B: ExchangeMatrix, i: int):
     """(v, v'): limit directions of the lifted sequences at vertex v_i."""
     if B.n != 3:
         raise ValueError("vertex classification requires rank 3")
-    return pair_asymptotics(B, *_NATURAL_PAIR[i])
+    return pair_asymptotics(B, *_natural_pair(i))
 
 
 def pair_asymptotics(B: ExchangeMatrix, i: int, j: int):
@@ -204,6 +211,9 @@ def pair_asymptotics(B: ExchangeMatrix, i: int, j: int):
     part P and Q of the ray (P + Q*sqrt(delta)) / den.
     """
     n = B.n
+    for x in (i, j):
+        if type(x) is not int:
+            raise ValueError(f"pair index {x!r} is not an int")
     if i == j or not (1 <= i <= n and 1 <= j <= n):
         raise ValueError("need two distinct indices in range")
     a, b, j, k = _orient(B, i, j)
@@ -224,23 +234,26 @@ def pair_asymptotics(B: ExchangeMatrix, i: int, j: int):
 def fan_type(B: ExchangeMatrix) -> FanTypeReport:
     """Triplet of vertex types and the global-pattern case label.
 
-    Normalized so that p_3 > 0, swapping indices 1 and 2 if necessary.
+    Normalized so that p_3 > 0, exchanging indices 1 and 2 if necessary.
     Acyclic matrices get case A; cyclic ones get C-1 .. C-5.  When the
-    swap is applied, `triplet` and `reports` use the normalized labels:
-    entry i is `vertex_type(swap_indices_12(B), i)`, so v1 and v2 are the
-    input's v2 and v1.  `limit_rays(B, i)` reads B in its own labels.
+    exchange is applied, `triplet` and `reports` use the normalized labels
+    (v1 and v2 are the input's v2 and v1).  The exchange reverses each
+    vertex's complementary pair, so B's own reports are only relabelled,
+    `swap_applied` negated, and the Markov constant is unchanged.
+    `limit_rays(B, i)` reads B in its own labels.
     """
     if B.n != 3:
         raise ValueError("fan type requires rank 3")
     if not is_totally_infinite(B):
         raise NotTotallyInfinite("fan type requires a totally-infinite matrix")
-    swapped = False
     pres = cyclic_presentation(B)
-    if pres.p[2] < 0:
-        B = swap_indices_12(B)
-        pres = cyclic_presentation(B)
-        swapped = True
-    reports = tuple(vertex_type(B, i) for i in (1, 2, 3))
+    swapped = pres.p[2] < 0
+    # B's labels of the normalized v1, v2 and v3
+    order = (2, 1, 3) if swapped else (1, 2, 3)
+    reports = tuple(vertex_type(B, i) for i in order)
+    if swapped:
+        reports = tuple(replace(r, vertex=i, swap_applied=not r.swap_applied)
+                        for i, r in enumerate(reports, 1))
     triplet = tuple(_TAG_LABEL[r.tag] for r in reports)
     if not pres.cyclic:
         return FanTypeReport(triplet, "A", None, swapped, reports)

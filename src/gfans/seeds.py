@@ -206,11 +206,11 @@ def mutate_seed(s: Seed, k: int) -> Seed:
     At rank 3 every vector is unpacked once and each update is written
     out componentwise in straight-line arithmetic; any other rank takes
     the generic loops.  Both build the same vectors and raise the same
-    errors.  Both branch on the signs of eps and b_kj rather than
-    multiply by eps: each product eps * b_kj with a big entry allocates a
-    new integer.  On Tunnel seeds, whose entries have thousands of bits,
-    that made the generic loops about 6% slower, and the rank-3 branch
-    about 4% slower on `explore(TUNNEL, 13)`."""
+    errors.  The generic loops, which ranks 2 and 4 reach with small B
+    entries, test one product w = eps b_kj per entry.  The rank-3 branch
+    tests the signs of eps and b_kj instead: on Tunnel, whose entries
+    have thousands of bits, each product allocates a new integer, and
+    `explore(TUNNEL, 13)` ran about 4% slower with them."""
     c, g = s.c, s.g
     n = len(c)
     if type(k) is not int or not 1 <= k <= n:
@@ -267,20 +267,17 @@ def mutate_seed(s: Seed, k: int) -> Seed:
         ck = c[kk]
         new_c = list(c)
         for j, bkj in enumerate(b[kk]):
-            if eps > 0 and bkj > 0:
-                new_c[j] = tuple([x + bkj * y for x, y in zip(c[j], ck)])
-            elif eps < 0 and bkj < 0:
-                new_c[j] = tuple([x - bkj * y for x, y in zip(c[j], ck)])
+            w = eps * bkj
+            if w > 0:
+                new_c[j] = tuple([x + w * y for x, y in zip(c[j], ck)])
         new_c[kk] = tuple([-x for x in ck])
         new_c = tuple(new_c)
         # g_k -> -g_k + sum_j [-eps b_jk]_+ g_j; b_kk = 0
         gk = [-x for x in g[kk]]
         for gj, row in zip(g, b):
-            bjk = row[kk]
-            if eps > 0 and bjk < 0:
-                gk = [x - bjk * y for x, y in zip(gk, gj)]
-            elif eps < 0 and bjk > 0:
-                gk = [x + bjk * y for x, y in zip(gk, gj)]
+            w = -eps * row[kk]
+            if w > 0:
+                gk = [x + w * y for x, y in zip(gk, gj)]
         new_g = g[:kk] + (tuple(gk),) + g[k:]
     # the frozen dataclass's __init__ would need b
     child = object.__new__(Seed)

@@ -64,3 +64,12 @@ def wing():
 @pytest.fixture
 def tunnel():
     return ExchangeMatrix(TUNNEL)
+
+
+def swap_indices_12(B):
+    """B with the roles of indices 1 and 2 exchanged (conjugation by the
+    swap): an oracle for `fan_type`'s relabelling, which permutes no
+    matrix."""
+    perm = [1, 0, *range(2, B.n)]
+    return ExchangeMatrix(tuple(tuple(B.entries[p][q] for q in perm)
+                                for p in perm))

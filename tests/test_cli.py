@@ -32,13 +32,12 @@ from gfans import (
     is_cluster_cyclic,
     limit_rays,
     markov_constant,
-    swap_indices_12,
     vertex_type,
 )
 from gfans.cli import _json_text, _word_count, build_parser, main
 from gfans.exchange import mutate_matrix
 from gfans.seeds import Seed, apply_word, initial_seed, mutate_seed
-from conftest import A3, MARKOV, TUNNEL, WING, frame
+from conftest import A3, MARKOV, TUNNEL, WING, frame, swap_indices_12
 from test_exchange import skew_symmetrizable_matrices
 from test_quadratic import assert_within_one_ulp, float_oracle
 

@@ -18,10 +18,10 @@ from gfans import (
     markov_constant,
     mutate_matrix,
     skew_symmetrizer,
-    swap_indices_12,
 )
 from gfans.exchange import int_rows, mutate_row
-from conftest import MARKOV, PINWHEEL, TUNNEL, TUNNEL_CLOSEUP, WIDE_TUNNEL, WING
+from conftest import (MARKOV, PINWHEEL, TUNNEL, TUNNEL_CLOSEUP, WIDE_TUNNEL,
+                      WING, swap_indices_12)
 
 
 def random_skew_symmetrizable(rng, n):
@@ -332,10 +332,6 @@ def test_swap_indices_12():
     assert swap_indices_12(S).entries == B.entries
     assert (B.symmetrizer, S.symmetrizer) == ((3, 2, 6), (2, 3, 6))
 
-
-def test_swap_indices_12_refuses_rank_1():
-    with pytest.raises(ValueError, match="rank at least 2, not 1"):
-        swap_indices_12(ExchangeMatrix(((0,),)))
 
 
 def _int_rows_by_any(rows, what):

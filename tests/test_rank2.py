@@ -205,3 +205,31 @@ def test_rejects_finite_type_pairs():
         g_sequence("sideways", 1, 3, 2)
     with pytest.raises(ValueError, match="m must be >= 1"):
         g_sequence("forward", 0, 3, 2)
+
+
+AB_INTS = "a and b must be ints"
+
+
+@pytest.mark.parametrize("call,message", [
+    pytest.param(lambda: g_sequence("forward", 2, 2.5, 2), AB_INTS,
+                 id="g_sequence-a-2.5"),
+    pytest.param(lambda: list(islice(g_vectors("forward", 3, True), 2)),
+                 AB_INTS, id="g_vectors-b-True"),
+    pytest.param(lambda: rank2_matrices(3, 2.5, 2), AB_INTS,
+                 id="rank2_matrices-a-2.5"),
+    pytest.param(lambda: rank2_matrices(3, 2, 4.0), AB_INTS,
+                 id="rank2_matrices-b-4.0"),
+    pytest.param(lambda: limit_vectors(True, 4), AB_INTS,
+                 id="limit_vectors-a-True"),
+    pytest.param(lambda: g_sequence("forward", 2.0, 3, 2), "m must be an int",
+                 id="g_sequence-m-2.0"),
+    pytest.param(lambda: g_sequence("forward", True, 3, 2), "m must be an int",
+                 id="g_sequence-m-True"),
+    pytest.param(lambda: rank2_matrices(2.0, 3, 2), "t must be an int",
+                 id="rank2_matrices-t-2.0"),
+])
+def test_non_int_parameters_are_refused(call, message):
+    # a float a or b would make float g-vectors, which nothing upstream
+    # of the renderer may hold
+    with pytest.raises(ValueError, match=f"^{message}, not "):
+        call()

@@ -13,6 +13,7 @@ from gfans import (
     find_band_index,
     g_sequence,
     initial_seed,
+    is_totally_infinite,
     lifted_sequences,
     limit_rays,
     limit_vectors,
@@ -23,7 +24,7 @@ from gfans import (
 from gfans.chebyshev import pair_ratio, u_pairs
 from gfans.rank3 import _tag
 from gfans.seeds import apply_word, mutate_seed
-from conftest import MARKOV, PINWHEEL, TUNNEL, WING, frame
+from conftest import MARKOV, PINWHEEL, TUNNEL, WING, frame, swap_indices_12
 
 
 def alternating_word(first, second, length):
@@ -353,6 +354,38 @@ def test_pair_asymptotics_rank_two_slice():
     assert vp == (one, yp)
 
 
+@pytest.mark.parametrize("f,args,index", [
+    pytest.param(vertex_type, (4,), "vertex index 4", id="vertex_type-4"),
+    pytest.param(vertex_type, (0,), "vertex index 0", id="vertex_type-0"),
+    pytest.param(vertex_type, (True,), "vertex index True",
+                 id="vertex_type-True"),
+    pytest.param(vertex_type, (1.0,), "vertex index 1.0",
+                 id="vertex_type-1.0"),
+    pytest.param(limit_rays, (0,), "vertex index 0", id="limit_rays-0"),
+    pytest.param(limit_rays, (False,), "vertex index False",
+                 id="limit_rays-False"),
+    pytest.param(lifted_sequences, (5, 3), "vertex index 5",
+                 id="lifted_sequences-5"),
+    pytest.param(pair_asymptotics, (1.0, 2), "pair index 1.0",
+                 id="pair_asymptotics-1.0"),
+    pytest.param(pair_asymptotics, (True, 2), "pair index True",
+                 id="pair_asymptotics-True"),
+    pytest.param(pair_asymptotics, (3, False), "pair index False",
+                 id="pair_asymptotics-False"),
+])
+def test_bad_vertex_and_pair_indices_are_input_errors(f, args, index):
+    with pytest.raises(ValueError, match=f"^{index} is not"):
+        f(ExchangeMatrix(MARKOV), *args)
+
+
+@pytest.mark.parametrize("f,args", [
+    (vertex_type, (4,)), (limit_rays, (0,)), (lifted_sequences, (5, 3)),
+])
+def test_rank_is_checked_before_the_vertex_index(f, args):
+    with pytest.raises(ValueError, match="requires rank 3"):
+        f(ExchangeMatrix(((0, -2), (3, 0))), *args)
+
+
 # -- whole-fan classification ------------------------------------------------
 
 def test_fan_types_of_named_matrices():
@@ -384,7 +417,6 @@ def test_fan_type_mixed_cyclic_case():
 
 
 def test_fan_type_normalizes_orientation():
-    from gfans import swap_indices_12
     B = ExchangeMatrix(WING)
     rep = fan_type(B)
     swapped = fan_type(swap_indices_12(B))
@@ -392,6 +424,54 @@ def test_fan_type_normalizes_orientation():
     assert swapped.triplet == rep.triplet
     assert swapped.case_label == rep.case_label
     assert swapped.swap_applied != rep.swap_applied
+
+
+@st.composite
+def exchanged_matrices(draw):
+    """Totally-infinite rank-3 matrices with p_3 < 0, which fan_type
+    normalizes: A * D with A skew-symmetric, or frames with ab = 4, whose
+    band search can fail; one with p_3 > 0 is exchanged or negated."""
+    if draw(st.booleans()):
+        a, b = draw(st.sampled_from([(1, 4), (2, 2), (4, 1)]))
+        c0, d0 = draw(st.integers(-300, 300)), draw(st.integers(-300, 300))
+        rows = frame(c0, d0, a, b).entries
+    else:
+        d = [draw(st.integers(1, 3)) for _ in range(3)]
+        x, y, z = (draw(st.integers(1, 9)) * draw(st.sampled_from([1, -1]))
+                   for _ in range(3))
+        a = ((0, x, y), (-x, 0, z), (-y, -z, 0))
+        rows = tuple(tuple(a[i][j] * d[j] for j in range(3))
+                     for i in range(3))
+    B = ExchangeMatrix(rows)
+    assume(is_totally_infinite(B))
+    if B[2, 1] > 0:
+        if draw(st.booleans()):
+            return swap_indices_12(B)
+        return ExchangeMatrix(tuple(tuple(-x for x in r) for r in rows))
+    return B
+
+
+@settings(max_examples=300, deadline=None)
+@given(exchanged_matrices())
+@example(swap_indices_12(frame(-127, 256, a=1, b=4)))  # no band within bound
+@example(ExchangeMatrix(((0, 2, -7), (-3, 0, 3), (7, -2, 0))))  # -C5
+def test_fan_type_relabels_as_the_exchanged_matrix_classifies(B):
+    # fan_type permutes no matrix; the oracle does: each report is the
+    # exchanged matrix's own, and so are the case and the Markov constant
+    assert B[2, 1] < 0
+    S = swap_indices_12(B)
+    try:
+        want = tuple(vertex_type(S, i) for i in (1, 2, 3))
+    except InternalBandSearchFailure as exc:
+        with pytest.raises(InternalBandSearchFailure) as failure:
+            fan_type(B)
+        assert str(failure.value) == str(exc)
+        return
+    got, oracle = fan_type(B), fan_type(S)
+    assert (got.swap_applied, oracle.swap_applied) == (True, False)
+    assert got.reports == want
+    assert (got.triplet, got.case_label, got.markov_constant) == \
+        (oracle.triplet, oracle.case_label, oracle.markov_constant)
 
 
 def test_fan_type_rejects_finite_pairs():
