@@ -45,9 +45,17 @@ def pair_ratio(up, uq, a: int, b: int) -> Fraction:
     return Fraction(up[1] * b, uq[0])
 
 
+def _check_ints(**params):
+    """Refuse a parameter that is not an int, a bool included."""
+    for name, x in params.items():
+        if type(x) is not int:
+            raise ValueError(f"{name} must be an int, not {x!r}")
+
+
 def chebyshev_u(n: int, ab: int) -> tuple[int, int]:
     """U_n at t = kappa/2 for kappa = sqrt(ab) as (even_part, odd_part);
     defined for n >= -2."""
+    _check_ints(n=n, ab=ab)
     if n < -2:
         raise ValueError("index must be >= -2")
     return next(islice(u_pairs(ab), n + 2, None))
@@ -58,6 +66,7 @@ def nu_ratio(p: int, q: int, a: int, b: int) -> Fraction:
 
     Requires U_q != 0, i.e. q >= 0 or q = -2.
     """
+    _check_ints(p=p, q=q, a=a, b=b)
     if min(p, q) < -2:
         raise ValueError("index must be >= -2")
     if q == -1:

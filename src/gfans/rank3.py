@@ -176,6 +176,10 @@ def lifted_sequences(B: ExchangeMatrix, i: int, m_max: int):
     entry m-1 is the m-th g-vector of the alternating mutations.
     """
     rep = vertex_type(B, i)
+    if type(m_max) is not int:
+        raise ValueError(f"m_max must be an int, not {m_max!r}")
+    if m_max < 0:
+        raise ValueError("m_max must be >= 0")
     a, b = rep.pair_ab
     c0, d0 = rep.c0_d0
     j, k = _NATURAL_PAIR[i][::-1] if rep.swap_applied else _NATURAL_PAIR[i]

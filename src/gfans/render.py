@@ -7,10 +7,11 @@ are purely visual.  `_plane` is the one place the projection is written.
 
 A render turns each distinct ray into floats and projects it once: a
 table local to the call holds, for each ray, its unit vector and the
-pixel text of its image, or the NearAntipode that projecting it raised,
-and both endpoints of every arc are read from it.  One loop samples the
-interior of an arc: each sample goes through `_plane` and is mapped to
-pixels and formatted with the float operations of `_to_pixels` and
+pixel text of its image, or None if projecting it raised, and both
+endpoints of every arc are read from it.  An arc that reaches an end
+without text projects it again, to raise that error.  One loop samples
+the interior of an arc: each sample goes through `_plane` and is mapped
+to pixels and formatted with the float operations of `_to_pixels` and
 `_fmt`, in their order, so the bytes are those of projecting, mapping
 and formatting every point on its own.
 
@@ -116,31 +117,28 @@ def _path(pixels) -> str:
     return "M " + " L ".join(f"{_fmt(x)} {_fmt(y)}" for x, y in pixels)
 
 
+def _text(u) -> str:
+    """Pixel text `x y` of the image of a unit vector."""
+    x, y = _to_pixels(_plane(*u))
+    return f"{_fmt(x)} {_fmt(y)}"
+
+
 def _end(ends, ray):
     """(unit vector, pixel text) of a ray, from the table `ends` or put
     into it.  The sample at an arc's end is that unit vector, so the text
-    is that of projecting the unit vector, as for the arc's interior.  If
-    projecting raised ValueError (NearAntipode, or a ray past the float
-    range that normalizes to zero), the error takes the text's place, to
-    be raised when an arc reaches that end."""
+    is that of projecting the unit vector, as for the arc's interior.  The
+    text is None if projecting raised ValueError (NearAntipode, or a ray
+    past the float range that normalizes to zero): an arc that reaches
+    that end projects the unit vector again, to raise the same error."""
     end = ends.get(ray)
     if end is None:
         u = _unit(*map(float, ray))
         try:
-            x, y = _to_pixels(_plane(*u))
-            text = f"{_fmt(x)} {_fmt(y)}"
-        except ValueError as exc:
-            text = exc.with_traceback(None)
+            text = _text(u)
+        except ValueError:
+            text = None
         end = ends[ray] = (u, text)
     return end
-
-
-def _reached(text) -> str:
-    """An end's pixel text, or a copy of the error kept in its place: the
-    kept one then never holds a traceback, nor the table a frame."""
-    if type(text) is str:
-        return text
-    raise type(text)(*text.args)
 
 
 def arc_polyline(ray_a, ray_b, opts: RenderOptions, ends) -> list[str]:
@@ -159,10 +157,10 @@ def arc_polyline(ray_a, ray_b, opts: RenderOptions, ends) -> list[str]:
     dot = max(-1.0, min(1.0, ax * bx + ay * by + az * bz))
     phi = math.acos(dot)
     if phi < 1e-7:  # identical rays up to rounding (acos amplifies ulps)
-        return [_reached(text_a)]
+        return [text_a or _text((ax, ay, az))]
     steps = int(phi / math.radians(opts.arc_resolution)) + 1
     sin_phi = math.sin(phi)
-    texts = [_reached(text_a)]
+    texts = [text_a or _text((ax, ay, az))]
     for s in range(1, steps):
         f = s / steps
         w1 = math.sin((1.0 - f) * phi) / sin_phi
@@ -172,7 +170,7 @@ def arc_polyline(ray_a, ray_b, opts: RenderOptions, ends) -> list[str]:
         text = f"{x:.4f} {y:.4f}"
         texts.append(text if "-0.0000" not in text
                      else f"{_fmt(x)} {_fmt(y)}")
-    texts.append(_reached(text_b))
+    texts.append(text_b or _text((bx, by, bz)))
     return texts
 
 
@@ -232,7 +230,7 @@ def render_svg(fan: Fan, opts: RenderOptions | None = None) -> str:
             f'stroke="#bbbbbb" stroke-width="0.8"/>'
         )
     frontier = fan.frontier if opts.shade_frontier else set()
-    ends = {}  # ray -> (unit vector, pixel text or error), this call only
+    ends = {}  # ray -> (unit vector, pixel text or None), this call only
     drawn = {}  # sorted ray pair -> (pixel texts, segment), this call only
     for key in sorted(fan.cones):
         cone = fan.cones[key]

@@ -4,10 +4,12 @@ A seed holds its c- and g-vectors, the columns of C and G, as tuples:
 `s.c[i - 1]` is c_i and `s.g[i - 1]` is g_i.  The vectors follow the
 rules of Fomin-Zelevinsky (Cluster algebras IV), in which mutation in
 direction k changes only c_k, g_k and the c-vectors c_j with
-[eps b_kj]_+ > 0, where eps is the tropical sign of c_k.  A child shares
-every other vector with its parent, as the same tuple object.  At rank 3
-`mutate_seed`, like `exchange.mutate_matrix`, writes each update out in
-straight-line arithmetic; any other rank takes the generic loops.
+[eps b_kj]_+ > 0, where eps is the tropical sign of c_k.  Those j are
+also the ones whose g_j enter g_k, so one sign test per j decides both
+updates.  A child shares every other vector with its parent, as the same
+tuple object.  At rank 3 `mutate_seed`, like `exchange.mutate_matrix`,
+writes each update out in straight-line arithmetic; any other rank takes
+one generic loop.
 
 A child's B is built on first read: until then it holds its parent's B
 and k, and `exchange.mutate_matrix` builds mu_k(B) by the row rule
@@ -145,7 +147,9 @@ class Seed:
     @classmethod
     def from_json(cls, doc: dict) -> "Seed":
         """Decode `to_json`, rejecting a missing field, a C or G that is
-        not n x n for the rank n of B and a word letter outside 1..n."""
+        not n x n for the rank n of B, a word letter outside 1..n and a C
+        and G that are not D-dual, C^T D G != D, as `load_fan` rejects a
+        cone."""
         json_value(doc, dict, "seed")
         b = ExchangeMatrix(int_rows(json_field(doc, "b", "seed"), "seed b"))
         n = b.n
@@ -158,7 +162,11 @@ class Seed:
         if not all(1 <= k <= n for k in word):
             raise ValueError(f"seed word {list(word)} is not a word in "
                              f"1..{n}")
-        return cls(b, transpose(c), transpose(g), word)
+        c, g = transpose(c), transpose(g)
+        if not d_paired(c, g, b.symmetrizer):
+            raise ValueError("seed c-vectors not dual to the g-vectors: "
+                             "C^T D G != D")
+        return cls(b, c, g, word)
 
 
 def _child_b(s: Seed) -> ExchangeMatrix:
@@ -203,14 +211,16 @@ def mutate_seed(s: Seed, k: int) -> Seed:
     """Mutation in direction k (1-based) of the full (B, C, G) triple;
     the child builds its B when it is first read.
 
-    At rank 3 every vector is unpacked once and each update is written
-    out componentwise in straight-line arithmetic; any other rank takes
-    the generic loops.  Both build the same vectors and raise the same
-    errors.  The generic loops, which ranks 2 and 4 reach with small B
-    entries, test one product w = eps b_kj per entry.  The rank-3 branch
-    tests the signs of eps and b_kj instead: on Tunnel, whose entries
-    have thousands of bits, each product allocates a new integer, and
-    `explore(TUNNEL, 13)` ran about 4% slower with them."""
+    The rules move c_j when eps b_kj > 0 and add a multiple of g_j to
+    -g_k when -eps b_jk > 0.  B is skew-symmetrizable, d_k b_kj =
+    -d_j b_jk with every d_j > 0 (`ExchangeMatrix` checks D when it is
+    built, and `mutate_matrix` again on every mutation), so both
+    conditions pick out the same j: one sign test per neighbour decides
+    both updates.  At rank 3 every vector is unpacked once and each
+    update is written out componentwise in straight-line arithmetic, with
+    eps folded into x = eps c_k and h = -eps g_k, so that no entry is
+    multiplied by eps; any other rank takes one generic loop.  Both build
+    the same vectors and raise the same errors."""
     c, g = s.c, s.g
     n = len(c)
     if type(k) is not int or not 1 <= k <= n:
@@ -223,39 +233,28 @@ def mutate_seed(s: Seed, k: int) -> Seed:
         i, j = _OTHERS[kk]
         ci, cj, gi, gj = c[i], c[j], g[i], g[j]
         x1, x2, x3 = c[kk]
-        y1, y2, y3 = g[kk]
-        h1, h2, h3 = -y1, -y2, -y3
-        bki, bkj = b[kk][i], b[kk][j]
-        bik, bjk = b[i][kk], b[j][kk]
-        # c_i -> c_i + [eps b_ki]_+ c_k, c_j likewise, c_k -> -c_k and
-        # g_k -> -g_k + [-eps b_ik]_+ g_i + [-eps b_jk]_+ g_j
-        if eps > 0:
-            if bki > 0:
-                y1, y2, y3 = ci
-                ci = (y1 + bki * x1, y2 + bki * x2, y3 + bki * x3)
-            if bkj > 0:
-                y1, y2, y3 = cj
-                cj = (y1 + bkj * x1, y2 + bkj * x2, y3 + bkj * x3)
-            if bik < 0:
-                y1, y2, y3 = gi
-                h1, h2, h3 = h1 - bik * y1, h2 - bik * y2, h3 - bik * y3
-            if bjk < 0:
-                y1, y2, y3 = gj
-                h1, h2, h3 = h1 - bjk * y1, h2 - bjk * y2, h3 - bjk * y3
+        ck = (-x1, -x2, -x3)
+        h1, h2, h3 = g[kk]
+        # x = eps c_k and h = -eps g_k; for l = i, j with eps b_kl > 0,
+        # c_l -> c_l + b_kl x and h -> h - b_lk g_l; then g_k -> eps h
+        green = eps > 0
+        if green:
+            h1, h2, h3 = -h1, -h2, -h3
         else:
-            if bki < 0:
-                y1, y2, y3 = ci
-                ci = (y1 - bki * x1, y2 - bki * x2, y3 - bki * x3)
-            if bkj < 0:
-                y1, y2, y3 = cj
-                cj = (y1 - bkj * x1, y2 - bkj * x2, y3 - bkj * x3)
-            if bik > 0:
-                y1, y2, y3 = gi
-                h1, h2, h3 = h1 + bik * y1, h2 + bik * y2, h3 + bik * y3
-            if bjk > 0:
-                y1, y2, y3 = gj
-                h1, h2, h3 = h1 + bjk * y1, h2 + bjk * y2, h3 + bjk * y3
-        ck, gk = (-x1, -x2, -x3), (h1, h2, h3)
+            x1, x2, x3 = ck
+        bki, bik = b[kk][i], b[i][kk]
+        if bki > 0 if green else bki < 0:
+            y1, y2, y3 = ci
+            ci = (y1 + bki * x1, y2 + bki * x2, y3 + bki * x3)
+            y1, y2, y3 = gi
+            h1, h2, h3 = h1 - bik * y1, h2 - bik * y2, h3 - bik * y3
+        bkj, bjk = b[kk][j], b[j][kk]
+        if bkj > 0 if green else bkj < 0:
+            y1, y2, y3 = cj
+            cj = (y1 + bkj * x1, y2 + bkj * x2, y3 + bkj * x3)
+            y1, y2, y3 = gj
+            h1, h2, h3 = h1 - bjk * y1, h2 - bjk * y2, h3 - bjk * y3
+        gk = (h1, h2, h3) if green else (-h1, -h2, -h3)
         if kk == 0:
             new_c, new_g = (ck, ci, cj), (gk, gi, gj)
         elif kk == 1:
@@ -263,21 +262,19 @@ def mutate_seed(s: Seed, k: int) -> Seed:
         else:
             new_c, new_g = (ci, cj, ck), (gi, gj, gk)
     else:
-        # c_j -> c_j + [eps b_kj]_+ c_k and c_k -> -c_k; b_kk = 0
+        # for j with w = eps b_kj > 0: c_j -> c_j + w c_k and
+        # g_k -> g_k + (-eps b_jk) g_j, from -g_k; then c_k -> -c_k
         ck = c[kk]
         new_c = list(c)
+        gk = [-x for x in g[kk]]
         for j, bkj in enumerate(b[kk]):
             w = eps * bkj
             if w > 0:
                 new_c[j] = tuple([x + w * y for x, y in zip(c[j], ck)])
+                f = -eps * b[j][kk]
+                gk = [x + f * y for x, y in zip(gk, g[j])]
         new_c[kk] = tuple([-x for x in ck])
         new_c = tuple(new_c)
-        # g_k -> -g_k + sum_j [-eps b_jk]_+ g_j; b_kk = 0
-        gk = [-x for x in g[kk]]
-        for gj, row in zip(g, b):
-            w = -eps * row[kk]
-            if w > 0:
-                gk = [x + w * y for x, y in zip(gk, gj)]
         new_g = g[:kk] + (tuple(gk),) + g[k:]
     # the frozen dataclass's __init__ would need b
     child = object.__new__(Seed)

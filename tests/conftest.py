@@ -17,6 +17,11 @@ TUNNEL_CLOSEUP = ((0, -16, 237602), (24, 0, -14889), (-356403, 14889, 0))
 A3 = ((0, 1, 0), (-1, 0, 1), (0, -1, 0))
 B2_A1 = ((0, 1, 0), (-2, 0, 0), (0, 0, 0))
 
+# Rank 4: the finite type A4, and R4, whose fan keeps growing with depth;
+# walks on both meet both signs of eps and many zero entries of B.
+A4 = ((0, 1, 0, 0), (-1, 0, 1, 0), (0, -1, 0, 1), (0, 0, -1, 0))
+R4 = ((0, 2, -1, 0), (-2, 0, 2, -1), (1, -2, 0, 2), (0, 1, -2, 0))
+
 
 def frame(c0, d0, a=3, b=2):
     """Rank-3 matrix whose vertex v3 reduces to the pair (a, b) with the

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -97,3 +98,22 @@ def test_nu_ratio_monotone_bands():
     up = [nu_ratio(n, n + 1, a, b) for n in range(8)]
     assert all(x > y for x, y in zip(down, down[1:]))
     assert all(x < y for x, y in zip(up, up[1:]))
+
+
+@pytest.mark.parametrize("call, message", [
+    # islice's message, "requires ab >= 4", (0, 1), 3 and Fraction's
+    # TypeError before the parameters were checked
+    (lambda: chebyshev_u(2.5, 5), "n must be an int, not 2.5"),
+    (lambda: chebyshev_u(3, 2.5), "ab must be an int, not 2.5"),
+    (lambda: chebyshev_u(True, 5), "n must be an int, not True"),
+    (lambda: chebyshev_u(0, False), "ab must be an int, not False"),
+    (lambda: nu_ratio(2, 1, True, 4), "a must be an int, not True"),
+    (lambda: nu_ratio(2, 1, 2.5, 2), "a must be an int, not 2.5"),
+    (lambda: nu_ratio(2, 1, 3, "2"), "b must be an int, not '2'"),
+    (lambda: nu_ratio(2.0, 1, 3, 2), "p must be an int, not 2.0"),
+    (lambda: nu_ratio(2, True, 3, 2), "q must be an int, not True"),
+], ids=["u-n-float", "u-ab-float", "u-n-bool", "u-ab-bool", "nu-a-bool",
+        "nu-a-float", "nu-b-str", "nu-p-float", "nu-q-bool"])
+def test_int_parameters_are_checked(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -45,13 +45,11 @@ from gfans.seeds import (
     transpose,
     unimodular_inverse,
 )
-from conftest import A3, B2_A1, MARKOV, PINWHEEL, TUNNEL, WING, frame
+from conftest import A3, A4, B2_A1, MARKOV, PINWHEEL, TUNNEL, WING, frame
 from test_exchange import (
     random_skew_symmetrizable,
     skew_symmetrizable_matrices,
 )
-
-A4 = ((0, 1, 0, 0), (-1, 0, 1, 0), (0, -1, 0, 1), (0, 0, -1, 0))
 
 _rank3_matrices = st.builds(random_skew_symmetrizable,
                             st.randoms(use_true_random=False), st.just(3))

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -295,6 +296,29 @@ def test_lifted_sequences_equal_seed_mutation_at_every_vertex(rows):
             for m, letter in enumerate(word):
                 s = mutate_seed(s, letter)
                 assert s.g_vector(letter) == want[m], (i, word[0], m + 1)
+
+
+@pytest.mark.parametrize("m_max, message", [
+    (2.5, "m_max must be an int, not 2.5"),
+    (True, "m_max must be an int, not True"),
+    ("3", "m_max must be an int, not '3'"),
+    (None, "m_max must be an int, not None"),
+    (-1, "m_max must be >= 0"),
+    (-3, "m_max must be >= 0"),
+])
+def test_lifted_sequences_check_m_max(m_max, message):
+    # 2.5 died with range's TypeError, True gave one vector per walk and
+    # -3 two empty lists; the rank and then the vertex index still come
+    # first
+    B = ExchangeMatrix(MARKOV)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        lifted_sequences(B, 1, m_max)
+    with pytest.raises(ValueError, match="^vertex index 4 is not 1, 2 or 3$"):
+        lifted_sequences(B, 4, m_max)
+    with pytest.raises(ValueError,
+                       match="^vertex classification requires rank 3$"):
+        lifted_sequences(ExchangeMatrix(((0, 1), (-1, 0))), 4, m_max)
+    assert lifted_sequences(B, 1, 0) == ([], [])
 
 
 # -- limit rays --------------------------------------------------------------

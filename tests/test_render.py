@@ -93,6 +93,44 @@ def test_arc_polyline_endpoints_and_density():
     ]
 
 
+NEAR = (-1, -1, -1)  # the antipode of the projection center
+ZERO = (2**600, 2**600, 1)  # past the float range: its unit vector is 0
+NEAR_MESSAGE = ("ray (-0.5773502691896258, -0.5773502691896258, "
+                "-0.5773502691896258) is within the clipped cap")
+ZERO_MESSAGE = "cannot project the zero vector"
+
+
+@pytest.mark.parametrize("ray_a, ray_b, error, message", [
+    (NEAR, (1, 0, 0), NearAntipode, NEAR_MESSAGE),
+    # at 30 degrees the last interior sample is outside the clipped cap,
+    # so the end itself raises
+    ((1, 0, 0), NEAR, NearAntipode, NEAR_MESSAGE),
+    (ZERO, (1, 0, 0), ValueError, ZERO_MESSAGE),
+    ((1, 0, 0), ZERO, ValueError, ZERO_MESSAGE),
+    (NEAR, ZERO, NearAntipode, NEAR_MESSAGE),  # ray_a is sampled first
+    (ZERO, NEAR, ValueError, ZERO_MESSAGE),
+    (NEAR, NEAR, NearAntipode, NEAR_MESSAGE),  # a one-point arc
+], ids=["near-a", "near-b", "zero-a", "zero-b", "near-zero", "zero-near",
+        "near-near"])
+def test_a_failing_end_raises_the_same_error_each_time(ray_a, ray_b, error,
+                                                       message):
+    # the messages were recorded when the table kept the errors; each
+    # call that reaches a failing end projects it again
+    opts = RenderOptions(arc_resolution=30.0)
+    ends = {}
+    for _ in range(2):
+        with pytest.raises(ValueError) as info:
+            arc_polyline(ray_a, ray_b, opts, ends)
+        assert type(info.value) is error
+        assert str(info.value) == message
+    assert set(ends) == {ray_a, ray_b}
+    # the table keeps the unit vector and no text for a failing end, and
+    # so holds no exception, nor through it a traceback or a frame
+    for ray, (unit, text) in ends.items():
+        assert len(unit) == 3 and all(type(x) is float for x in unit)
+        assert text == (None if ray in (NEAR, ZERO) else pixel_text(ray))
+
+
 def test_a_pixel_that_rounds_to_minus_zero_is_written_as_zero(monkeypatch):
     # the sampling loop formats both coordinates of a point at once; a
     # "-0.0000" must still come out as _fmt writes it

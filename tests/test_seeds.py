@@ -33,7 +33,7 @@ from gfans.seeds import (
     unimodular_inverse,
     walk,
 )
-from conftest import A3, MARKOV, TUNNEL, WING
+from conftest import A3, A4, B2_A1, MARKOV, R4, TUNNEL, WING
 from test_exchange import random_skew_symmetrizable, skew_symmetrizable_matrices
 
 # skew_symmetrizable_matrices with rank 1 as well
@@ -707,6 +707,49 @@ def test_rank_3_mutation_matches_both_oracles_past_2_to_the_1000(
         identity(3), identity(3), entries)
 
 
+@pytest.mark.parametrize("entries, depth, counts", [
+    (A3, 11, (29, 8, 5)),
+    (B2_A1, 10, (25, 7, 7)),
+    (A4, 7, (127, 43, 59)),
+    (R4, 5, (271, 81, 57)),
+], ids=["A3", "B2xA1", "A4", "R4"])
+def test_red_steps_past_zero_entries_match_the_oracle(entries, depth,
+                                                      counts):
+    # one sign test per neighbour decides both the c- and the g-update;
+    # a zero b_kj at eps < 0 must move neither, and c_j is then shared
+    # with the parent.  The walk expands each cone once, as seeds.walk
+    # does, and checks every step it makes; the counts are its steps,
+    # those with eps < 0 and the zero b_kj, j != k, that those meet
+    s0 = initial_seed(ExchangeMatrix(entries))
+    seen = {cone_key(s0.g)}
+    level = [(s0, s0)]
+    steps = red = zeros = 0
+    for _ in range(depth):
+        nxt = []
+        for s, ref in level:
+            for k in range(1, s.n + 1):
+                if s.word and k == s.word[-1]:
+                    continue
+                child = mutate_seed(s, k)
+                ref_child = reference_mutate_seed(ref, k)
+                assert (transpose(child.c), transpose(child.g)) == (
+                    ref_child.c, ref_child.g)
+                assert child.b.entries == ref_child.b.entries
+                eps, row = tropical_sign(s, k), s.b.entries[k - 1]
+                for j in range(s.n):
+                    if j != k - 1 and eps * row[j] <= 0:
+                        assert child.c[j] is s.c[j]
+                steps += 1
+                if eps < 0:
+                    red += 1
+                    zeros += row.count(0) - 1
+                if cone_key(child.g) not in seen:
+                    seen.add(cone_key(child.g))
+                    nxt.append((child, ref_child))
+        level = nxt
+    assert (steps, red, zeros) == counts
+
+
 def test_rank_3_mutation_raises_what_the_generic_loops_raise():
     s = initial_seed(ExchangeMatrix(MARKOV))
     for k in (0, 4):
@@ -784,3 +827,26 @@ def test_seed_json_rejects_letters_outside_1_to_n(word):
     with pytest.raises(ValueError, match=r"^seed word \[.*\] is not a word "
                                          r"in 1\.\.3$"):
         Seed.from_json({**good, "word": word})
+
+
+@pytest.mark.parametrize("bad", [
+    # C = I with the G of the word (2, 1): verify_seed reported
+    # duality: False, and mutate_seed mutated it without complaint
+    {"c": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]},
+    {"g": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]},
+    {"c": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "g": [[1, 0, 0], [0, 1, 0],
+                                                   [0, 0, 2]]},
+    # C^T G = I, but D = (3, 2, 6) is not I
+    {"c": [[1, 2, 0], [0, 1, 0], [0, 0, 1]], "g": [[1, 0, 0], [-2, 1, 0],
+                                                   [0, 0, 1]]},
+])
+def test_seed_json_rejects_a_c_not_dual_to_g(bad):
+    good = apply_word(initial_seed(ExchangeMatrix(WING)), (2, 1)).to_json()
+    assert Seed.from_json(good).to_json() == good
+    with pytest.raises(ValueError, match=r"^seed c-vectors not dual to the "
+                                         r"g-vectors: C\^T D G != D$"):
+        Seed.from_json({**good, **bad})
+    # the word is checked first, as the shapes are (a misshapen C or G is
+    # never dual)
+    with pytest.raises(ValueError, match=r"^seed word \[4\] is not a word"):
+        Seed.from_json({**good, **bad, "word": [4]})
