@@ -64,7 +64,8 @@ def chebyshev_u(n: int, ab: int) -> tuple[int, int]:
 def nu_ratio(p: int, q: int, a: int, b: int) -> Fraction:
     """nu * U_p / U_q as an exact rational (p, q of opposite parity).
 
-    Requires U_q != 0, i.e. q >= 0 or q = -2.
+    Requires U_q != 0, i.e. q >= 0 or q = -2, and a, b >= 1 with ab >= 4,
+    as the paper's pairs (a, b) have: nu = sqrt(b/a).
     """
     _check_ints(p=p, q=q, a=a, b=b)
     if min(p, q) < -2:
@@ -74,4 +75,6 @@ def nu_ratio(p: int, q: int, a: int, b: int) -> Fraction:
     if (p - q) % 2 == 0:
         raise ValueError("p and q must have opposite parity")
     ab = a * b
+    if ab >= 4 and (a < 1 or b < 1):  # ab < 4 is chebyshev_u's to refuse
+        raise ValueError("requires a, b >= 1")
     return pair_ratio(chebyshev_u(p, ab), chebyshev_u(q, ab), a, b)

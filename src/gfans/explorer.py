@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property
 from operator import mul
 
 from .exchange import (ExchangeMatrix, int_rows, json_field, json_value,
@@ -19,6 +18,7 @@ from .exchange import (ExchangeMatrix, int_rows, json_field, json_value,
 from .quadratic import QuadraticRay, root_sign
 from .seeds import (
     GCone,
+    built_on_read,
     collector_paused,
     cone_key,
     d_paired,
@@ -41,11 +41,13 @@ class Fan:
     one mutation joins, as frozensets of two keys.
 
     A fan from `explore` or `load_fan` builds its adjacency on first read,
-    from a flat list of key pairs, and then drops the list, so a caller
-    that reads only cones and words, such as a route search or
-    `render_svg`, never pays for the edge set.  Equality and `repr` read
-    it, and copies and pickles carry the list, so all four match those of
-    a fan built with its adjacency."""
+    from a flat list of key pairs, `_edges`, so a caller that reads only
+    cones and words, such as a route search or `render_svg`, never pays
+    for the edge set.  `adjacency` is a `seeds.built_on_read` attribute:
+    it stores the set before it drops the list, so two threads may make
+    the first read at once, with no lock.  Equality and `repr` read it, and
+    copies and pickles carry the list, so all four match those of a fan
+    built with its adjacency."""
 
     source: ExchangeMatrix
     depth: int
@@ -62,16 +64,14 @@ class Fan:
         return {k for k, w in self.words.items() if len(w) == self.depth}
 
 
-def _edge_set(fan: Fan) -> set[frozenset]:
+def _edge_set(edges) -> set[frozenset]:
     """The adjacency of an explored or loaded fan from its flat list of key
-    pairs; drops the list."""
-    pairs = iter(fan._edges)
-    fan._edges = None
+    pairs, `fan._edges`, which the fan drops once the set is stored."""
+    pairs = iter(edges)
     return {frozenset(edge) for edge in zip(pairs, pairs)}
 
 
-Fan.adjacency = cached_property(_edge_set)  # after @dataclass, as Seed.b
-Fan.adjacency.__set_name__(Fan, "adjacency")
+Fan.adjacency = built_on_read("adjacency", "_edges", _edge_set)
 
 
 def explore(B: ExchangeMatrix, depth: int,

@@ -15,7 +15,9 @@ A child's B is built on first read: until then it holds its parent's B
 and k, and `exchange.mutate_matrix` builds mu_k(B) by the row rule
 `mutate_row`.  So a seed that is keyed and stored but never expanded
 never builds its B.  D, which every B in the mutation class shares, is
-read from the parent's B meanwhile.
+read from the parent's B meanwhile.  `built_on_read`, which
+`explorer.Fan.adjacency` also uses, stores the B before it drops the
+parent's, so two threads may read a new child's B at once.
 
 A breadth-first `walk` holds, at any moment, only the unexpanded seeds
 of the level it is expanding and of the next: it lets go of each seed
@@ -107,10 +109,51 @@ def unimodular_inverse(m: Matrix) -> Matrix:
 
 # -- seeds -------------------------------------------------------------------
 
+class built_on_read:
+    """Non-data descriptor for an attribute `name` that an instance builds
+    on first read, by `build(source)` from its attribute `source`, and
+    keeps in its `__dict__`, which shadows the descriptor on every later
+    read.  The source is then set to None.  An instance that holds the
+    value from the start, such as a Seed built with its B, never reaches
+    the descriptor.
+
+    The value is stored before the source is dropped, so a reader that
+    finds the source already None finds the value.  So the first read
+    needs no lock across threads: two threads that both find the source
+    both build the value and get equal ones, and the later store wins.  A
+    build that dropped the source before the value was stored, under
+    `functools.cached_property`, which takes no lock from Python 3.12 on,
+    would let a second reader find neither.  Set the descriptor on a
+    dataclass after `@dataclass`, which would take a class attribute for
+    the field's default."""
+
+    __slots__ = ("name", "source", "build")
+
+    def __init__(self, name: str, source: str, build):
+        self.name, self.source, self.build = name, source, build
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        d = obj.__dict__
+        source = d.get(self.source)
+        if source is None:  # another thread built the value meanwhile
+            return d[self.name]
+        value = d[self.name] = self.build(source)
+        d[self.source] = None
+        return value
+
+
 @dataclass(frozen=True)
 class Seed:
     """Exchange matrix B with the c-vectors `c` and g-vectors `g`: the
-    columns of C and G, c_i = c[i - 1] and g_i = g[i - 1]."""
+    columns of C and G, c_i = c[i - 1] and g_i = g[i - 1].
+
+    A child of `mutate_seed` holds no b until it is first read: `_from`
+    holds (parent B, k), and `b` is a `built_on_read` attribute that
+    stores mu_k(parent B) and only then sets `_from` to None.  Equality,
+    hashing, `repr`, copies and pickles read b or carry `_from`, so all
+    match those of a seed built with its B."""
 
     b: ExchangeMatrix
     c: Matrix
@@ -147,9 +190,10 @@ class Seed:
     @classmethod
     def from_json(cls, doc: dict) -> "Seed":
         """Decode `to_json`, rejecting a missing field, a C or G that is
-        not n x n for the rank n of B, a word letter outside 1..n and a C
-        and G that are not D-dual, C^T D G != D, as `load_fan` rejects a
-        cone."""
+        not n x n for the rank n of B, a word letter outside 1..n, a C and
+        G that are not D-dual, C^T D G != D, as `load_fan` rejects a cone,
+        and a c-vector with mixed signs, on which `mutate_seed` would raise
+        SignCoherenceViolation, its bug signal, for an input error."""
         json_value(doc, dict, "seed")
         b = ExchangeMatrix(int_rows(json_field(doc, "b", "seed"), "seed b"))
         n = b.n
@@ -166,23 +210,15 @@ class Seed:
         if not d_paired(c, g, b.symmetrizer):
             raise ValueError("seed c-vectors not dual to the g-vectors: "
                              "C^T D G != D")
+        # det C = +-1, so no c-vector is zero
+        for i, col in enumerate(c, 1):
+            if max(col) > 0 and min(col) < 0:
+                raise ValueError(f"seed c-vector {i} has mixed signs: "
+                                 f"{list(col)}")
         return cls(b, c, g, word)
 
 
-def _child_b(s: Seed) -> ExchangeMatrix:
-    """mu_k(parent B) of a child of mutate_seed, which holds no b yet;
-    drops the parent's B."""
-    parent_b, k = s._from
-    b = mutate_matrix(parent_b, k)
-    object.__setattr__(s, "_from", None)
-    return b
-
-
-# set after @dataclass, which would take a class attribute for the field's
-# default; the value kept in the instance's __dict__ shadows it on every
-# later read, and an instance that holds b never reaches it
-Seed.b = cached_property(_child_b)
-Seed.b.__set_name__(Seed, "b")
+Seed.b = built_on_read("b", "_from", lambda source: mutate_matrix(*source))
 
 
 def initial_seed(B: ExchangeMatrix) -> Seed:
@@ -209,7 +245,8 @@ _OTHERS = ((1, 2), (0, 2), (0, 1))
 
 def mutate_seed(s: Seed, k: int) -> Seed:
     """Mutation in direction k (1-based) of the full (B, C, G) triple;
-    the child builds its B when it is first read.
+    the child builds its B when it is first read (see `Seed`), and its
+    fields go into its `__dict__` in one update.
 
     The rules move c_j when eps b_kj > 0 and add a multiple of g_j to
     -g_k when -eps b_jk > 0.  B is skew-symmetrizable, d_k b_kj =
@@ -219,25 +256,30 @@ def mutate_seed(s: Seed, k: int) -> Seed:
     both updates.  At rank 3 every vector is unpacked once and each
     update is written out componentwise in straight-line arithmetic, with
     eps folded into x = eps c_k and h = -eps g_k, so that no entry is
-    multiplied by eps; any other rank takes one generic loop.  Both build
-    the same vectors and raise the same errors."""
+    multiplied by eps; eps is read from the unpacked c_k, and
+    `tropical_sign` runs only to raise its SignCoherenceViolation.  Any
+    other rank takes one generic loop.  Both build the same vectors and
+    raise the same errors, before the parent's B is read."""
     c, g = s.c, s.g
     n = len(c)
     if type(k) is not int or not 1 <= k <= n:
         raise direction_error(k, n)
-    eps = tropical_sign(s, k)
-    B = s.b
-    b = B.entries
     kk = k - 1
     if n == 3:
+        x1, x2, x3 = c[kk]
+        # green is eps > 0; a sign-coherent c_k then has no negative
+        # entry, and otherwise a nonzero one
+        green = x1 > 0 or x2 > 0 or x3 > 0
+        if (x1 < 0 or x2 < 0 or x3 < 0) if green else not (x1 or x2 or x3):
+            tropical_sign(s, k)  # raises SignCoherenceViolation
+        B = s.b
+        b = B.entries
         i, j = _OTHERS[kk]
         ci, cj, gi, gj = c[i], c[j], g[i], g[j]
-        x1, x2, x3 = c[kk]
         ck = (-x1, -x2, -x3)
         h1, h2, h3 = g[kk]
         # x = eps c_k and h = -eps g_k; for l = i, j with eps b_kl > 0,
         # c_l -> c_l + b_kl x and h -> h - b_lk g_l; then g_k -> eps h
-        green = eps > 0
         if green:
             h1, h2, h3 = -h1, -h2, -h3
         else:
@@ -262,6 +304,9 @@ def mutate_seed(s: Seed, k: int) -> Seed:
         else:
             new_c, new_g = (ci, cj, ck), (gi, gj, gk)
     else:
+        eps = tropical_sign(s, k)
+        B = s.b
+        b = B.entries
         # for j with w = eps b_kj > 0: c_j -> c_j + w c_k and
         # g_k -> g_k + (-eps b_jk) g_j, from -g_k; then c_k -> -c_k
         ck = c[kk]
@@ -278,11 +323,7 @@ def mutate_seed(s: Seed, k: int) -> Seed:
         new_g = g[:kk] + (tuple(gk),) + g[k:]
     # the frozen dataclass's __init__ would need b
     child = object.__new__(Seed)
-    set_ = object.__setattr__
-    set_(child, "_from", (B, k))
-    set_(child, "c", new_c)
-    set_(child, "g", new_g)
-    set_(child, "word", s.word + (k,))
+    child.__dict__.update(_from=(B, k), c=new_c, g=new_g, word=s.word + (k,))
     return child
 
 
@@ -303,7 +344,8 @@ def walk(s0: Seed, key, depth: int, seen: dict):
     same or a shallower level.  A G-cone fixes them, as does the labelled
     seed (C, G), which fixes B by G_t B_t = B C_t (Nakanishi-Zelevinsky).
     Only an expansion reads a seed's B, so the seeds at the depth bound,
-    which are never expanded, never build theirs.
+    which are never expanded, never build theirs; a seed's B is stored
+    before the parent's B it was built from is dropped (`built_on_read`).
 
     The walk holds only the unexpanded seeds of the level it is expanding
     and of the next, besides the seed it is expanding: each level entry is

@@ -117,3 +117,22 @@ def test_nu_ratio_monotone_bands():
 def test_int_parameters_are_checked(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+@pytest.mark.parametrize("a, b", [(-3, -2), (-2, -2), (-1, -4), (-4, -1)])
+def test_nu_ratio_refuses_a_or_b_below_1(a, b):
+    # ab >= 4, but nu = sqrt(b/a) needs a, b >= 1: nu_ratio(1, 0, -3, -2)
+    # returned -2
+    with pytest.raises(ValueError, match=r"^requires a, b >= 1$"):
+        nu_ratio(1, 0, a, b)
+    # the earlier checks keep their messages
+    with pytest.raises(ValueError, match="^p and q must have opposite parity$"):
+        nu_ratio(2, 0, a, b)
+    with pytest.raises(ValueError, match="^a must be an int, not 2.5$"):
+        nu_ratio(1, 0, 2.5, b)
+
+
+@pytest.mark.parametrize("a, b", [(0, 5), (-1, 3), (1, 3)])
+def test_nu_ratio_keeps_the_ab_message_below_4(a, b):
+    with pytest.raises(ValueError, match=r"^requires ab >= 4$"):
+        nu_ratio(1, 0, a, b)

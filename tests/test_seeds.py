@@ -850,3 +850,25 @@ def test_seed_json_rejects_a_c_not_dual_to_g(bad):
     # never dual)
     with pytest.raises(ValueError, match=r"^seed word \[4\] is not a word"):
         Seed.from_json({**good, **bad, "word": [4]})
+
+
+@pytest.mark.parametrize("c_rows, message", [
+    ([[1, 0, 0], [-1, 1, 0], [0, 0, 1]], "seed c-vector 1 has mixed signs: "
+                                         "[1, -1, 0]"),
+    ([[1, 0, 0], [0, 1, 1], [0, 0, -1]], "seed c-vector 3 has mixed signs: "
+                                         "[0, 1, -1]"),
+])
+def test_seed_json_rejects_a_mixed_sign_c(c_rows, message):
+    # D-dual, G = C^-T for A3 with D = I, so the seed once loaded, and
+    # mutating it raised SignCoherenceViolation, the bug signal, for what
+    # is an input error
+    g_rows = transpose(unimodular_inverse(tuple(map(tuple, c_rows))))
+    doc = {"b": [list(r) for r in A3], "c": c_rows,
+           "g": [list(r) for r in g_rows], "word": []}
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Seed.from_json(doc)
+    # the existing checks run first, and their messages stand
+    with pytest.raises(ValueError, match=r"^seed c-vectors not dual"):
+        Seed.from_json({**doc, "g": c_rows})
+    with pytest.raises(ValueError, match=r"^seed word \[4\] is not a word"):
+        Seed.from_json({**doc, "word": [4]})
