@@ -299,8 +299,9 @@ def load_fan(doc: dict) -> Fan:
     cone table's own key objects, kept as a flat list until the adjacency
     is first read, as for a fan from `explore`; an edge listed twice, in
     either order, is one edge of the adjacency."""
-    if json_value(doc, dict, "fan document").get("format") != _FORMAT:
-        raise ValueError(f"unsupported fan document format {doc.get('format')}")
+    fmt = json_value(doc, dict, "fan document").get("format")
+    if type(fmt) is not int or fmt != _FORMAT:
+        raise ValueError(f"unsupported fan document format {fmt}")
     kind = "fan document"
     source = ExchangeMatrix.from_json(json_field(doc, "source", kind))
     depth = json_value(json_field(doc, "depth", kind), int, "fan depth")

@@ -113,10 +113,6 @@ def _to_pixels(pt):
     return (_CX + _SCALE * pt[0], _CY - _SCALE * pt[1])
 
 
-def _path(pixels) -> str:
-    return "M " + " L ".join(f"{_fmt(x)} {_fmt(y)}" for x, y in pixels)
-
-
 def _text(u) -> str:
     """Pixel text `x y` of the image of a unit vector."""
     x, y = _to_pixels(_plane(*u))
@@ -199,14 +195,10 @@ def _guide_circle(axis: int, arc_resolution: float) -> str:
     # every sample has <x, p> = (cos + sin)/sqrt(3) >= -sqrt(2/3), far
     # above _CLIP_COSINE, so no sample is clipped
     steps = max(int(360.0 / arc_resolution), 12)
-    points = []
-    for s in range(steps + 1):
-        ang = 2.0 * math.pi * s / steps
-        sample = tuple(
-            math.cos(ang) * x + math.sin(ang) * y for x, y in zip(u, v)
-        )
-        points.append(_to_pixels(project_ray(sample)))
-    return _path(points)
+    angles = (2.0 * math.pi * s / steps for s in range(steps + 1))
+    return "M " + " L ".join(
+        _text([math.cos(a) * x + math.sin(a) * y for x, y in zip(u, v)])
+        for a in angles)
 
 
 def render_svg(fan: Fan, opts: RenderOptions | None = None) -> str:

@@ -12,6 +12,8 @@ WING = ((0, -2, -4), (3, 0, -6), (2, 2, 0))
 TUNNEL = ((0, -6, 4886), (9, 0, -830), (-7329, 830, 0))
 WIDE_TUNNEL = ((0, -15, 2013), (2, 0, -139), (-1342, 695, 0))
 TUNNEL_CLOSEUP = ((0, -16, 237602), (24, 0, -14889), (-356403, 14889, 0))
+# Case C-5: its vertices have types 4-2, 4-1 and 4-3, so the band search runs.
+C5 = ((0, -2, 7), (3, 0, -3), (-7, 2, 0))
 
 # Finite-type controls: complete fans of 14 and 12 cones; B2 x A1 has D != I.
 A3 = ((0, 1, 0), (-1, 0, 1), (0, -1, 0))

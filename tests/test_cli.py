@@ -37,7 +37,8 @@ from gfans import (
 from gfans.cli import _json_text, _word_count, build_parser, main
 from gfans.exchange import mutate_matrix
 from gfans.seeds import Seed, apply_word, initial_seed, mutate_seed
-from conftest import A3, MARKOV, TUNNEL, WING, frame, swap_indices_12
+from conftest import (A3, A4, B2_A1, C5, MARKOV, R4, TUNNEL, WING, frame,
+                      swap_indices_12)
 from test_exchange import skew_symmetrizable_matrices
 from test_quadratic import assert_within_one_ulp, float_oracle
 
@@ -661,6 +662,10 @@ def _edge(keys):
     ("render", _drop(("cones", 1, "word")), 'cone has no "word" field'),
     ("render", _drop(("adjacency",)),
      'fan document has no "adjacency" field'),
+    # the format is the int 1, as every other field refuses a bool or float
+    ("render", _set(("format",), True),
+     "unsupported fan document format True"),
+    ("render", _set(("format",), 1.0), "unsupported fan document format 1.0"),
 ], ids=["float entry", "string entry", "bool entry", "matrix list",
         "matrix number", "float rank", "cone g number", "fan list",
         "float word", "float adjacency entry", "float depth",
@@ -670,7 +675,8 @@ def _edge(keys):
         "one-key edge", "four-key edge", "matrix without b",
         "fan without source", "source without b", "fan without depth",
         "fan without cones", "cone without g", "cone without c",
-        "cone without key", "cone without word", "fan without adjacency"])
+        "cone without key", "cone without word", "fan without adjacency",
+        "bool format", "float format"])
 def test_malformed_documents_exit_2(command, edit, message, markov_file,
                                     tmp_path, capsys):
     if command == "classify":
@@ -905,7 +911,7 @@ def test_a_valid_out_is_not_truncated_by_a_failing_command(tmp_path, capsys):
 GOLDEN_MATRICES = {
     "WING": WING,
     "MARKOV": MARKOV,
-    "C5": ((0, -2, 7), (3, 0, -3), (-7, 2, 0)),  # case C-5
+    "C5": C5,
     "T42": frame(-100, 159).entries,  # v3 of type 4-2, band 3
     # -WING: indices 1 and 2 are swapped, and D = (3, 2, 6) is swapped too
     "NEG_WING": tuple(tuple(-x for x in row) for row in WING),
@@ -913,11 +919,19 @@ GOLDEN_MATRICES = {
     # ab = 4: v3 of type 4-2, band 3, on its lower bound
     "AB4_EQUALITY": frame(-2, 5, a=1, b=4).entries,
     "TUNNEL": TUNNEL,
+    # controls of finite type, rank 2 and rank 4, whose pairs have no
+    # limit rays; R4's walks meet both signs of eps and zero b_kj
+    "A3": A3,
+    "A4": A4,
+    "R2": ((0, -1), (4, 0)),
+    "B2_A1": B2_A1,
+    "R4": R4,
 }
+CONTROLS = ("A3", "A4", "R2", "B2_A1", "R4")
 
 # SHA-256 of the full stdout of each command on each matrix, in sorted
 # order up to WING; later pins go at the end, so that the ids of the
-# tests below stay as they are.
+# tests below stay as they are.  A command with no matrix has name None.
 GOLDEN_STDOUT = {
     ("C5", ("classify",)):
         "5eea9b314588abcd6c8a0d73898823570a8d442d051e540864c3f3f1e63169c3",
@@ -985,15 +999,35 @@ GOLDEN_STDOUT = {
         "992ebe0bc6b54b985a73fdb4a340a4f44fad2d747f856fcbb66e78a0d0d09a2b",
     ("TUNNEL", ("pair", "--i", "1", "--j", "2", "--format", "json")):
         "8e19570f6320002c986bbf479f998e94843548c002577f5c1db3c872baca2343",
+    # one pairing C^T D G = D decides det_c, det_g, duality and d_pairing;
+    # ranks 2 and 4 take the generic loops, and B2 x A1 and WING have
+    # D != I
+    ("TUNNEL", ("verify", "--depth", "7")):
+        "8eae5bcc0edfd9d32a8cd3115c33db6558d17df435ec75aad5c6f08e0b3c5855",
+    ("A3", ("verify", "--depth", "8")):
+        "8211cd1d747c02267cc0b0f0ab994e68c54d6f1ee5ad348cb40c5cb72d299847",
+    ("A4", ("verify", "--depth", "5")):
+        "574a1376519ecedf8ee43c3d872f6c52616c627b6df00b5a171345a3a1a1eec8",
+    ("R2", ("verify", "--depth", "8")):
+        "aa1ed95d3c321cc32a8c27548b04a32488f1876fe61796076339320a4e10b6e4",
+    ("B2_A1", ("verify", "--depth", "8")):
+        "8211cd1d747c02267cc0b0f0ab994e68c54d6f1ee5ad348cb40c5cb72d299847",
+    ("WING", ("verify", "--depth", "6")):
+        "72bb0c2d650ddf3977f2377ce505ad017d45c9be75407923b0fd6b9fa3d601ca",
+    (None, ("rank2", "--a", "3", "--b", "2", "--steps", "4000")):
+        "32e85fd34e1fbd414001cb44b53a740321a0ad824e005d6bc826248f3e75828c",
+    (None, ("rank2", "--a", "3", "--b", "2", "--steps", "60")):
+        "11958ea51f76d826e49103b05aa1e8545f06bc462c26331dfd7e83b0fe809860",
 }
 
 
 @pytest.mark.parametrize("name,command", list(GOLDEN_STDOUT))
 def test_golden_stdout(name, command, tmp_path, capsys):
-    path = tmp_path / f"{name}.json"
-    path.write_text(json.dumps(
-        {"b": [list(r) for r in GOLDEN_MATRICES[name]]}))
-    assert main([command[0], str(path), *command[1:]]) == 0
+    matrix = []
+    if name is not None:
+        path = write_matrix(tmp_path / f"{name}.json", GOLDEN_MATRICES[name])
+        matrix = [str(path)]
+    assert main([command[0], *matrix, *command[1:]]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == \
         GOLDEN_STDOUT[name, command]
@@ -1059,31 +1093,79 @@ def test_a_band_past_the_search_bound_exits_1(tmp_path, capsys):
             "(a,b)=(1,4)\n"))
 
 
-# SHA-256 of the fan document `explore --depth 4 --out` writes
+# SHA-256 of the fan document `explore --depth N --out` writes, and the
+# summary line it prints
 GOLDEN_FAN_DOCUMENTS = {
-    "WING":
-        "2b68f94b79e63a9d303cfc1127f9e092360dd94c38545882fb31d5c9a0439589",
-    "MARKOV":
-        "ad92a475e5bed12766d3f23e31196e476f9fbc030c13efa4cf72da631fdf95d2",
-    "C5":
+    ("C5", 4): (
         "099fc077e9294c9861f7ba7b90cac41fc14c3bc94ddb2a29000d589f9bb33e49",
+        "44 cones, 44 adjacencies, 22 frontier; negative orthant: not found"),
+    ("MARKOV", 4): (
+        "ad92a475e5bed12766d3f23e31196e476f9fbc030c13efa4cf72da631fdf95d2",
+        "46 cones, 45 adjacencies, 24 frontier; negative orthant: not found"),
+    ("WING", 4): (
+        "2b68f94b79e63a9d303cfc1127f9e092360dd94c38545882fb31d5c9a0439589",
+        "46 cones, 45 adjacencies, 24 frontier; negative orthant: [1, 2, 3]"),
+    ("R2", 8): (
+        "4b2bd23e56cccd7099e0c7d115f1b615217776388ec2e09f424fc67c73249ba7",
+        "17 cones, 16 adjacencies, 2 frontier; negative orthant: [1, 2]"),
+    ("A4", 5): (
+        "f67082b0a7848ac5d44579c5482f292582953b9ddcdb69d9b21735c1af557b3a",
+        "42 cones, 84 adjacencies, 0 frontier; "
+        "negative orthant: [4, 3, 2, 1]"),
+    ("WING", 6): (
+        "051013cf7010995a7a6f5f45a9cfd5775e8e4e7e18fb1a30d312685b4a845bf7",
+        "190 cones, 189 adjacencies, 96 frontier; "
+        "negative orthant: [1, 2, 3]"),
+    ("R4", 5): (
+        "47ff678be63cd5d38258c1165f78299e5a1a74da39311b56681dd2d20baae454",
+        "200 cones, 244 adjacencies, 110 frontier; "
+        "negative orthant: not found"),
+    ("TUNNEL", 7): (
+        "bcc6888d8ec70e2e519974305994cb828b22162a41fcb86e3228ce32018b06c6",
+        "382 cones, 381 adjacencies, 192 frontier; "
+        "negative orthant: not found"),
+    # entries pass 512 bits, and the 384 frontier seeds never build their B
+    ("TUNNEL", 8): (
+        "e9e38ecb9dfa92d577cb3bd79596010238de768d90fc5d1bebcc1e60a19f5d27",
+        "766 cones, 765 adjacencies, 384 frontier; "
+        "negative orthant: not found"),
+    # the walk meets A3's 14 cones again and again and expands each once
+    ("A3", 11): (
+        "9c2b87e14a46caa87c05cf6021b4509f000216ba2d90367745ce5da57ad067c8",
+        "14 cones, 21 adjacencies, 0 frontier; negative orthant: [3, 2, 1]"),
 }
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_FAN_DOCUMENTS))
-def test_golden_fan_documents(name, tmp_path, capsys):
-    path = tmp_path / f"{name}.json"
-    path.write_text(json.dumps(
-        {"b": [list(r) for r in GOLDEN_MATRICES[name]]}))
+# the depth-4 pins came first and keep their ids
+@pytest.mark.parametrize("name,depth", list(GOLDEN_FAN_DOCUMENTS), ids=[
+    name if depth == 4 else f"{name}-{depth}"
+    for name, depth in GOLDEN_FAN_DOCUMENTS])
+def test_golden_fan_documents(name, depth, tmp_path, capsys):
+    path = write_matrix(tmp_path / f"{name}.json", GOLDEN_MATRICES[name])
     out = tmp_path / f"{name}.fan.json"
-    assert main(["explore", str(path), "--depth", "4",
+    assert main(["explore", str(path), "--depth", str(depth),
                  "--out", str(out)]) == 0
     data = out.read_bytes()
-    assert hashlib.sha256(data).hexdigest() == GOLDEN_FAN_DOCUMENTS[name]
+    digest, summary = GOLDEN_FAN_DOCUMENTS[name, depth]
+    assert hashlib.sha256(data).hexdigest() == digest
+    assert capsys.readouterr() == ("", summary + "\n")
     # the stdout path writes the same document and one newline
+    assert main(["explore", str(path), "--depth", str(depth)]) == 0
+    assert capsys.readouterr() == (data.decode() + "\n", summary + "\n")
+
+
+def test_tunnel_at_depth_8_does_not_render(tmp_path, capsys):
+    # a ray past the float range has unit vector 0, so the arc that
+    # reaches it raises; this holds the defect until rays are scaled
+    # before they are converted to floats
+    path = write_matrix(tmp_path / "tunnel.json", TUNNEL)
+    fan = tmp_path / "t8.json"
+    assert main(["explore", str(path), "--depth", "8",
+                 "--out", str(fan)]) == 0
     capsys.readouterr()
-    assert main(["explore", str(path), "--depth", "4"]) == 0
-    assert capsys.readouterr().out.encode() == data + b"\n"
+    assert main(["render", str(fan)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: cannot project the zero vector\n")
 
 
 def test_pair_error_names_the_product(tmp_path, capsys):
@@ -1106,12 +1188,10 @@ def _check_pair_decimals(path, i, capsys):
         assert_within_one_ulp(c)
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_MATRICES))
+@pytest.mark.parametrize("name", sorted(set(GOLDEN_MATRICES) - set(CONTROLS)))
 @pytest.mark.parametrize("i", (1, 3))
 def test_pair_decimals_match_the_exact_rays(name, i, tmp_path, capsys):
-    path = tmp_path / f"{name}.json"
-    path.write_text(json.dumps(
-        {"b": [list(r) for r in GOLDEN_MATRICES[name]]}))
+    path = write_matrix(tmp_path / f"{name}.json", GOLDEN_MATRICES[name])
     _check_pair_decimals(path, i, capsys)
 
 

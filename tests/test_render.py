@@ -21,7 +21,7 @@ from gfans import (
     save_fan,
 )
 from gfans.render import _B1, _B2, _CLIP_COSINE, _P, _fmt, _to_pixels
-from conftest import A3, B2_A1, MARKOV, TUNNEL
+from conftest import A3, B2_A1, C5, MARKOV, TUNNEL
 from test_exchange import random_skew_symmetrizable
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -284,13 +284,13 @@ def test_rank2_fan_not_renderable():
 
 # -- byte identity ----------------------------------------------------------
 
-# SHA-256 of render_svg output, recorded before shared facets were sampled
-# once and projections written out as straight-line arithmetic; the
-# label_normals goldens were recorded after labels moved to their facets.
+# SHA-256 of the SVG that render_svg draws from the fan document
+# `explore` writes, as `gfans render` reads it
 GOLDEN_OPTIONS = {
     "default": RenderOptions(),
     "fine": RenderOptions(arc_resolution=0.7, shade_frontier=False),
     "labels": RenderOptions(label_normals=True),
+    "labels-0.7": RenderOptions(arc_resolution=0.7, label_normals=True),
 }
 SVG_GOLDENS = {
     ("MARKOV", 4, "default"):
@@ -317,13 +317,22 @@ SVG_GOLDENS = {
         "9f2ceacb2a67605ec0f63c182530b714c3acdba586128f68d4004a738a672f81",
     ("TUNNEL", 5, "labels"):
         "a748fe1da04b6a53fdb48323dbb3169b684af16a8c462949c414f951a43bc657",
+    # the deepest Tunnel fan that renders, with 377-bit ray entries
+    ("TUNNEL", 7, "default"):
+        "b49975f49f729315ce33bb2ce2d9d7154b7fc5842f74032588d162ffd989d495",
+    # at depth 8 most points are arc ends
+    ("C5", 8, "default"):
+        "2198f242b568f88dd69099b0fb159551d47700d178f618e644782f1e927147d9",
+    ("C5", 8, "labels-0.7"):
+        "a5819cf07ffd4af33476a0646d628c31e1196aaf68d06e9a35c668fb5fb8fff4",
 }
-GOLDEN_FANS = {"MARKOV": MARKOV, "A3": A3, "B2_A1": B2_A1, "TUNNEL": TUNNEL}
+GOLDEN_FANS = {"MARKOV": MARKOV, "A3": A3, "B2_A1": B2_A1, "TUNNEL": TUNNEL,
+               "C5": C5}
 
 
 @pytest.mark.parametrize("name,depth,options", sorted(SVG_GOLDENS))
 def test_svg_golden(name, depth, options):
-    fan = explore(ExchangeMatrix(GOLDEN_FANS[name]), depth)
+    fan = load_fan(save_fan(explore(ExchangeMatrix(GOLDEN_FANS[name]), depth)))
     svg = render_svg(fan, GOLDEN_OPTIONS[options])
     assert hashlib.sha256(svg.encode()).hexdigest() == \
         SVG_GOLDENS[name, depth, options]
