@@ -26,13 +26,14 @@ from .explorer import (
     save_fan_file,
     write_fan,
 )
-from .rank2 import g_vectors, limit_vectors
+from .quadratic import components, parts_float, parts_text, ratio_text
+from .rank2 import g_vectors, limit_parts
 from .rank3 import (
     InternalBandSearchFailure,
     UnexpectedCyclicTriplet,
     fan_type,
-    limit_rays,
-    pair_asymptotics,
+    natural_pair,
+    pair_parts,
 )
 from .render import RenderOptions, render_svg
 from .seeds import (
@@ -120,32 +121,33 @@ def _json_text(value) -> str:
     return "".join(parts)
 
 
-def _float(x) -> float:
-    """float(x) for a limit-ray coordinate or slope, or a ValueError that
-    says which command prints it exactly when it is past the float range."""
+def _float(parts) -> float:
+    """The float of a limit-ray coordinate or slope given as folded parts, or
+    a ValueError that says which command prints it exactly past the range."""
     try:
-        return float(x)
+        return parts_float(*parts)
     except OverflowError:
         raise ValueError(
             "a limit-ray decimal exceeds the float range (about 1.8e308); "
             "`classify --format json` prints it exactly") from None
 
 
-def _exact(vec) -> list:
-    """Quadratic numbers as exact [str(x), str(y), delta] triples."""
-    return [[str(c.x), str(c.y), c.delta] for c in vec]
+def _exact_triples(ray) -> list:
+    """Folded components as exact [str(x), str(y), delta] triples."""
+    return [[ratio_text(xn, xd), ratio_text(yn, yd), delta]
+            for xn, xd, yn, yd, delta in ray]
 
 
 def _ray_lines(v, vp, indent: str) -> list[str]:
-    """Text lines for a pair of limit rays, exact and then decimal."""
+    """Text lines for two rays of folded components, exact, then decimal."""
     def row(vec, fmt):
-        return "(" + ", ".join(fmt(c) for c in vec) + ")"
+        return "(" + ", ".join(fmt(*c) for c in vec) + ")"
 
-    def dec(c):
+    def dec(*c):
         return f"{_float(c):.6f}"
 
-    return [f"{indent}v  = {row(v, repr)}",
-            f"{indent}v' = {row(vp, repr)}",
+    return [f"{indent}v  = {row(v, parts_text)}",
+            f"{indent}v' = {row(vp, parts_text)}",
             f"{indent}decimal v  = {row(v, dec)}",
             f"{indent}decimal v' = {row(vp, dec)}"]
 
@@ -153,14 +155,15 @@ def _ray_lines(v, vp, indent: str) -> list[str]:
 def _cmd_classify(args) -> int:
     B = _load_matrix(args.matrix)
     report = fan_type(B)
-    rays = {i: limit_rays(B, i) for i in (1, 2, 3)}
+    rays = {i: [components(*ray) for ray in pair_parts(B, *natural_pair(i))]
+            for i in (1, 2, 3)}
     # C(B) is None exactly for acyclic B, and fan_type has already required
     # total infiniteness, the other half of the cluster-cyclic test
     constant = report.markov_constant
     cyclic_verdict = constant is not None and constant <= 4
     # With swap_applied, two labellings meet here: the triplet, vertices
     # and `v1:` lines use fan_type's normalized labels, 1 and 2 exchanged,
-    # and limit_rays and the `limit rays at v1:` lines the input's own.
+    # and pair_parts and the `limit rays at v1:` lines the input's own.
     doc = {
         "triplet": list(report.triplet),
         "case": report.case_label,
@@ -181,8 +184,8 @@ def _cmd_classify(args) -> int:
         ],
         "limit_rays": {
             str(i): {
-                "v": _exact(rays[i][0]),
-                "v_prime": _exact(rays[i][1]),
+                "v": _exact_triples(rays[i][0]),
+                "v_prime": _exact_triples(rays[i][1]),
             }
             for i in rays
         },
@@ -249,21 +252,22 @@ def _cmd_rank2(args) -> int:
                 g_vectors("backward", args.a, args.b))
     for m, g, gp in walks:
         lines.append(f"{m:<4} {str(g):<13} {gp}")
-    v, vp = limit_vectors(args.a, args.b)
-    lines.append(f"limit slope v2  = {v[1]!r} = {_float(v[1]):.8f}")
-    lines.append(f"limit slope v'2 = {vp[1]!r} = {_float(vp[1]):.8f}")
+    p, delta, den = limit_parts(args.a, args.b)
+    for v, root in (("v2 ", -1), ("v'2", 1)):  # the slope is component 2
+        _, c = components(p, (0, root), delta, den)
+        lines.append(f"limit slope {v} = {parts_text(*c)} = {_float(c):.8f}")
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 
 def _cmd_pair(args) -> int:
     B = _load_matrix(args.matrix)
-    v, vp = pair_asymptotics(B, args.i, args.j)
+    v, vp = [components(*ray) for ray in pair_parts(B, args.i, args.j)]
     doc = {
         "i": args.i,
         "j": args.j,
-        "v": _exact(v),
-        "v_prime": _exact(vp),
+        "v": _exact_triples(v),
+        "v_prime": _exact_triples(vp),
         "v_decimal": [_float(c) for c in v],
         "v_prime_decimal": [_float(c) for c in vp],
     }

@@ -63,7 +63,7 @@ class FanTypeReport:
     reports: tuple[VertexTypeReport, VertexTypeReport, VertexTypeReport]
 
 
-def _natural_pair(i) -> tuple[int, int]:
+def natural_pair(i) -> tuple[int, int]:
     """The pair complementary to vertex i, in its natural order."""
     if type(i) is not int or not 1 <= i <= 3:
         raise ValueError(f"vertex index {i!r} is not 1, 2 or 3")
@@ -155,7 +155,7 @@ def vertex_type(B: ExchangeMatrix, i: int) -> VertexTypeReport:
     """Asymptotic type of the elementary vertex v_i."""
     if B.n != 3:
         raise ValueError("vertex classification requires rank 3")
-    natural = _natural_pair(i)
+    natural = natural_pair(i)
     a, b, j, k = _orient(B, *natural)
     c0, d0 = B[i, j], B[i, k]
     tag = _tag(a, b, c0, d0)
@@ -203,16 +203,21 @@ def limit_rays(B: ExchangeMatrix, i: int):
     """(v, v'): limit directions of the lifted sequences at vertex v_i."""
     if B.n != 3:
         raise ValueError("vertex classification requires rank 3")
-    return pair_asymptotics(B, *_natural_pair(i))
+    return pair_asymptotics(B, *natural_pair(i))
 
 
 def pair_asymptotics(B: ExchangeMatrix, i: int, j: int):
-    """Limit directions for alternating (i, j) mutations at any rank n >= 2.
+    """(v, v'): the limit rays of `pair_parts` as `QuadraticRay`s."""
+    return tuple(QuadraticRay(*parts) for parts in pair_parts(B, i, j))
+
+
+def pair_parts(B: ExchangeMatrix, i: int, j: int):
+    """Integer parts (p, q, delta, den) of the limit rays (p + q*sqrt(delta))
+    / den, v first, of alternating (i, j) mutations at any rank n >= 2.
 
     Components i and j carry the rank-2 limits (`limit_parts`); every
     other component is the m -> infinity case of the third-component rule
-    for its own row.  The rule is linear, so it runs once on each integer
-    part P and Q of the ray (P + Q*sqrt(delta)) / den.
+    for its own row, which is linear: it runs once on p and once on q.
     """
     n = B.n
     for x in (i, j):
@@ -231,7 +236,7 @@ def pair_asymptotics(B: ExchangeMatrix, i: int, j: int):
             tag = _tag(a, b, c0, d0)
             p[ell - 1] = _third(tag, forward, True, alpha, beta, c0, d0, b)
             q[ell - 1] = _third(tag, forward, True, 0, root, c0, d0, b)
-        rays.append(QuadraticRay(p, q, delta, den))
+        rays.append((p, q, delta, den))
     return tuple(rays)
 
 

@@ -14,6 +14,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import gfans.cli
+import gfans.quadratic
 import gfans.render
 import gfans.seeds
 from fractions import Fraction
@@ -26,12 +27,14 @@ from gfans import (
     NotTotallyInfinite,
     PairNotInfinite,
     QuadraticNumber,
+    QuadraticRay,
     SignCoherenceViolation,
     UnexpectedCyclicTriplet,
     g_sequence,
     is_cluster_cyclic,
     limit_rays,
     markov_constant,
+    pair_asymptotics,
     vertex_type,
 )
 from gfans.cli import _json_text, _word_count, build_parser, main
@@ -926,6 +929,10 @@ GOLDEN_MATRICES = {
     "R2": ((0, -1), (4, 0)),
     "B2_A1": B2_A1,
     "R4": R4,
+    # rank 4 with ab = 9 at the pair (1, 2), which is swapped; rows 3 and 4
+    # are of types 4-1 and 2, so v' has a zero and an integer component
+    "R4_INFINITE": ((0, 3, -1, 2), (-3, 0, 2, -1), (1, -2, 0, 2),
+                    (-2, 1, -2, 0)),
 }
 CONTROLS = ("A3", "A4", "R2", "B2_A1", "R4")
 
@@ -1018,6 +1025,24 @@ GOLDEN_STDOUT = {
         "32e85fd34e1fbd414001cb44b53a740321a0ad824e005d6bc826248f3e75828c",
     (None, ("rank2", "--a", "3", "--b", "2", "--steps", "60")):
         "11958ea51f76d826e49103b05aa1e8545f06bc462c26331dfd7e83b0fe809860",
+    # every path the limit-ray printer takes: ab = 4 folds every component
+    # (and has a third row), rank 2, and rank 4 with ab = 9
+    ("AB4_EQUALITY", ("pair", "--i", "1", "--j", "2")):
+        "96cc80441273af40659353b87d84b842d3dae9d4fc0ea9590f9f39f779d1dd0a",
+    ("AB4_EQUALITY", ("pair", "--i", "1", "--j", "2", "--format", "json")):
+        "49738a9b48a169f2e650b0776997950523ec2960672371518fcc0497a548f8ec",
+    ("R2", ("pair", "--i", "1", "--j", "2")):
+        "b32ee9454d31d9c8552fa97d12fb305617dda05648f5b6b5f0e8578fbd5183bb",
+    ("R2", ("pair", "--i", "1", "--j", "2", "--format", "json")):
+        "3ec7f75ea34b0004470cc4eac82fcb1034daec8bf9904418f0e893d6c0b17c55",
+    ("R4_INFINITE", ("pair", "--i", "1", "--j", "2")):
+        "b05c14531eb8652bb6abda3fd5368ea14970aa4d171ffae3b0bfcd2dc14565c4",
+    ("R4_INFINITE", ("pair", "--i", "1", "--j", "2", "--format", "json")):
+        "25cb2b4acce73376aee28fb10b3da2a05f7e634dd37d3e47d8e997d4218e925c",
+    ("TUNNEL", ("classify",)):
+        "dd04c6a4b6a1bdf807c53408b2a4fb546e497a37ff81dfb06e9b699d6a418939",
+    ("TUNNEL", ("pair", "--i", "1", "--j", "2")):
+        "7787cb0cc7fecc091dfdae6dbbca53b12522287f1ea184fc980d0d64fcb05067",
 }
 
 
@@ -1031,6 +1056,26 @@ def test_golden_stdout(name, command, tmp_path, capsys):
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == \
         GOLDEN_STDOUT[name, command]
+
+
+@pytest.fixture
+def no_fraction_or_ray(monkeypatch):
+    """QuadraticRay() and gfans.quadratic's Fraction() raise."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a QuadraticRay or a Fraction was built")
+
+    monkeypatch.setattr(QuadraticRay, "__new__", refuse)
+    monkeypatch.setattr(gfans.quadratic, "Fraction", refuse)
+
+
+@pytest.mark.parametrize("name,command", [
+    (name, command) for name, command in GOLDEN_STDOUT
+    if command[0] in ("classify", "pair", "rank2")])
+def test_limit_rays_print_from_integer_parts(name, command, tmp_path, capsys,
+                                             no_fraction_or_ray):
+    # the printed rays come from rank3's integer parts, whose components
+    # gfans.quadratic folds, writes and converts in integers
+    test_golden_stdout(name, command, tmp_path, capsys)
 
 
 def test_golden_classify_pins_what_they_name(tmp_path, capsys):
@@ -1210,6 +1255,147 @@ def test_decimals_of_cancelling_limit_rays(tmp_path, capsys):
             line = ", ".join(f"{float_oracle(c):.6f}" for c in ray)
             assert f"decimal {label} = ({line})" in text
     _check_pair_decimals(path, 3, capsys)
+
+
+# -- printed limit rays against the library's ---------------------------------
+
+# the pair complementary to each vertex, in its natural order
+NATURAL_PAIR = {1: (2, 3), 2: (3, 1), 3: (1, 2)}
+FLOAT_RANGE_ERROR = (
+    "error: a limit-ray decimal exceeds the float range (about 1.8e308); "
+    "`classify --format json` prints it exactly\n")
+
+
+def _printed_value(text):
+    """(x, y, delta) of a printed component `x` or `x + y*sqrt(delta)`."""
+    x, plus, rest = text.partition(" + ")
+    if not plus:
+        return Fraction(x), Fraction(0), 0
+    y, _, delta = rest.partition("*sqrt(")
+    assert delta.endswith(")")
+    return Fraction(x), Fraction(y), int(delta[:-1])
+
+
+def _printed_rows(text):
+    """The component texts of each `v  =`, `v' =`, `decimal v  =` and
+    `decimal v' =` line of a text report, in order."""
+    rows = []
+    for line in text.splitlines():
+        label, sep, row = line.strip().partition(" = (")
+        if sep and label in ("v ", "v'", "decimal v ", "decimal v'"):
+            assert row.endswith(")")
+            rows.append(row[:-1].split(", "))
+    return rows
+
+
+def _components(ray):
+    return [(c.x, c.y, c.delta) for c in ray]
+
+
+def _check_triples(rays, triples):
+    """JSON [x, y, delta] triples parse back with Fraction() to the
+    components of the library's rays."""
+    assert [[(Fraction(x), Fraction(y), delta) for x, y, delta in ray]
+            for ray in triples] == [_components(ray) for ray in rays]
+
+
+def _check_text(rays, rows):
+    """The rows of `v  =`, `v' =`, `decimal v  =` and `decimal v' =`: every
+    exact text parses back to its component of the library's rays, and
+    every decimal is the component's float to six places."""
+    assert len(rows) == 4
+    assert [[_printed_value(text) for text in row] for row in rows[:2]] == \
+        [_components(ray) for ray in rays]
+    assert rows[2:] == [[f"{float(c):.6f}" for c in ray] for ray in rays]
+
+
+@st.composite
+def infinite_pairs(draw):
+    """(rows, i, j): B = A D of rank 2 to 4 with A skew-symmetric, and a pair
+    (i, j) with b_ij b_ji <= -4; some entries pass 2^600."""
+    n = draw(st.integers(2, 4))
+    d = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    entries = st.integers(-6, 6) | st.integers(-2 ** 80, 2 ** 80) | \
+        st.sampled_from([2 ** 600 + 1, -(2 ** 610) - 3])
+    b = [[0] * n for _ in range(n)]
+    for p in range(n):
+        for q in range(p + 1, n):
+            a = draw(entries)
+            b[p][q], b[q][p] = a * d[q], -a * d[p]
+    i, j = draw(st.permutations(range(1, n + 1)))[:2]
+    assume(b[i - 1][j - 1] * b[j - 1][i - 1] <= -4)
+    return b, i, j
+
+
+@settings(max_examples=150, deadline=None)
+@given(infinite_pairs())
+@example((list(map(list, GOLDEN_MATRICES["R4_INFINITE"])), 1, 2))
+@example(([[0, -1], [4, 0]], 2, 1))  # rank 2, ab = 4
+@example(([[0, -2 ** 600, 5], [2 ** 600, 0, -3], [-5, 3, 0]], 1, 2))
+def test_pair_prints_the_rays_of_pair_asymptotics(tmp_path_factory, case):
+    b, i, j = case
+    rays = pair_asymptotics(ExchangeMatrix(b), i, j)
+    path = write_matrix(tmp_path_factory.mktemp("pair") / "m.json", b)
+    argv = ["pair", str(path), "--i", str(i), "--j", str(j)]
+    try:
+        [float(c) for ray in rays for c in ray]
+    except OverflowError:  # past the float range both formats exit 2
+        for fmt in ((), ("--format", "json")):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                assert main([*argv, *fmt]) == 2
+            assert (out.getvalue(), err.getvalue()) == ("", FLOAT_RANGE_ERROR)
+        return
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main([*argv, "--format", "json"]) == 0
+    doc = json.loads(out.getvalue())
+    assert (doc["i"], doc["j"]) == (i, j)
+    _check_triples(rays, [doc["v"], doc["v_prime"]])
+    assert [doc["v_decimal"], doc["v_prime_decimal"]] == \
+        [[float(c) for c in ray] for ray in rays]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    assert out.getvalue().startswith(f"pair ({i},{j})\n")
+    _check_text(rays, _printed_rows(out.getvalue()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(totally_infinite_rank3())
+@example(list(map(list, TUNNEL)))
+@example(list(map(list, GOLDEN_MATRICES["AB4_EQUALITY"])))
+@example(list(map(list, GOLDEN_MATRICES["NEG_C5"])))  # swapped
+@example([[0, -2 ** 600, 5], [2 ** 600, 0, -3], [-5, 3, 0]])
+def test_classify_prints_the_rays_of_pair_asymptotics(tmp_path_factory, b):
+    B = ExchangeMatrix(b)
+    path = write_matrix(tmp_path_factory.mktemp("classify") / "m.json", b)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["classify", str(path), "--format", "json"])
+    if code == 1:  # a band search that reaches its bound
+        return
+    assert code == 0
+    doc = json.loads(out.getvalue())
+    rays = {i: pair_asymptotics(B, *NATURAL_PAIR[i]) for i in (1, 2, 3)}
+    for i in (1, 2, 3):
+        triples = doc["limit_rays"][str(i)]
+        _check_triples(rays[i], [triples["v"], triples["v_prime"]])
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["classify", str(path)])
+    try:
+        [float(c) for i in rays for ray in rays[i] for c in ray]
+    except OverflowError:  # the text report exits 2, the JSON one is exact
+        assert (code, out.getvalue(), err.getvalue()) == \
+            (2, "", FLOAT_RANGE_ERROR)
+        return
+    assert code == 0
+    rows = _printed_rows(out.getvalue())
+    assert len(rows) == 12
+    for i in (1, 2, 3):
+        _check_text(rays[i], rows[4 * i - 4:4 * i])
 
 
 # -- the JSON report writer ---------------------------------------------------
