@@ -198,13 +198,13 @@ def _cmd_classify(args) -> int:
             f"markov constant: {constant}",
             f"cluster-cyclic: {cyclic_verdict}",
         ]
-        for r in report.reports:
+        for label, r in zip(report.triplet, report.reports):
             extra = ""
             if r.band_index is not None:
                 eq = " (boundary equality)" if r.boundary_equality else ""
                 extra = f", N={r.band_index}{eq}"
             lines.append(
-                f"  v{r.vertex}: type {r.tag[1:]} with (c0,d0)={r.c0_d0}, "
+                f"  v{r.vertex}: type {label} with (c0,d0)={r.c0_d0}, "
                 f"(a,b)={r.pair_ab}{extra}"
             )
         for i in (1, 2, 3):
@@ -320,9 +320,10 @@ def _cmd_verify(args) -> int:
             where = f"word {s.word}" if s.word else "initial seed"
             failures.extend(f"{where}: {name}"
                             for name, ok in report.items() if not ok)
+        return report
 
     s0 = initial_seed(B)
-    check(s0)
+    checks = [*check(s0), "involution"]
     # verify_seed reads no word, so each labelled seed (C, G) is checked
     # once, under the first word that reaches it
     with collector_paused():
@@ -336,8 +337,6 @@ def _cmd_verify(args) -> int:
         if _triple(apply_word(s0, word + word[::-1])) != _triple(s0):
             failures.append(
                 f"word {word} is not undone by its reverse: involution")
-    checks = ["det_c", "det_g", "sign_coherence", "duality", "d_pairing",
-              "involution"]
     for name in checks:
         status = "FAIL" if any(name in f for f in failures) else "ok"
         sys.stdout.write(f"{name}: {status}\n")

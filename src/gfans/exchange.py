@@ -8,7 +8,6 @@ ints, so they may grow without bound under mutation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from math import gcd, lcm
 
 
@@ -128,29 +127,28 @@ def skew_symmetrizer(entries) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class ExchangeMatrix:
-    """Skew-symmetrizable integer matrix with a cached minimal symmetrizer."""
+    """Skew-symmetrizable integer matrix.  Its minimal symmetrizer D,
+    `symmetrizer`, is computed once, at construction, and `mutate_matrix`
+    carries it.  D is not a field: `==`, `hash` and `repr` read entries."""
 
     entries: Matrix
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", _as_matrix(self.entries))
-        self.symmetrizer  # validates on construction
+        entries = _as_matrix(self.entries)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "symmetrizer", skew_symmetrizer(entries))
 
     @classmethod
     def _with_symmetrizer(cls, entries: Matrix, d: tuple[int, ...]):
         """Instance with a symmetrizer the caller has already checked."""
         obj = object.__new__(cls)
         object.__setattr__(obj, "entries", entries)
-        obj.__dict__["symmetrizer"] = d
+        object.__setattr__(obj, "symmetrizer", d)
         return obj
 
     @property
     def n(self) -> int:
         return len(self.entries)
-
-    @cached_property
-    def symmetrizer(self) -> tuple[int, ...]:
-        return skew_symmetrizer(self.entries)
 
     def __getitem__(self, ij: tuple[int, int]) -> int:
         """1-based entry access: B[i, j]."""

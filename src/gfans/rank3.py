@@ -180,9 +180,8 @@ def lifted_sequences(B: ExchangeMatrix, i: int, m_max: int):
         raise ValueError(f"m_max must be an int, not {m_max!r}")
     if m_max < 0:
         raise ValueError("m_max must be >= 0")
-    a, b = rep.pair_ab
+    a, b, j, k = _orient(B, *natural_pair(i))
     c0, d0 = rep.c0_d0
-    j, k = _NATURAL_PAIR[i][::-1] if rep.swap_applied else _NATURAL_PAIR[i]
     out = []
     for forward, direction in ((True, "forward"), (False, "backward")):
         seq = []

@@ -5,9 +5,13 @@ import gc
 import hashlib
 import io
 import json
+import os
 import random
+import re
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -39,6 +43,7 @@ from gfans import (
 )
 from gfans.cli import _json_text, _word_count, build_parser, main
 from gfans.exchange import mutate_matrix
+from gfans.rank3 import _TAG_LABEL
 from gfans.seeds import Seed, apply_word, initial_seed, mutate_seed
 from conftest import (A3, A4, B2_A1, C5, MARKOV, R4, TUNNEL, WING, frame,
                       swap_indices_12)
@@ -941,7 +946,7 @@ CONTROLS = ("A3", "A4", "R2", "B2_A1", "R4")
 # tests below stay as they are.  A command with no matrix has name None.
 GOLDEN_STDOUT = {
     ("C5", ("classify",)):
-        "5eea9b314588abcd6c8a0d73898823570a8d442d051e540864c3f3f1e63169c3",
+        "ed19f4b69ff6564eab40fc17b2b71575e1c62c9eec8d8b5ec05d731db37a998a",
     ("C5", ("classify", "--format", "json")):
         "3b2c8760982ebe45d51b4b1706a31a6cba2e3ad09c2aaf8ee5a7d822b842938a",
     ("C5", ("pair", "--i", "1", "--j", "2")):
@@ -953,7 +958,7 @@ GOLDEN_STDOUT = {
     ("C5", ("pair", "--i", "3", "--j", "2", "--format", "json")):
         "b979b99cac30c87b74377837072e1b8fb09cc2b8b491d23687565584dbbd0371",
     ("MARKOV", ("classify",)):
-        "be511e0a21a1e198484a0cda7b328893ce5203e632c27259ad3bb28dcf2b2377",
+        "97a4c7be9dd783fb87abd231e61c2b8d92381146c111c8b555743b34c2fc1666",
     ("MARKOV", ("classify", "--format", "json")):
         "ae15b518a30907a54aa1f5ace31b1dba7433ef9e10d88c15ff07bbb36c34e6f7",
     ("MARKOV", ("pair", "--i", "1", "--j", "2")):
@@ -965,7 +970,7 @@ GOLDEN_STDOUT = {
     ("MARKOV", ("pair", "--i", "3", "--j", "2", "--format", "json")):
         "acd07cec6e1823ab55f93b77953dfe375a09931c831edf6e5e7be3ca5b849534",
     ("T42", ("classify",)):
-        "35dca4eacb99dae7c4ed0966e1cc46e936cf1c63ae207a2cd98e8d82d4224cdd",
+        "a32fe5998a4e7a1a59bc84632cd9f7142a19fd5ca907244a9281c5aeb66537ec",
     ("T42", ("classify", "--format", "json")):
         "390a92309bfe9c1982b810298254f6c2fdb2729a196da4f45c6b307375a94ac0",
     ("T42", ("pair", "--i", "1", "--j", "2")):
@@ -993,11 +998,11 @@ GOLDEN_STDOUT = {
     ("NEG_WING", ("classify", "--format", "json")):
         "04094a2e8136c38b00499de6ff38b4963e1999ae6b3f6a2c1d342e0649942c42",
     ("NEG_C5", ("classify",)):
-        "337d38cc2b45a65a4ce0326163a8bd8df6d05118032b515ac1f246e53aea03d0",
+        "74ea78b020ee41db8806e4875b08c8e3d9d2b5cb247418634b8ad9358468f9e9",
     ("NEG_C5", ("classify", "--format", "json")):
         "a4b63b342ed2fecdc788c350c8e7d07e3e13d0c2ad87fdf223c89ecaa08759df",
     ("AB4_EQUALITY", ("classify",)):
-        "31cce2f16d9beee548adf21833ac3eeaf32b3da1e6673822c9155a66116fb2ed",
+        "bf74b3a8424f332f537cd268750d5ce6dafbe3467f29b2d2b6cb85ec660ca669",
     ("AB4_EQUALITY", ("classify", "--format", "json")):
         "28d0828c165037e0552309a879105af0108bb47400acd6ee0a6fa52e24f320e3",
     # the JSON reports of the input whose classify calls the benchmark
@@ -1040,7 +1045,7 @@ GOLDEN_STDOUT = {
     ("R4_INFINITE", ("pair", "--i", "1", "--j", "2", "--format", "json")):
         "25cb2b4acce73376aee28fb10b3da2a05f7e634dd37d3e47d8e997d4218e925c",
     ("TUNNEL", ("classify",)):
-        "dd04c6a4b6a1bdf807c53408b2a4fb546e497a37ff81dfb06e9b699d6a418939",
+        "121d1e295745068cb3c9e89ccc799fb63131d03544db57fb2ce7e93f28b9732b",
     ("TUNNEL", ("pair", "--i", "1", "--j", "2")):
         "7787cb0cc7fecc091dfdae6dbbca53b12522287f1ea184fc980d0d64fcb05067",
 }
@@ -1428,6 +1433,18 @@ def test_json_text_matches_json_dumps(value):
     assert _json_text(value) == json.dumps(value, indent=2)
 
 
+@pytest.mark.parametrize("value", [
+    {1, 2}, b"bytes", Fraction(1, 2), 1j, object(),
+    {"a": [None, {"b": frozenset()}]}, [1, [2, [Fraction(3)]]],
+])
+def test_json_text_refuses_what_json_dumps_refuses(value):
+    with pytest.raises(TypeError) as ours:
+        _json_text(value)
+    with pytest.raises(TypeError) as stdlib:
+        json.dumps(value, indent=2)
+    assert str(ours.value) == str(stdlib.value)
+
+
 def test_an_int_past_the_digit_limit_fails_before_the_out_file(
         markov_file, tmp_path, monkeypatch, capsys, int_digits_640):
     doc = {"markov_constant": 10 ** 700}
@@ -1449,3 +1466,75 @@ def test_an_int_past_the_digit_limit_fails_before_the_out_file(
     assert captured.out == ""
     assert captured.err == f"error: {stdlib.value}\n"
     assert kept.read_bytes() == b"kept\n"
+
+
+# -- the module as a script ---------------------------------------------------
+
+def test_python_m_gfans_cli_runs_main(markov_file, capsys):
+    src = Path(gfans.cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "gfans.cli", "classify", markov_file],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert main(["classify", markov_file]) == 0
+    assert (proc.returncode, proc.stdout, proc.stderr) == \
+        (0, capsys.readouterr().out, "")
+
+
+# -- one name per vertex type --------------------------------------------------
+
+def _check_type_names(path) -> int:
+    """Text and JSON `classify` on `path` exit alike, and on success the
+    text names each vertex's type by the `_TAG_LABEL` of its JSON tag, in
+    the `vN:` lines and in the triplet; returns the exit code."""
+    runs = []
+    for fmt in ((), ("--format", "json")):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            runs.append((main(["classify", str(path), *fmt]), out.getvalue()))
+    (code, text), (json_code, doc) = runs
+    assert code == json_code
+    if code == 1:  # a band search that reaches its bound, in both formats
+        return code
+    assert code == 0
+    vertices = json.loads(doc)["vertices"]
+    labels = [_TAG_LABEL[v["type"]] for v in vertices]
+    assert text.startswith(f"type of fan: ({', '.join(labels)})   case ")
+    assert re.findall(r"^  v(\d): type (\S+) with ", text, re.MULTILINE) == \
+        [(str(v["vertex"]), label) for v, label in zip(vertices, labels)]
+    return code
+
+
+def _bench_corpus(seed):
+    """The classify-sweep corpus of the benchmark at `seed`."""
+    bench = str(Path(__file__).resolve().parents[1] / "bench")
+    sys.path.insert(0, bench)
+    try:
+        import corpus
+    finally:
+        sys.path.remove(bench)
+    return [m for _, m, _, _ in corpus.build(seed, n_random=24)]
+
+
+@pytest.mark.parametrize("name", [n for n in GOLDEN_MATRICES
+                                  if n not in CONTROLS
+                                  and len(GOLDEN_MATRICES[n]) == 3])
+def test_both_classify_formats_name_each_type_alike(name, tmp_path):
+    # the text report names a type as the triplet and the paper do
+    _check_type_names(write_matrix(tmp_path / "m.json",
+                                   GOLDEN_MATRICES[name]))
+
+
+def test_both_formats_name_each_type_alike_on_the_bench_corpus(tmp_path):
+    codes = [_check_type_names(write_matrix(tmp_path / "m.json", entries))
+             for entries in _bench_corpus(2)]
+    assert codes.count(0) > len(codes) // 2
+
+
+@settings(max_examples=100, deadline=None)
+@given(totally_infinite_rank3())  # p_3 takes both signs
+def test_both_formats_name_each_type_alike_on_random_matrices(
+        tmp_path_factory, b):
+    _check_type_names(write_matrix(tmp_path_factory.mktemp("types") / "m.json",
+                                   b))

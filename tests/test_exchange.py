@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import random
 import re
 from fractions import Fraction
@@ -20,8 +23,8 @@ from gfans import (
     skew_symmetrizer,
 )
 from gfans.exchange import int_rows, mutate_row
-from conftest import (MARKOV, PINWHEEL, TUNNEL, TUNNEL_CLOSEUP, WIDE_TUNNEL,
-                      WING, swap_indices_12)
+from conftest import (B2_A1, MARKOV, PINWHEEL, R4, TUNNEL, TUNNEL_CLOSEUP,
+                      WIDE_TUNNEL, WING, swap_indices_12)
 
 
 def random_skew_symmetrizable(rng, n):
@@ -252,6 +255,68 @@ def test_rank_3_mutation_names_the_first_broken_pair(entries, d, k, pairs,
     assert broken_pairs(wrong, k) == pairs
     with pytest.raises(NotSkewSymmetrizable, match=f"^{re.escape(message)}$"):
         mutate_matrix(wrong, k)
+
+
+@pytest.mark.parametrize("entries, d, k, message", [
+    # rank 2 has one pair; D = (4, 1) fits, (1, 1) does not
+    (((0, -1), (4, 0)), (1, 1), 1,
+     "mutation in direction 1 broke d_i b_ij = -d_j b_ji at (0,1)"),
+    (((0, -1), (4, 0)), (1, 1), 2,
+     "mutation in direction 2 broke d_i b_ij = -d_j b_ji at (0,1)"),
+    # rank 4, D = (1, 1, 1, 1) fits: two, three and four broken pairs
+    (R4, (1, 1, 1, 2), 1,
+     "mutation in direction 1 broke d_i b_ij = -d_j b_ji at (1,3)"),
+    (R4, (1, 1, 2, 3), 1,
+     "mutation in direction 1 broke d_i b_ij = -d_j b_ji at (0,2)"),
+    (R4, (1, 2, 1, 1), 3,
+     "mutation in direction 3 broke d_i b_ij = -d_j b_ji at (1,2)"),
+    (R4, (1, 2, 3, 1), 3,
+     "mutation in direction 3 broke d_i b_ij = -d_j b_ji at (0,2)"),
+])
+def test_generic_mutation_names_the_first_broken_pair(entries, d, k, message):
+    # ranks other than 3 check D in the generic loop, which stops at the
+    # first broken pair in its order
+    wrong = ExchangeMatrix._with_symmetrizer(ExchangeMatrix(entries).entries,
+                                             d)
+    assert message.endswith("at ({},{})".format(*broken_pairs(wrong, k)[0]))
+    with pytest.raises(NotSkewSymmetrizable, match=f"^{re.escape(message)}$"):
+        mutate_matrix(wrong, k)
+
+
+def _copies(B):
+    """B through `dataclasses.replace`, `copy`, `deepcopy` and every pickle
+    protocol."""
+    yield dataclasses.replace(B)
+    yield copy.copy(B)
+    yield copy.deepcopy(B)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        yield pickle.loads(pickle.dumps(B, protocol))
+
+
+@pytest.mark.parametrize("entries", [WING, TUNNEL, MARKOV, B2_A1, R4,
+                                     ((0, -1), (4, 0))])
+def test_the_symmetrizer_is_data(entries):
+    # D is computed once, at construction, or carried by a mutation, and
+    # kept as a plain attribute; it is not a field, so ==, hash and repr
+    # read the entries alone
+    assert [f.name for f in dataclasses.fields(ExchangeMatrix)] == ["entries"]
+    want = skew_symmetrizer(entries)
+    B = ExchangeMatrix(entries)
+    ways = [[B, ExchangeMatrix.from_json(B.to_json())]]
+    for k in range(1, B.n + 1):
+        child = mutate_matrix(B, k)
+        ways[0] += [mutate_matrix(child, k), apply_matrix_word(B, (k, k))]
+        ways.append([child, apply_matrix_word(B, (k,)),
+                     ExchangeMatrix(child.entries)])
+    for same in ways:
+        first = same[0]
+        for b in same + [c for b in same for c in _copies(b)]:
+            assert "symmetrizer" in vars(b)
+            assert b.symmetrizer == want
+            assert b == first
+            assert hash(b) == hash(first)
+            assert repr(b) == repr(first) == \
+                f"ExchangeMatrix(entries={first.entries!r})"
 
 
 def test_mutation_direction_bounds():

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gfans import QuadraticNumber, QuadraticRay
-from gfans.quadratic import root_sign
+from gfans.quadratic import fold, parts_text, root_sign
 
 
 def test_perfect_square_discriminant_folds_to_rational():
@@ -199,3 +199,24 @@ def test_float_within_one_ulp(x, y, delta, nudge):
         near = -y * Fraction(math.isqrt(delta << 200), 1 << 100) \
             + Fraction(nudge, 1 << 120)
         assert_within_one_ulp(QuadraticNumber(near, y, delta))
+
+
+@pytest.mark.parametrize("q, text", [
+    (QuadraticNumber(Fraction(1, 2), 3, 5), "1/2 + 3*sqrt(5)"),
+    (QuadraticNumber(Fraction(-4, 6), Fraction(3, -9), 12),
+     "-2/3 + -1/3*sqrt(12)"),
+    (QuadraticNumber(2, 3, 4), "8"),  # 2 + 3*sqrt(4) folds
+    (QuadraticNumber(Fraction(1, 3), Fraction(1, 2), 9), "11/6"),
+    (QuadraticNumber(Fraction(-7, 3), 0, 5), "-7/3"),  # y = 0 drops delta
+    (QuadraticNumber(0, 0, 5), "0"),
+])
+def test_repr_is_the_exact_text(q, text):
+    assert repr(q) == text
+
+
+@given(_fractions, _fractions, st.integers(0, 2 ** 70) | st.sampled_from(
+    [0, 1, 4, 5, 9, 12, 49]))
+def test_repr_is_the_text_of_the_folded_parts(x, y, delta):
+    parts = fold(*x.as_integer_ratio(), *y.as_integer_ratio(), delta,
+                 math.isqrt(delta))
+    assert repr(QuadraticNumber(x, y, delta)) == parts_text(*parts)

@@ -94,6 +94,19 @@ def test_unimodular_inverse():
         unimodular_inverse(((2, 0), (0, 1)))
 
 
+@pytest.mark.parametrize("m", [((1,),), ((-1,),), ((5,),), ((0,),)])
+def test_adjugate_of_a_1x1_matrix_is_1(m):
+    # adj(m) m = det(m) I holds with adj = (1) for every 1 x 1 matrix
+    assert adjugate(m) == ((1,),)
+
+
+@pytest.mark.parametrize("m, inverse", [(((1,),), ((1,),)),
+                                        (((-1,),), ((-1,),))])
+def test_unimodular_inverse_of_a_1x1_matrix(m, inverse):
+    assert unimodular_inverse(m) == inverse
+    assert matmul(m, inverse) == ((1,),)
+
+
 def test_initial_seed_is_identity():
     s = initial_seed(ExchangeMatrix(MARKOV))
     assert s.c == s.g == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
