@@ -326,11 +326,10 @@ def _cmd_verify(args) -> int:
     checks = [*check(s0), "involution"]
     # verify_seed reads no word, so each labelled seed (C, G) is checked
     # once, under the first word that reaches it
-    with collector_paused():
-        steps = walk(s0, lambda s: (s.c, s.g), args.depth, {})
-        for child, _, _, new in steps:
-            if new:
-                check(child)
+    steps = walk(s0, lambda s: (s.c, s.g), args.depth, {})
+    for child, _, _, new in steps:
+        if new:
+            check(child)
     # a few random word replays double as involution checks
     for _ in range(10):
         word = [rng.randrange(1, B.n + 1) for _ in range(args.depth)]
@@ -417,27 +416,35 @@ def _check_out(path: str) -> None:
 
 
 def main(argv=None) -> int:
+    """Run one gfans command and return its exit code.
+
+    The handler and the mapping of its errors run with the cyclic garbage
+    collector paused (`seeds.collector_paused`): the seeds, fans and texts
+    a command builds hold no reference cycles, so the collector would only
+    rescan them.  They are freed before the collector resumes, and one
+    that was disabled stays disabled."""
     args = _parser().parse_args(argv)
-    try:
-        if getattr(args, "out", None) is not None:
-            _check_out(args.out)
-        # looked up per call, so a handler replaced after the parser was
-        # built is the one that runs
-        return globals()[f"_cmd_{args.command}"](args)
-    except ResourceCapExceeded as exc:
-        sys.stderr.write(f"resource cap: {exc}\n")
-        return EXIT_RESOURCE
-    except (SignCoherenceViolation, InternalBandSearchFailure,
-            UnexpectedCyclicTriplet) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INVARIANT
-    except (OSError, KeyError, ValueError, OverflowError) as exc:
-        # NotCyclic, json.JSONDecodeError etc. subclass ValueError, and so
-        # does _float's error for a limit-ray decimal past the float range;
-        # an unreadable or unwritable path is an OSError; any other float
-        # past the range is an OverflowError
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_PARSE
+    with collector_paused():
+        try:
+            if getattr(args, "out", None) is not None:
+                _check_out(args.out)
+            # looked up per call, so a handler replaced after the parser
+            # was built is the one that runs
+            return globals()[f"_cmd_{args.command}"](args)
+        except ResourceCapExceeded as exc:
+            sys.stderr.write(f"resource cap: {exc}\n")
+            return EXIT_RESOURCE
+        except (SignCoherenceViolation, InternalBandSearchFailure,
+                UnexpectedCyclicTriplet) as exc:
+            sys.stderr.write(f"error: {exc}\n")
+            return EXIT_INVARIANT
+        except (OSError, KeyError, ValueError, OverflowError) as exc:
+            # NotCyclic, json.JSONDecodeError etc. subclass ValueError, and
+            # so does _float's error for a limit-ray decimal past the float
+            # range; an unreadable or unwritable path is an OSError; any
+            # other float past the range is an OverflowError
+            sys.stderr.write(f"error: {exc}\n")
+            return EXIT_PARSE
 
 
 if __name__ == "__main__":

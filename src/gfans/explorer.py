@@ -326,7 +326,7 @@ def load_fan(doc: dict) -> Fan:
             key = cone_key(rays)
             if int_rows(entry["key"], "cone key") != key:
                 raise ValueError("cone key does not match its rays")
-            if key in cones:
+            if own.setdefault(key, key) is not key:
                 raise ValueError(
                     f"duplicate cone key {[list(r) for r in key]}")
             word = entry["word"]
@@ -341,7 +341,6 @@ def load_fan(doc: dict) -> Fan:
                                  f"1..{n} of length at most {depth}")
             cones[key] = GCone(rays, normals, d)
             words[key] = tuple(word)
-            own[key] = key
     except KeyError as exc:
         raise missing_field("cone", exc.args[0]) from None
     edges = []  # a, b, ... until adjacency is first read, as in explore
@@ -379,24 +378,34 @@ def _fan_writer(fan: Fan):
     already turned into text.
 
     Each distinct vector is encoded once, into a table local to the call,
-    and each cone's key text is joined once from it and reused for the
-    cone and for every edge that names the key.  The edges are sorted as
-    pairs of key ranks, which orders them as their keys would.  All of
-    this happens here, before anything is written, so an entry past
+    and each of a cone's rays and normals is looked up there once; the
+    cone keeps references to those texts, and its key text is joined from
+    its rays' texts, in key order, and reused for the cone and for every
+    edge that names the key.  The edges are sorted as pairs of key ranks,
+    which orders them as their keys would.  All of this happens here,
+    before anything is written, so an entry past
     `sys.get_int_max_str_digits()` raises ValueError while the target is
-    still untouched.  Every edge must join two cones of the fan, as in
-    the fans of `explore` and `load_fan`."""
+    still untouched.  `write` then streams the head, the cones and the
+    edges through `fh.writelines`, one text per cone or edge.  Every edge
+    must join two cones of the fan, as in the fans of `explore` and
+    `load_fan`."""
     cones = fan.cones
     order = sorted(cones)
     texts = {}  # each distinct vector -> its JSON text
-    keys = []  # the key texts, in key order
+    rows = []  # per cone in key order: its rays', normals' and key's texts
     try:
         for key in order:
             cone = cones[key]
-            for v in cone.rays + cone.normals:
-                if v not in texts:
-                    texts[v] = _vector_text(v)
-            keys.append(f"[{', '.join([texts[v] for v in key])}]")
+            rays = cone.rays
+            row = []
+            for v in rays + cone.normals:
+                text = texts.get(v)
+                if text is None:
+                    text = texts[v] = _vector_text(v)
+                row.append(text)
+            # the key is the rays sorted, so its rows are found among them
+            row.append(f"[{', '.join([row[rays.index(v)] for v in key])}]")
+            rows.append(tuple(row))
         head = json.dumps({"format": _FORMAT, "source": fan.source.to_json(),
                            "depth": fan.depth})[:-1]
     except ValueError:  # past sys.get_int_max_str_digits()
@@ -410,24 +419,26 @@ def _fan_writer(fan: Fan):
         i, j = rank[a], rank[b]
         edges.append((i, j) if i < j else (j, i))
     edges.sort()
+    words = fan.words
 
-    def write(fh):
-        fh.write(f'{head}, "cones": [')
+    def lines():
+        yield f'{head}, "cones": ['
         sep = ""
-        for key, key_text in zip(order, keys):
-            cone = cones[key]
-            g = ", ".join([texts[v] for v in cone.rays])
-            c = ", ".join([texts[v] for v in cone.normals])
-            word = _vector_text(fan.words[key])
-            fh.write(f'{sep}{{"key": {key_text}, "g": [{g}], "c": [{c}], '
-                     f'"word": {word}}}')
+        for key, row in zip(order, rows):
+            n = len(key)
+            yield (f'{sep}{{"key": {row[-1]}, "g": [{", ".join(row[:n])}], '
+                   f'"c": [{", ".join(row[n:-1])}], '
+                   f'"word": {_vector_text(words[key])}}}')
             sep = ", "
-        fh.write('], "adjacency": [')
+        yield '], "adjacency": ['
         sep = ""
         for i, j in edges:
-            fh.write(f"{sep}[{keys[i]}, {keys[j]}]")
+            yield f"{sep}[{rows[i][-1]}, {rows[j][-1]}]"
             sep = ", "
-        fh.write("]}")
+        yield "]}"
+
+    def write(fh):
+        fh.writelines(lines())
 
     return write
 
@@ -436,10 +447,10 @@ def write_fan(fan: Fan, fh):
     """Write exactly `json.dumps(save_fan(fan))` to the text file fh.
 
     The document is written from the fan itself, not from `save_fan`'s
-    dict: the head, then one cone or edge at a time, with the text of
-    each distinct vector made once and kept in a table local to the call
-    (see `_fan_writer`).  Nothing is written unless every vector could
-    be encoded."""
+    dict: the head, then one text per cone or edge, streamed through
+    `fh.writelines`, with the text of each distinct vector made once and
+    kept in a table local to the call (see `_fan_writer`).  Nothing is
+    written unless every vector could be encoded."""
     _fan_writer(fan)(fh)
 
 

@@ -32,7 +32,6 @@ state.  Seed documents keep the row layout of C and G.
 from __future__ import annotations
 
 import gc
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
@@ -383,8 +382,7 @@ def walk(s0: Seed, key, depth: int, seen: dict):
         level = nxt
 
 
-@contextmanager
-def collector_paused():
+class collector_paused:
     """Run the body of a `with` block with the cyclic garbage collector
     paused, and enable it again afterwards only if it was enabled before,
     so nested pauses and a caller that disabled it keep their state.
@@ -393,13 +391,18 @@ def collector_paused():
     reference counting frees them all, and the collector would only
     rescan a heap of seeds that keeps growing.  The pause is process-wide:
     cyclic garbage that other threads make meanwhile waits until the block
-    ends."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
+    ends.  A class, not a `contextlib.contextmanager` generator, because
+    `gfans.cli.main` enters it once per command and the generator's
+    entry and exit cost a few microseconds of a short command."""
+
+    __slots__ = ("_enabled",)
+
+    def __enter__(self):
+        self._enabled = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, *exc_info):
+        if self._enabled:
             gc.enable()
 
 

@@ -18,6 +18,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import gfans.cli
+import gfans.explorer
 import gfans.quadratic
 import gfans.render
 import gfans.seeds
@@ -145,8 +146,9 @@ def test_verify_pauses_the_collector_and_enables_it_again(markov_file,
     finally:
         gc.enable()
     assert code == 0
-    # the initial seed is checked before the walk, the 21 others in it
-    assert states == [True] + [False] * 21
+    # main pauses the collector around the whole handler, so the initial
+    # seed's check runs paused as well as the 21 in the walk
+    assert states == [False] * 22
 
 
 def test_explore_cap_leaves_the_collector_enabled(tmp_path, capsys):
@@ -159,6 +161,94 @@ def test_explore_cap_leaves_the_collector_enabled(tmp_path, capsys):
     finally:
         gc.enable()
     assert capsys.readouterr().err.startswith("resource cap:")
+
+
+# -- main pauses the collector around the handler and its error mapping -----
+
+def _raising(exc):
+    def handler(args):
+        raise exc
+    return handler
+
+
+@pytest.mark.parametrize("enabled", [True, False],
+                         ids=["enabled", "disabled"])
+@pytest.mark.parametrize("handler, code", [
+    (lambda args: 0, 0),
+    (_raising(SignCoherenceViolation("mixed signs")), 1),
+    (_raising(ValueError("bad input")), 2),
+    (_raising(gfans.explorer.ResourceCapExceeded("cap")), 3),
+], ids=["exit-0", "exit-1", "exit-2", "exit-3"])
+def test_main_leaves_the_collector_as_it_found_it(monkeypatch, capsys,
+                                                  enabled, handler, code):
+    states = []
+
+    def recording(args):
+        states.append(gc.isenabled())
+        return handler(args)
+
+    # main looks its handler up by name on every call
+    monkeypatch.setattr(gfans.cli, "_cmd_rank2", recording)
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert main(["rank2", "--a", "1", "--b", "1"]) == code
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+    assert states == [False]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("enabled", [True, False],
+                         ids=["enabled", "disabled"])
+def test_main_leaves_the_collector_as_it_found_it_after_an_uncaught_error(
+        monkeypatch, enabled):
+    monkeypatch.setattr(gfans.cli, "_cmd_rank2",
+                        _raising(RuntimeError("not mapped")))
+    (gc.enable if enabled else gc.disable)()
+    try:
+        with pytest.raises(RuntimeError, match="^not mapped$"):
+            main(["rank2", "--a", "1", "--b", "1"])
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+
+
+def test_the_writer_and_render_svg_run_paused_inside_main(tmp_path,
+                                                         monkeypatch,
+                                                         capsys):
+    states = []
+    real_writer = gfans.explorer._fan_writer
+    real_render = gfans.cli.render_svg
+
+    def writer(fan):
+        write = real_writer(fan)
+
+        def recording(fh):
+            states.append(("write", gc.isenabled()))
+            write(fh)
+
+        return recording
+
+    def render(fan, opts):
+        states.append(("render", gc.isenabled()))
+        return real_render(fan, opts)
+
+    monkeypatch.setattr(gfans.explorer, "_fan_writer", writer)
+    monkeypatch.setattr(gfans.cli, "render_svg", render)
+    matrix = str(write_matrix(tmp_path / "wing.json", WING))
+    fan = str(tmp_path / "fan.json")
+    gc.enable()
+    try:
+        assert main(["explore", matrix, "--depth", "3", "--out", fan]) == 0
+        assert main(["explore", matrix, "--depth", "3"]) == 0
+        assert main(["render", fan, "--out", str(tmp_path / "f.svg")]) == 0
+        assert gc.isenabled()
+    finally:
+        gc.enable()
+    assert states == [("write", False), ("write", False), ("render", False)]
+    assert json.loads(capsys.readouterr().out) == json.loads(
+        Path(fan).read_text())
 
 
 # -- verify: the state walk against the word walk it replaced ---------------

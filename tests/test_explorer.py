@@ -45,7 +45,8 @@ from gfans.seeds import (
     transpose,
     unimodular_inverse,
 )
-from conftest import A3, A4, B2_A1, MARKOV, PINWHEEL, TUNNEL, WING, frame
+from conftest import (A3, A4, B2_A1, MARKOV, PINWHEEL, R4, TUNNEL, WING,
+                      frame)
 from test_exchange import (
     random_skew_symmetrizable,
     skew_symmetrizable_matrices,
@@ -550,6 +551,52 @@ def test_load_keeps_its_refusal_order(edit, message):
         load_fan(doc)
 
 
+_KEY_TYPE = "^adjacency key must be integers in JSON lists$"
+
+
+def _entries_replaced(key, old, new):
+    """`key` with each entry equal to `old` replaced by `new`."""
+    return [[new if x == old else x for x in row] for row in key]
+
+
+# each message, and which one an edge with two faults gets, is held
+# fixed for any rewrite of the edge check
+@pytest.mark.parametrize("edit, message", [
+    (lambda a, b: [[[1, 0, "0"], *a[1:]], b], _KEY_TYPE),
+    (lambda a, b: [a, [[1, 0, "0"], *b[1:]]], _KEY_TYPE),
+    (lambda a, b: [a, [1, *b[1:]]], _KEY_TYPE),
+    (lambda a, b: ["key", b], _KEY_TYPE),
+    (lambda a, b: [a, "key"], _KEY_TYPE),
+    (lambda a, b: [1, b], _KEY_TYPE),
+    (lambda a, b: [a, 1], _KEY_TYPE),
+    (lambda a, b: [None, b], _KEY_TYPE),
+    (lambda a, b: [a, _entries_replaced(b, 1, 1.0)], _KEY_TYPE),
+    (lambda a, b: [_entries_replaced(a, 1, True), b], _KEY_TYPE),
+    # a bad key is named before an unknown key or a self-loop
+    (lambda a, b: [_UNKNOWN_KEY, [[1, 0, "0"], *b[1:]]], _KEY_TYPE),
+    (lambda a, b: [_entries_replaced(a, 1, 1.0), a], _KEY_TYPE),
+    (lambda a, b: [a], "^adjacency edge must name exactly two keys$"),
+    (lambda a, b: [a, b, b], "^adjacency edge must name exactly two keys$"),
+    (lambda a, b: [], "^adjacency edge must name exactly two keys$"),
+    (lambda a, b: "ab", "^adjacency edge must be a list$"),
+    (lambda a, b: [a, _UNKNOWN_KEY],
+     "^adjacency edge names a key that no cone has$"),
+    (lambda a, b: [a, b[:2]], "^adjacency edge names a key that no cone has$"),
+    (lambda a, b: [[], b], "^adjacency edge names a key that no cone has$"),
+    (lambda a, b: [b, b], "^adjacency edge joins a cone to itself$"),
+], ids=["first-entry", "second-entry", "second-row", "first-str",
+        "second-str", "first-int", "second-int", "first-null",
+        "second-float", "first-bool", "bad-after-unknown",
+        "float-before-self-loop", "length-1", "length-3", "length-0",
+        "str-edge", "unknown", "short-key", "empty-key", "self-loop"])
+def test_load_refuses_malformed_edges(edit, message):
+    doc = json.loads(json.dumps(save_fan(explore(ExchangeMatrix(MARKOV), 1))))
+    a, b = doc["adjacency"][0]
+    doc["adjacency"].append(edit(a, b))
+    with pytest.raises(ValueError, match=message):
+        load_fan(doc)
+
+
 def test_a_repeated_edge_loads_as_one():
     fan = explore(ExchangeMatrix(MARKOV), 2)
     doc = json.loads(_written(fan))
@@ -598,6 +645,10 @@ def _written(fan):
 @given(skew_symmetrizable_matrices, st.integers(0, 5), st.booleans())
 @example(ExchangeMatrix(MARKOV), 0, False)  # one cone, no adjacency
 @example(ExchangeMatrix(TUNNEL), 8, False)  # entries past 600 bits
+@example(ExchangeMatrix(((0, 2), (-3, 0))), 9, False)  # rank 2, infinite
+@example(ExchangeMatrix(((0, 1), (-1, 0))), 4, False)  # rank 2, finite
+@example(ExchangeMatrix(A4), 4, False)
+@example(ExchangeMatrix(R4), 3, False)
 def test_write_fan_writes_the_one_shot_document(B, depth, read_adjacency):
     fan = explore(B, depth)
     if read_adjacency:
@@ -616,6 +667,24 @@ def test_write_fan_writes_hand_built_fans(adjacency):
         built = Fan(B, 3, built.cones, built.words)
         assert built.adjacency == set()
     assert _written(built) == json.dumps(save_fan(built))
+
+
+def _fresh(key):
+    """A key equal to `key` whose rows are new tuples."""
+    return tuple(tuple([*row]) for row in key)
+
+
+def test_write_fan_writes_a_fan_whose_keys_are_not_its_rays_objects():
+    fan = explore(ExchangeMatrix(WING), 4)
+    built = Fan(fan.source, fan.depth,
+                {_fresh(k): cone for k, cone in fan.cones.items()},
+                {_fresh(k): w for k, w in fan.words.items()},
+                {frozenset(map(_fresh, edge)) for edge in fan.adjacency})
+    for key, cone in built.cones.items():
+        assert all(row is not ray for row in key for ray in cone.rays)
+    own = {id(key) for key in built.cones}
+    assert not any(id(key) in own for edge in built.adjacency for key in edge)
+    assert _written(built) == json.dumps(save_fan(built)) == _written(fan)
 
 
 @pytest.mark.parametrize("matrix, depth", [(A3, 11), (TUNNEL, 6)])
